@@ -21,6 +21,7 @@ from .embeddings import (
     EmbeddingStore,
     LabelResolution,
     Permutation,
+    Vocabulary,
     clean_label,
     cosine,
     euclidean,
@@ -42,10 +43,15 @@ from .harness import (
 from .labelset import (
     EvaluationUnit,
     GroundTruthRecord,
+    InternedObjects,
+    InternedTruth,
     PredictedObject,
     PredictionRecord,
+    intern_objects,
+    intern_truth,
     label_bag,
     metadata_stats,
+    object_stats,
     read_ground_truth,
     read_predictions,
     top_k,

@@ -5,6 +5,9 @@ predicted objects as sets: accuracy is their Jaccard similarity, precision
 divides matches by the object count, recall by the truth count, and F1 is the
 harmonic mean. Label-based scores pool per-label confusion counters and
 average them macro- (per label, then mean) or micro-style (pooled counts).
+
+The matching functions take raw labels or the interned sides of
+``labelset``; raw ones are interned first, so both go through one matcher.
 """
 
 from __future__ import annotations
@@ -12,9 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .embeddings import clean_label
+from .embeddings import EmbeddingStore, clean_label
 from .errors import EmptyDatasetError, EmptyLedgerError, EmptyTruthError
-from .labelset import PredictedObject
+from .labelset import InternedObjects, InternedTruth, PredictedObject, intern_unit
+
+#: Exact matching reads only the cleaned text, so raw sides are interned
+#: against a store that resolves nothing.
+_TEXT_ONLY = EmbeddingStore((), dim=0)
 
 
 @dataclass(frozen=True)
@@ -60,20 +67,20 @@ def dedup_normalized(labels: Iterable[str]) -> list[str]:
     return out
 
 
-def exact_intersection(truth: Sequence[str],
-                       objects: Sequence[PredictedObject]) -> MatchResult:
+def exact_intersection(truth: Sequence[str] | InternedTruth,
+                       objects: Sequence[PredictedObject] | InternedObjects
+                       ) -> MatchResult:
     """Greedy one-to-one exact matching in object order.
 
     Each object, in order, matches the first still-unmatched truth label that
     equals any of its cleaned synonyms.
     """
-    truth_d = dedup_normalized(truth)
+    truth, objects = intern_unit(truth, objects, _TEXT_ONLY)
     matched_truth: list[int] = []
     matched_objects: list[int] = []
-    taken = [False] * len(truth_d)
-    for oi, obj in enumerate(objects):
-        synonyms = {clean_label(s) for s in obj.synonyms}
-        for ti, label in enumerate(truth_d):
+    taken = [False] * len(truth.labels)
+    for oi, synonyms in enumerate(objects.synonyms):
+        for ti, label in enumerate(truth.labels):
             if not taken[ti] and label in synonyms:
                 taken[ti] = True
                 matched_truth.append(ti)
@@ -100,11 +107,12 @@ def scores_from_counts(matched: int, n_truth: int, n_objects: int) -> ExampleSco
                          recall=recall, f1=f1)
 
 
-def example_scores(truth: Sequence[str],
-                   objects: Sequence[PredictedObject]) -> ExampleScores:
-    truth_d = dedup_normalized(truth)
+def example_scores(truth: Sequence[str] | InternedTruth,
+                   objects: Sequence[PredictedObject] | InternedObjects
+                   ) -> ExampleScores:
+    truth, objects = intern_unit(truth, objects, _TEXT_ONLY)
     match = exact_intersection(truth, objects)
-    return scores_from_counts(match.matched, len(truth_d), len(objects))
+    return scores_from_counts(match.matched, len(truth.labels), len(objects))
 
 
 def mean_scores(scores: Sequence[ExampleScores]) -> ExampleScores:
@@ -142,8 +150,9 @@ class ConfusionLedger:
     """
 
     def __init__(self, label_space: Iterable[str]):
+        cleaned = (clean_label(label) for label in label_space)
         self.label_space: tuple[str, ...] = tuple(dict.fromkeys(
-            clean_label(label) for label in label_space if clean_label(label)))
+            label for label in cleaned if label))
         self._index = {label: j for j, label in enumerate(self.label_space)}
         q = len(self.label_space)
         self.tp = [0] * q
@@ -155,20 +164,24 @@ class ConfusionLedger:
     def tn(self, j: int) -> int:
         return self.images - self.tp[j] - self.fp[j] - self.fn[j]
 
-    def accumulate(self, truth: Sequence[str],
-                   objects: Sequence[PredictedObject]) -> "ConfusionLedger":
-        """Add one image. Per label exactly one of tp/fn/fp/tn increments."""
-        truth_d = dedup_normalized(truth)
-        match = exact_intersection(truth, objects)
-        matched_labels = {truth_d[ti] for ti in match.truth_indices}
+    def accumulate(self, truth: Sequence[str] | InternedTruth,
+                   objects: Sequence[PredictedObject] | InternedObjects,
+                   match: MatchResult | None = None) -> "ConfusionLedger":
+        """Add one image. Per label exactly one of tp/fn/fp/tn increments.
+
+        ``match`` is the image's exact match when the caller already has it;
+        otherwise it is computed here.
+        """
+        truth, objects = intern_unit(truth, objects, _TEXT_ONLY)
+        if match is None:
+            match = exact_intersection(truth, objects)
+        matched_labels = {truth.labels[ti] for ti in match.truth_indices}
         matched_objects = set(match.object_indices)
         claimed: set[str] = set()
-        for oi, obj in enumerate(objects):
-            if oi in matched_objects:
-                continue
-            claimed.update(clean_label(s) for s in obj.synonyms)
-        claimed.discard("")
-        truth_set = set(truth_d)
+        for oi, synonyms in enumerate(objects.synonyms):
+            if oi not in matched_objects:
+                claimed.update(synonyms)
+        truth_set = set(truth.labels)
         for label in matched_labels:
             j = self._index.get(label)
             if j is not None:

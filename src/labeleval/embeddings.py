@@ -3,7 +3,11 @@
 Models follow the common word2vec layouts. Text: a "V D" header line then V
 rows of "token c1 ... cD". Binary: the same ascii header, then V records of
 token bytes, a single 0x20, and D little-endian float32 values with an
-optional trailing newline.
+optional trailing newline. Every component must be finite.
+
+A run resolves its labels once, into a ``Vocabulary``; the scalar ``cosine``
+and ``euclidean`` stay as the reference the vectorised scoring is checked
+against.
 """
 
 from __future__ import annotations
@@ -11,9 +15,10 @@ from __future__ import annotations
 import enum
 import math
 import re
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -119,10 +124,34 @@ def _parse_header(line: str) -> tuple[int, int]:
     return vocab, dim
 
 
+#: Rows checked for non-finite components per vectorised pass.
+_FINITE_BLOCK = 4096
+
+
+def _first_nonfinite(entries: Sequence[tuple[str, np.ndarray]]) -> int | None:
+    """Index of the first entry whose vector holds a NaN or an infinity.
+
+    Checks a block of rows per pass, so a clean model costs one vectorised
+    test per block and never a full-size copy.
+    """
+    for start in range(0, len(entries), _FINITE_BLOCK):
+        block = [vector for _, vector in entries[start:start + _FINITE_BLOCK]]
+        if not np.isfinite(np.concatenate(block)).all():
+            return start + next(i for i, vector in enumerate(block)
+                                if not np.isfinite(vector).all())
+    return None
+
+
 def load_text_model(path: str | Path) -> EmbeddingStore:
-    """Load a text-format model. Raises on header/row inconsistencies."""
+    """Load a text-format model. Raises on header/row inconsistencies.
+
+    A component that is NaN, infinite, or too large for float32 is a
+    DataError naming its line.
+    """
     path = Path(path)
-    with path.open("r", encoding="utf-8") as handle:
+    line_nos = array("i")
+    # a component beyond float32 range casts to inf (quietly), rejected below
+    with path.open("r", encoding="utf-8") as handle, np.errstate(over="ignore"):
         header = handle.readline()
         if not header.strip():
             raise MalformedHeaderError(f"{path}: empty file")
@@ -141,10 +170,14 @@ def load_text_model(path: str | Path) -> EmbeddingStore:
                     f"found {len(parts) - 1}", line_no=line_no)
             token = parts[0]
             try:
-                values = np.array([float(p) for p in parts[1:]], dtype=np.float32)
+                values = np.array(list(map(float, parts[1:])), dtype=np.float32)
             except ValueError:
                 raise DataError(f"{path} line {line_no}: unparseable number") from None
             entries.append((token, values))
+            line_nos.append(line_no)
+    bad = _first_nonfinite(entries)
+    if bad is not None:
+        raise DataError(f"{path} line {line_nos[bad]}: non-finite vector component")
     if len(entries) != vocab:
         raise MalformedHeaderError(
             f"{path}: header declares {vocab} rows, found {len(entries)}")
@@ -152,7 +185,7 @@ def load_text_model(path: str | Path) -> EmbeddingStore:
 
 
 def load_binary_model(path: str | Path) -> EmbeddingStore:
-    """Load a binary-format model."""
+    """Load a binary-format model; a NaN or infinity names its record index."""
     path = Path(path)
     blob = path.read_bytes()
     newline = blob.find(b"\n")
@@ -185,6 +218,9 @@ def load_binary_model(path: str | Path) -> EmbeddingStore:
         offset += 1
     if offset != len(blob):
         raise DataError(f"{path}: {len(blob) - offset} trailing bytes after last record")
+    bad = _first_nonfinite(entries)
+    if bad is not None:
+        raise DataError(f"{path}: non-finite vector component in record {bad}")
     return EmbeddingStore(entries, dim=dim, source_path=str(path))
 
 
@@ -249,6 +285,76 @@ def resolve_label(store: EmbeddingStore, raw: str) -> LabelResolution:
             return LabelResolution(raw_label=raw, token=candidate,
                                    permutation=permutation)
     return LabelResolution(raw_label=raw, token=None, permutation=None)
+
+
+class Vocabulary:
+    """Every label of a run, cleaned and resolved once.
+
+    Maps each raw label to its cleaned text and to a row of ``vectors``, which
+    holds only the store rows the labels resolve to, raw (float32) as loaded,
+    with float64 norms beside them. Row 0 is the origin: every label that
+    does not resolve sits there, as ``UNKNOWN_TOKEN``, so it has norm 0 and
+    lies at each word's norm from that word. Resolution depends only on the
+    cleaned text, so labels that clean alike are resolved once.
+
+    Complete once constructed and never written afterwards, so threads may
+    share it. Lookups are for the labels it was built from.
+    """
+
+    __slots__ = ("tokens", "vectors", "norms", "_cleaned", "_row")
+
+    def __init__(self, store: EmbeddingStore, labels: Iterable[str]):
+        tokens = [UNKNOWN_TOKEN]
+        token_row = {UNKNOWN_TOKEN: 0}
+        cleaned_of: dict[str, str] = {}
+        row_of: dict[str, int] = {}
+        row_of_cleaned: dict[str, int] = {}
+        for raw in labels:
+            if raw in cleaned_of:
+                continue
+            cleaned = clean_label(raw)
+            row = row_of_cleaned.get(cleaned)
+            if row is None:
+                token = resolve_label(store, cleaned).token if cleaned else None
+                if token is None:
+                    row = 0
+                else:
+                    row = token_row.get(token)
+                    if row is None:
+                        row = token_row[token] = len(tokens)
+                        tokens.append(token)
+                row_of_cleaned[cleaned] = row
+            cleaned_of[raw] = cleaned
+            row_of[raw] = row
+        vectors = np.zeros((len(tokens), store.dim), dtype=np.float32)
+        for row in range(1, len(tokens)):
+            vectors[row] = store.get(tokens[row])
+        vectors.setflags(write=False)
+        # the scalar cosine's norm, row by row, so both paths divide alike
+        norms = np.array([math.sqrt(float(np.dot(v, v)))
+                          for v in vectors.astype(np.float64)], dtype=np.float64)
+        norms.setflags(write=False)
+        self.tokens = tuple(tokens)
+        self.vectors = vectors
+        self.norms = norms
+        self._cleaned = cleaned_of
+        self._row = row_of
+
+    def cleaned(self, raw: str) -> str:
+        return self._cleaned[raw]
+
+    def row(self, raw: str) -> int:
+        """Row of a raw label; 0 when it does not resolve."""
+        return self._row[raw]
+
+    def token(self, raw: str) -> str:
+        """Store token of a raw label, or UNKNOWN_TOKEN."""
+        return self.tokens[self._row[raw]]
+
+    def gather(self, rows: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """The rows' vectors upcast to float64, and their norms."""
+        index = np.fromiter(rows, dtype=np.intp, count=len(rows))
+        return self.vectors[index].astype(np.float64), self.norms[index]
 
 
 def _as_float64(u, v) -> tuple[np.ndarray, np.ndarray]:

@@ -112,7 +112,7 @@ class InfeasibleMarginalsError(DataError):
     """Supply and demand weights do not balance within tolerance."""
 
 
-class NumericalFailureError(EvaluationError):
+class NumericalFailureError(DataError):
     """The transport solver could not reach a verified optimum."""
 
 

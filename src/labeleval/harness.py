@@ -5,6 +5,10 @@ rate-limited endpoint and fills a persistent response cache, while
 ``run_evaluation`` is pure file-in, report-out and never touches the network.
 Images are processed in natural ascending image_id order ("2" before "10"),
 and per-image work parallelizes without changing any output byte.
+
+Scoring interns every label of the run once, into a Vocabulary, before any
+image is scored; each image's truth side is then interned once and shared by
+every API, and each (api, image) is scored at every k by one kernel call.
 """
 
 from __future__ import annotations
@@ -19,18 +23,19 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import report as reporting
 from .bipartition import (
     ConfusionLedger,
     ExampleScores,
-    dedup_normalized,
-    example_scores,
+    MatchResult,
+    exact_intersection,
     label_based_scores,
     mean_scores,
+    scores_from_counts,
 )
-from .embeddings import EmbeddingStore, cosine, load_model
+from .embeddings import EmbeddingStore, Vocabulary, cosine, load_model
 from .errors import (
     AuthMissingError,
     BadConfidenceError,
@@ -45,15 +50,19 @@ from .errors import (
 )
 from .labelset import (
     EvaluationUnit,
+    GroundTruthRecord,
+    InternedObjects,
+    InternedTruth,
     PredictedObject,
     PredictionRecord,
-    label_bag,
-    metadata_stats,
+    intern_objects,
+    intern_truth,
+    object_stats,
     read_ground_truth,
     read_predictions,
     top_k,
 )
-from .semantic import DEFAULT_THRESHOLD, semantic_example_scores
+from .semantic import DEFAULT_THRESHOLD, semantic_intersection, similarity_matrix
 from .sentence import BowProvenance, ProviderConfig, fetch_embeddings, render_bow_text
 from .wmd import dataset_wmd
 
@@ -351,11 +360,14 @@ class RunConfig:
 
 
 @dataclass(frozen=True)
-class _PerImage:
+class _Scored:
+    """One (api, k, image) unit as the per-image kernel leaves it."""
+
+    truth: InternedTruth
+    objects: InternedObjects
+    match: MatchResult
     exact: ExampleScores
     semantic: ExampleScores | None
-    truth_bag: tuple[str, ...]
-    predicted_bag: tuple[str, ...]
 
 
 def _sha256_file(path: str | Path) -> str:
@@ -411,29 +423,31 @@ def run_evaluation(config: RunConfig) -> reporting.MetricReport:
         },
     }
 
+    # Every label is interned before scoring starts, so the pool only reads.
+    vocab = Vocabulary(store, _run_labels(usable_truth.values(), by_api.values()))
+    truths = {image_id: intern_truth(record.labels, vocab)
+              for image_id, record in usable_truth.items()}
+    eval_ids = {api_id: sorted((i for i in per_image if i in usable_truth),
+                               key=natural_key)
+                for api_id, per_image in by_api.items()}
+    for api_id in sorted(by_api):
+        if not eval_ids[api_id]:
+            raise EmptyDatasetError(f"{api_id}: no images overlap the ground truth")
+    scored = _score_units(
+        [(api_id, k, image_id) for api_id in sorted(by_api)
+         for image_id in eval_ids[api_id] for k in config.top_ks],
+        truths, by_api, store, config)
+
     rows: list[reporting.ReportRow] = []
     for api_id in sorted(by_api):
         per_image = by_api[api_id]
-        eval_ids = sorted((i for i in per_image if i in usable_truth),
-                          key=natural_key)
         skip_missing_truth = sum(1 for i in per_image
                                  if i not in usable_truth and i not in unusable_ids)
         skip_empty_truth = sum(1 for i in per_image if i in unusable_ids)
-        if not eval_ids:
-            raise EmptyDatasetError(f"{api_id}: no images overlap the ground truth")
-        label_space = sorted({
-            label
-            for image_id in eval_ids
-            for label in dedup_normalized(usable_truth[image_id].labels)})
+        label_space = sorted({label for image_id in eval_ids[api_id]
+                              for label in truths[image_id].labels})
         for k in config.top_ks:
-            units = [
-                EvaluationUnit(
-                    image_id=image_id,
-                    truth_labels=usable_truth[image_id].labels,
-                    objects=top_k(per_image[image_id], k).objects)
-                for image_id in eval_ids
-            ]
-            results = _score_units(units, store, config, api_id)
+            results = [scored[api_id, k, image_id] for image_id in eval_ids[api_id]]
             cells: dict[str, float] = {}
             exact_mean = mean_scores([r.exact for r in results])
             cells["accuracy"] = exact_mean.accuracy
@@ -448,8 +462,8 @@ def run_evaluation(config: RunConfig) -> reporting.MetricReport:
                 cells["f1_semantic"] = semantic_mean.f1
             if config.include_label_based:
                 ledger = ConfusionLedger(label_space)
-                for unit in units:
-                    ledger.accumulate(unit.truth_labels, unit.objects)
+                for r in results:
+                    ledger.accumulate(r.truth, r.objects, r.match)
                 label_scores = label_based_scores(ledger)
                 cells["macro_precision"] = label_scores.macro_precision
                 cells["macro_recall"] = label_scores.macro_recall
@@ -462,18 +476,22 @@ def run_evaluation(config: RunConfig) -> reporting.MetricReport:
             if config.include_wmd:
                 try:
                     wmd_result = dataset_wmd(
-                        ((r.truth_bag, r.predicted_bag) for r in results), store)
+                        ((r.truth.bag, r.objects.bag) for r in results), store)
                 except EvaluationError as exc:
                     raise _annotate(exc, api_id, "<dataset>") from exc
                 cells["wmd"] = wmd_result.value
                 skips["wmd_empty_prediction"] = wmd_result.skipped
             if config.sentence is not None:
+                units = [EvaluationUnit(image_id=image_id,
+                                        truth_labels=usable_truth[image_id].labels,
+                                        objects=r.objects.objects)
+                         for image_id, r in zip(eval_ids[api_id], results)]
                 sentence_mean, sentence_skipped = _sentence_mean(
                     units, config.sentence, api_id, k)
                 cells["sentence_similarity"] = sentence_mean
                 skips["sentence_empty_prediction"] = sentence_skipped
-            unknown_rate, labels_per_object = metadata_stats(
-                [per_image[image_id] for image_id in eval_ids], store, k)
+            unknown_rate, labels_per_object = object_stats(
+                [r.objects for r in results])
             rows.append(reporting.ReportRow(
                 api_id=api_id, k=k, cells=cells,
                 extras={"unknown_object_rate": unknown_rate,
@@ -485,25 +503,73 @@ def run_evaluation(config: RunConfig) -> reporting.MetricReport:
                                   provenance=provenance)
 
 
-def _score_units(units: Sequence[EvaluationUnit], store: EmbeddingStore,
-                 config: RunConfig, api_id: str) -> list[_PerImage]:
-    def job(unit: EvaluationUnit) -> _PerImage:
+def _run_labels(truth_records: Iterable[GroundTruthRecord],
+                predictions: Iterable[Mapping[str, PredictionRecord]]) -> Iterator[str]:
+    """Every raw label the run may score: truth labels and object synonyms."""
+    for truth in truth_records:
+        yield from truth.labels
+    for per_image in predictions:
+        for record in per_image.values():
+            for obj in record.objects:
+                yield from obj.synonyms
+
+
+def _score_image(truth: InternedTruth, record: PredictionRecord, ks: Sequence[int],
+                 store: EmbeddingStore, config: RunConfig) -> list[_Scored]:
+    """The per-image kernel: one (api, image) at each k of ``ks``, in order.
+
+    The objects are interned and the similarity grid built once, at the
+    largest k; each k reads their prefix, since ``top_k`` is a stable sort.
+    """
+    objects = intern_objects(top_k(record, max(ks)).objects, truth.vocab)
+    grid = (similarity_matrix(truth, objects, store)
+            if config.include_semantic else None)
+    scored: list[_Scored] = []
+    for k in ks:
+        objects_k = objects.prefix(k)
+        n_truth, n_objects = len(truth.labels), len(objects_k)
+        match = exact_intersection(truth, objects_k)
+        semantic = None
+        if grid is not None:
+            semantic_match = semantic_intersection(grid.prefix(k), config.threshold)
+            semantic = scores_from_counts(semantic_match.matched, n_truth, n_objects)
+        scored.append(_Scored(truth=truth, objects=objects_k, match=match,
+                              exact=scores_from_counts(match.matched, n_truth,
+                                                       n_objects),
+                              semantic=semantic))
+    return scored
+
+
+def _score_units(units: Sequence[tuple[str, int, str]],
+                 truths: Mapping[str, InternedTruth],
+                 by_api: Mapping[str, Mapping[str, PredictionRecord]],
+                 store: EmbeddingStore,
+                 config: RunConfig) -> dict[tuple[str, int, str], _Scored]:
+    """Score (api_id, k, image_id) units, keyed by unit.
+
+    The units of one (api, image) go to the per-image kernel together, so
+    it interns and grids that image's objects once for all their ks.
+    """
+    ks_of: dict[tuple[str, str], list[int]] = {}
+    for api_id, k, image_id in units:
+        ks_of.setdefault((api_id, image_id), []).append(k)
+
+    def job(key: tuple[str, str]) -> list[_Scored]:
+        api_id, image_id = key
         try:
-            exact = example_scores(unit.truth_labels, unit.objects)
-            semantic = (semantic_example_scores(unit.truth_labels, unit.objects,
-                                                store, config.threshold)
-                        if config.include_semantic else None)
-            truth_bag = tuple(label_bag(unit.truth_labels, store))
-            predicted_bag = tuple(label_bag(unit.objects, store))
+            return _score_image(truths[image_id], by_api[api_id][image_id],
+                                ks_of[key], store, config)
         except EvaluationError as exc:
-            raise _annotate(exc, api_id, unit.image_id) from exc
-        return _PerImage(exact=exact, semantic=semantic,
-                         truth_bag=truth_bag, predicted_bag=predicted_bag)
+            raise _annotate(exc, api_id, image_id) from exc
 
     if config.workers == 1:
-        return [job(unit) for unit in units]
-    with ThreadPoolExecutor(max_workers=config.workers) as executor:
-        return list(executor.map(job, units))
+        per_image = [job(key) for key in ks_of]
+    else:
+        with ThreadPoolExecutor(max_workers=config.workers) as executor:
+            per_image = list(executor.map(job, ks_of))
+    return {(api_id, k, image_id): result
+            for (api_id, image_id), results in zip(ks_of, per_image)
+            for k, result in zip(ks_of[api_id, image_id], results)}
 
 
 def _sentence_mean(units: Sequence[EvaluationUnit], provider: ProviderConfig,

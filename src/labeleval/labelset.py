@@ -4,6 +4,10 @@ Record files are newline-delimited JSON, one record per line:
 ground truth {"image_id": ..., "labels": [...]}, predictions
 {"image_id": ..., "api_id": ..., "objects": [{"labels": [...],
 "confidence": ...}]} where confidence may be omitted.
+
+Scoring reads the two sides of a unit through a Vocabulary: an
+``InternedTruth`` per image and an ``InternedObjects`` per (api, image) at
+the largest k, whose prefixes serve the smaller ks.
 """
 
 from __future__ import annotations
@@ -12,9 +16,9 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .embeddings import UNKNOWN_TOKEN, EmbeddingStore, resolve_label
+from .embeddings import EmbeddingStore, Vocabulary
 from .errors import (
     BadConfidenceError,
     DuplicateImageError,
@@ -172,9 +176,111 @@ def top_k(record: PredictionRecord, k: int) -> PredictionRecord:
                             objects=tuple(ranked[:k]))
 
 
-def _resolve_token(store: EmbeddingStore, raw: str) -> str:
-    resolution = resolve_label(store, raw)
-    return resolution.token if resolution.token is not None else UNKNOWN_TOKEN
+@dataclass(frozen=True)
+class InternedTruth:
+    """One image's truth labels through a Vocabulary.
+
+    ``labels`` are the cleaned labels deduplicated in first-occurrence
+    order, empty cleanings dropped: the set the bipartition metrics count.
+    ``rows`` are their vocabulary rows. ``bag`` holds the token of every raw
+    label in file order, duplicates included: the image's WMD bag.
+    """
+
+    vocab: Vocabulary
+    labels: tuple[str, ...]
+    rows: tuple[int, ...]
+    bag: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class InternedObjects:
+    """Ranked predicted objects through a Vocabulary.
+
+    ``synonyms`` holds each object's non-empty cleaned synonyms. ``rows`` and
+    ``bag`` list the vocabulary row and the token of every synonym, object
+    by object in listed order; object ``i`` owns ``ends[i-1]:ends[i]`` of
+    them. Interned once at the largest k, ``prefix(k)`` is the side at k,
+    because ``top_k`` is a stable sort.
+    """
+
+    vocab: Vocabulary
+    objects: tuple[PredictedObject, ...]
+    synonyms: tuple[frozenset[str], ...]
+    ends: tuple[int, ...]
+    rows: tuple[int, ...]
+    bag: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return len(self.objects)
+
+    def prefix(self, k: int) -> "InternedObjects":
+        """The first k objects, as ``top_k`` at k would rank them."""
+        if k >= len(self.objects):
+            return self
+        end = self.ends[k - 1] if k > 0 else 0
+        return InternedObjects(vocab=self.vocab, objects=self.objects[:k],
+                               synonyms=self.synonyms[:k], ends=self.ends[:k],
+                               rows=self.rows[:end], bag=self.bag[:end])
+
+
+def _raw_labels(side) -> Iterator[str]:
+    """Every raw label of a truth-label sequence or of PredictedObjects."""
+    for item in side:
+        if isinstance(item, PredictedObject):
+            yield from item.synonyms
+        else:
+            yield item
+
+
+def intern_truth(labels: Sequence[str], vocab: Vocabulary) -> InternedTruth:
+    """Intern truth labels through a Vocabulary built over them."""
+    deduplicated: dict[str, int] = {}
+    for raw in labels:
+        cleaned = vocab.cleaned(raw)
+        if cleaned and cleaned not in deduplicated:
+            deduplicated[cleaned] = vocab.row(raw)
+    return InternedTruth(vocab=vocab, labels=tuple(deduplicated),
+                         rows=tuple(deduplicated.values()),
+                         bag=tuple(vocab.token(raw) for raw in labels))
+
+
+def intern_objects(objects: Sequence[PredictedObject],
+                   vocab: Vocabulary) -> InternedObjects:
+    """Intern ranked objects through a Vocabulary built over their synonyms."""
+    objects = tuple(objects)
+    synonyms: list[frozenset[str]] = []
+    ends: list[int] = []
+    rows: list[int] = []
+    for obj in objects:
+        cleaned = {vocab.cleaned(raw) for raw in obj.synonyms}
+        cleaned.discard("")
+        synonyms.append(frozenset(cleaned))
+        rows.extend(vocab.row(raw) for raw in obj.synonyms)
+        ends.append(len(rows))
+    return InternedObjects(vocab=vocab, objects=objects, synonyms=tuple(synonyms),
+                           ends=tuple(ends), rows=tuple(rows),
+                           bag=tuple(vocab.tokens[row] for row in rows))
+
+
+def intern_unit(truth: Sequence[str] | InternedTruth,
+                objects: Sequence[PredictedObject] | InternedObjects,
+                store: EmbeddingStore) -> tuple[InternedTruth, InternedObjects]:
+    """Both sides of one unit, interned through one Vocabulary.
+
+    Sides the kernel already interned pass through as they are. Raw sides
+    (truth labels and PredictedObjects) are interned through a Vocabulary
+    built from ``store`` over their labels. One side of each kind is an error.
+    """
+    interned = (isinstance(truth, InternedTruth), isinstance(objects, InternedObjects))
+    if all(interned):
+        if truth.vocab is not objects.vocab:
+            raise ValueError("the two sides were interned through different vocabularies")
+        return truth, objects
+    if any(interned):
+        raise TypeError("intern both sides of a unit or neither")
+    truth, objects = tuple(truth), tuple(objects)
+    vocab = Vocabulary(store, [*truth, *_raw_labels(objects)])
+    return intern_truth(truth, vocab), intern_objects(objects, vocab)
 
 
 def label_bag(side, store: EmbeddingStore) -> list[str]:
@@ -183,31 +289,37 @@ def label_bag(side, store: EmbeddingStore) -> list[str]:
     Accepts either a sequence of truth labels or a sequence of
     PredictedObject; unresolved labels become UNKNOWN_TOKEN.
     """
-    bag: list[str] = []
-    for item in side:
-        if isinstance(item, PredictedObject):
-            bag.extend(_resolve_token(store, syn) for syn in item.synonyms)
-        else:
-            bag.append(_resolve_token(store, item))
-    return bag
+    labels = list(_raw_labels(side))
+    vocab = Vocabulary(store, labels)
+    return [vocab.token(raw) for raw in labels]
 
 
-def metadata_stats(records: Sequence[PredictionRecord], store: EmbeddingStore,
-                   k: int) -> tuple[float, float]:
-    """(unknown_object_rate, mean_labels_per_object) over the top-k objects.
+def object_stats(sides: Sequence[InternedObjects]) -> tuple[float, float]:
+    """(unknown_object_rate, mean_labels_per_object) over interned objects.
 
     An object counts as unknown only when every one of its synonyms fails to
-    resolve.
+    resolve, that is, sits at the vocabulary's origin row.
     """
     total_objects = 0
     unknown_objects = 0
     total_synonyms = 0
-    for record in records:
-        for obj in top_k(record, k).objects:
+    for side in sides:
+        start = 0
+        for end in side.ends:
             total_objects += 1
-            total_synonyms += len(obj.synonyms)
-            if all(not resolve_label(store, syn).is_resolved for syn in obj.synonyms):
+            total_synonyms += end - start
+            if not any(side.rows[start:end]):
                 unknown_objects += 1
+            start = end
     if total_objects == 0:
         raise EmptyInputError("no objects to compute metadata statistics over")
     return unknown_objects / total_objects, total_synonyms / total_objects
+
+
+def metadata_stats(records: Sequence[PredictionRecord], store: EmbeddingStore,
+                   k: int) -> tuple[float, float]:
+    """(unknown_object_rate, mean_labels_per_object) over the top-k objects."""
+    ranked = [top_k(record, k).objects for record in records]
+    vocab = Vocabulary(store, (label for objects in ranked
+                               for label in _raw_labels(objects)))
+    return object_stats([intern_objects(objects, vocab) for objects in ranked])

@@ -5,6 +5,9 @@ similarity between its embedding and a ground-truth label's embedding reaches
 the threshold (default 0.4). Cells where the object's synonyms textually
 equal the truth label are pinned to 1.0 and always count, so semantic scores
 can never fall below the exact ones.
+
+The grid is one matmul of the two sides' gathered vectors divided by the
+outer product of their norms, then a per-object maximum over its synonyms.
 """
 
 from __future__ import annotations
@@ -14,10 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .bipartition import dedup_normalized, scores_from_counts, ExampleScores
-from .embeddings import EmbeddingStore, clean_label, cosine, resolve_label
-from .errors import ZeroVectorError
-from .labelset import PredictedObject
+from .bipartition import ExampleScores, scores_from_counts
+from .embeddings import EmbeddingStore
+from .labelset import InternedObjects, InternedTruth, PredictedObject, intern_unit
 
 #: Default semantic true-positive threshold.
 DEFAULT_THRESHOLD = 0.4
@@ -39,6 +41,11 @@ class SimilarityMatrix:
     def shape(self) -> tuple[int, int]:
         return self.values.shape
 
+    def prefix(self, k: int) -> "SimilarityMatrix":
+        """The grid of the first k objects: each column is one object's."""
+        return SimilarityMatrix(truth_labels=self.truth_labels,
+                                values=self.values[:, :k], exact=self.exact[:, :k])
+
 
 @dataclass(frozen=True)
 class SemanticMatch:
@@ -52,39 +59,35 @@ class SemanticMatch:
         return len(self.pairs)
 
 
-def similarity_matrix(truth: Sequence[str], objects: Sequence[PredictedObject],
+def similarity_matrix(truth: Sequence[str] | InternedTruth,
+                      objects: Sequence[PredictedObject] | InternedObjects,
                       store: EmbeddingStore) -> SimilarityMatrix:
-    truth_d = dedup_normalized(truth)
-    truth_vectors = []
-    for label in truth_d:
-        resolution = resolve_label(store, label)
-        truth_vectors.append(store.get(resolution.token) if resolution.is_resolved
-                             else None)
-    values = np.full((len(truth_d), len(objects)), -1.0)
-    exact = np.zeros((len(truth_d), len(objects)), dtype=bool)
-    for oj, obj in enumerate(objects):
-        cleaned = [clean_label(s) for s in obj.synonyms]
-        vectors = []
-        for synonym in obj.synonyms:
-            resolution = resolve_label(store, synonym)
-            if resolution.is_resolved:
-                vectors.append(store.get(resolution.token))
-        for ti, label in enumerate(truth_d):
-            if label in cleaned:
-                values[ti, oj] = 1.0
-                exact[ti, oj] = True
-                continue
-            truth_vec = truth_vectors[ti]
-            if truth_vec is None or not vectors:
-                continue  # stays at -1
-            best = -1.0
-            for vec in vectors:
-                try:
-                    best = max(best, cosine(truth_vec, vec))
-                except ZeroVectorError:
-                    continue  # a zero-norm stored vector cannot be scored
-            values[ti, oj] = best
-    return SimilarityMatrix(truth_labels=tuple(truth_d), values=values, exact=exact)
+    """Cosine grid of deduplicated truth labels against objects.
+
+    A cell is the best cosine over the object's synonyms, upcast to float64
+    and clamped to [-1, 1]. Zero-norm vectors, unresolved labels among them,
+    never score above -1. Raw sides resolve through ``store``; interned
+    ones carry their vocabulary.
+    """
+    truth, objects = intern_unit(truth, objects, store)
+    n_truth, n_objects = len(truth.labels), len(objects)
+    values = np.full((n_truth, n_objects), -1.0)
+    if n_truth and objects.rows:
+        truth_vectors, truth_norms = truth.vocab.gather(truth.rows)
+        synonym_vectors, synonym_norms = truth.vocab.gather(objects.rows)
+        scale = np.outer(truth_norms, synonym_norms)
+        cosines = np.full(scale.shape, -1.0)
+        np.divide(truth_vectors @ synonym_vectors.T, scale, out=cosines,
+                  where=scale > 0.0)
+        np.clip(cosines, -1.0, 1.0, out=cosines)
+        starts = (0,) + objects.ends[:-1]
+        owned = [oj for oj in range(n_objects) if objects.ends[oj] > starts[oj]]
+        values[:, owned] = np.maximum.reduceat(
+            cosines, [starts[oj] for oj in owned], axis=1)
+    exact = np.array([[label in synonyms for synonyms in objects.synonyms]
+                      for label in truth.labels], dtype=bool).reshape(values.shape)
+    values[exact] = 1.0
+    return SimilarityMatrix(truth_labels=truth.labels, values=values, exact=exact)
 
 
 def semantic_intersection(matrix: SimilarityMatrix, threshold: float) -> SemanticMatch:
@@ -96,21 +99,23 @@ def semantic_intersection(matrix: SimilarityMatrix, threshold: float) -> Semanti
     object index. This keeps the semantic match a superset of the exact one.
     """
     n_truth, n_objects = matrix.shape
+    values = matrix.values.tolist()
+    exact = matrix.exact.tolist()
     truth_used = [False] * n_truth
     object_used = [False] * n_objects
     pairs: list[tuple[int, int, float]] = []
     for oj in range(n_objects):
         for ti in range(n_truth):
-            if not truth_used[ti] and not object_used[oj] and matrix.exact[ti, oj]:
+            if not truth_used[ti] and not object_used[oj] and exact[ti][oj]:
                 truth_used[ti] = True
                 object_used[oj] = True
-                pairs.append((ti, oj, float(matrix.values[ti, oj])))
+                pairs.append((ti, oj, values[ti][oj]))
                 break
     candidates = [
-        (ti, oj, float(matrix.values[ti, oj]))
+        (ti, oj, values[ti][oj])
         for ti in range(n_truth)
         for oj in range(n_objects)
-        if not matrix.exact[ti, oj] and matrix.values[ti, oj] >= threshold
+        if not exact[ti][oj] and values[ti][oj] >= threshold
     ]
     candidates.sort(key=lambda cell: (-cell[2], cell[0], cell[1]))
     for ti, oj, similarity in candidates:
@@ -121,10 +126,11 @@ def semantic_intersection(matrix: SimilarityMatrix, threshold: float) -> Semanti
     return SemanticMatch(pairs=tuple(pairs), threshold=threshold)
 
 
-def semantic_example_scores(truth: Sequence[str], objects: Sequence[PredictedObject],
+def semantic_example_scores(truth: Sequence[str] | InternedTruth,
+                            objects: Sequence[PredictedObject] | InternedObjects,
                             store: EmbeddingStore,
                             threshold: float = DEFAULT_THRESHOLD) -> ExampleScores:
-    truth_d = dedup_normalized(truth)
+    truth, objects = intern_unit(truth, objects, store)
     matrix = similarity_matrix(truth, objects, store)
     match = semantic_intersection(matrix, threshold)
-    return scores_from_counts(match.matched, len(truth_d), len(objects))
+    return scores_from_counts(match.matched, len(truth.labels), len(objects))

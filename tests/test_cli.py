@@ -69,6 +69,39 @@ class TestEvaluateCommand:
         assert code == 2
         assert "data error" in err
 
+    def test_non_finite_model_is_data_error(self, capsys, tmp_path, fixture_files):
+        model = tmp_path / "model.txt"
+        model.write_text("2 2\ncar 1 0\nstreet nan 1\n", encoding="utf-8")
+        code, _, err = run_cli(
+            capsys, "evaluate",
+            "--ground-truth", str(fixture_files["truth"]),
+            "--predictions", str(fixture_files["predictions"][0]),
+            "--embeddings", str(model),
+            "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert err.splitlines() == [
+            f"data error: {model} line 3: non-finite vector component"]
+
+    def test_solver_failure_is_data_error(self, capsys, monkeypatch, tmp_path,
+                                          fixture_files, fixture_model_file):
+        from labeleval import wmd
+        from labeleval.errors import NumericalFailureError
+
+        def failing_solver(*args, **kwargs):
+            raise NumericalFailureError("transport solver failed to converge")
+
+        monkeypatch.setattr(wmd, "solve_transport", failing_solver)
+        code, _, err = run_cli(
+            capsys, "evaluate",
+            "--ground-truth", str(fixture_files["truth"]),
+            "--predictions", str(fixture_files["predictions"][0]),
+            "--embeddings", str(fixture_model_file),
+            "--top-k", "5", "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert err.startswith("data error: ")
+        assert "transport solver failed to converge" in err
+
     def test_bad_top_k_is_usage_error(self, capsys, tmp_path, fixture_files,
                                       fixture_model_file):
         code, _, _ = run_cli(

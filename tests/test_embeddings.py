@@ -17,6 +17,7 @@ from labeleval.embeddings import (
     save_text_model,
 )
 from labeleval.errors import (
+    DataError,
     DimensionMismatchError,
     DuplicateTokenError,
     MalformedHeaderError,
@@ -61,6 +62,13 @@ class TestTextLoader:
         with pytest.raises(MalformedHeaderError):
             load_text_model(path)
 
+    @pytest.mark.parametrize("bad", ["nan", "-inf", "Infinity", "1e39"])
+    def test_non_finite_component_names_line(self, tmp_path, bad):
+        # 1e39 parses as a float64 but overflows float32 to infinity
+        path = write_text(tmp_path, f"3 2\ncat 1 0\n\ndog 0 {bad}\nemu 1 1\n")
+        with pytest.raises(DataError, match=r"line 4: non-finite"):
+            load_text_model(path)
+
 
 class TestBinaryLoader:
     def test_matches_text_model(self, tmp_path):
@@ -80,6 +88,17 @@ class TestBinaryLoader:
         with pytest.raises(TruncatedRecordError) as info:
             load_binary_model(path)
         assert info.value.index == 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_component_names_record(self, tmp_path, bad):
+        path = tmp_path / "model.bin"
+        records = [(b"cat", [1.0, 0.0]), (b"dog", [0.0, 1.0]), (b"emu", [bad, 1.0])]
+        blob = b"3 2\n" + b"".join(
+            token + b" " + np.array(values, dtype="<f4").tobytes() + b"\n"
+            for token, values in records)
+        path.write_bytes(blob)
+        with pytest.raises(DataError, match=r"non-finite vector component in record 2"):
+            load_binary_model(path)
 
     def test_zero_vocab(self, tmp_path):
         path = tmp_path / "model.bin"
