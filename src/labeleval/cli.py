@@ -67,7 +67,8 @@ def _provider_from_flags(provider: str | None, model: str | None,
               help="Comma-separated levels, e.g. 1,3,5.")
 @click.option("--threshold", type=float, default=None,
               help=f"Semantic similarity threshold (default {DEFAULT_THRESHOLD}).")
-@click.option("--workers", type=int, default=None)
+@click.option("--workers", type=int, default=None,
+              help="Accepted for compatibility; has no effect.")
 @click.option("--out", "out_path", default=None)
 @click.option("--format", "out_format",
               type=click.Choice(["csv", "json_lines", "html"]), default=None)

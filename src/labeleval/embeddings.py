@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 import re
 from array import array
 from dataclasses import dataclass
@@ -28,6 +29,7 @@ from .errors import (
     DuplicateTokenError,
     MalformedHeaderError,
     TruncatedRecordError,
+    UnresolvedTokenError,
     ZeroVectorError,
 )
 
@@ -68,47 +70,83 @@ class LabelResolution:
 
 
 class EmbeddingStore:
-    """Immutable token -> vector index.
+    """Immutable token -> vector index over one read-only float32 matrix.
 
-    Vectors are float32 and read-only once loaded; concurrent reads are safe.
+    Row r of the V x D matrix is the vector of the r-th token, in load
+    order. ``vectors`` is the one place a token becomes a vector.
     """
 
-    __slots__ = ("dim", "source_path", "_entries")
+    __slots__ = ("dim", "source_path", "_row", "_matrix")
 
     def __init__(self, entries: Iterable[tuple[str, np.ndarray]], dim: int,
                  source_path: str = ""):
-        indexed: dict[str, np.ndarray] = {}
+        row: dict[str, int] = {}
+        vectors: list[np.ndarray] = []
         for token, vector in entries:
-            if token in indexed:
-                raise DuplicateTokenError(token)
+            _add_token(row, token)
             arr = np.asarray(vector, dtype=np.float32)
             if arr.shape != (dim,):
                 raise DimensionMismatchError(
                     f"vector for {token!r} has {arr.size} components, expected {dim}")
-            arr.setflags(write=False)
-            indexed[token] = arr
-        self.dim = dim
-        self.source_path = source_path
-        self._entries = indexed
+            vectors.append(arr)
+        self._adopt(row, np.array(vectors, dtype=np.float32).reshape(len(row), dim),
+                    source_path)
+
+    @classmethod
+    def _from_matrix(cls, row: dict[str, int], matrix: np.ndarray,
+                     source_path: str) -> "EmbeddingStore":
+        return cls.__new__(cls)._adopt(row, matrix, source_path)
+
+    def _adopt(self, row: dict[str, int], matrix: np.ndarray,
+               source_path: str) -> "EmbeddingStore":
+        """Take a filled matrix read-only; ``row`` maps each token to its row."""
+        matrix.setflags(write=False)
+        self.dim, self.source_path = matrix.shape[1], source_path
+        self._row, self._matrix = row, matrix
+        return self
 
     @property
     def vocab_size(self) -> int:
-        return len(self._entries)
+        return len(self._row)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._row)
 
     def __contains__(self, token: str) -> bool:
-        return token in self._entries
+        return token in self._row
 
     def get(self, token: str) -> np.ndarray | None:
-        return self._entries.get(token)
+        return self._matrix[self._row[token]] if token in self._row else None
 
     def tokens(self) -> Iterator[str]:
-        return iter(self._entries)
+        return iter(self._row)
 
     def items(self) -> Iterator[tuple[str, np.ndarray]]:
-        return iter(self._entries.items())
+        return ((token, self._matrix[row]) for token, row in self._row.items())
+
+    def vectors(self, tokens: Sequence[str]) -> np.ndarray:
+        """The tokens' float32 vectors, one row each, as a new array.
+
+        ``UNKNOWN_TOKEN`` maps to the origin; any other token the store lacks
+        raises UnresolvedTokenError.
+        """
+        try:
+            index = np.array([-1 if token == UNKNOWN_TOKEN else self._row[token]
+                              for token in tokens], dtype=np.intp)
+        except KeyError as exc:
+            raise UnresolvedTokenError(exc.args[0]) from None
+        gathered = np.zeros((len(index), self.dim), dtype=np.float32)
+        known = index >= 0
+        gathered[known] = self._matrix[index[known]]
+        return gathered
+
+
+def _add_token(row: dict[str, int], token: str) -> int:
+    """Give a token the next row; a token seen before is an error."""
+    if token in row:
+        raise DuplicateTokenError(token)
+    row[token] = index = len(row)
+    return index
 
 
 def _parse_header(line: str) -> tuple[int, int]:
@@ -124,22 +162,13 @@ def _parse_header(line: str) -> tuple[int, int]:
     return vocab, dim
 
 
-#: Rows checked for non-finite components per vectorised pass.
-_FINITE_BLOCK = 4096
+def _first_bad_row(matrix: np.ndarray) -> int | None:
+    """Index of the first row holding a NaN or an infinity, if any.
 
-
-def _first_nonfinite(entries: Sequence[tuple[str, np.ndarray]]) -> int | None:
-    """Index of the first entry whose vector holds a NaN or an infinity.
-
-    Checks a block of rows per pass, so a clean model costs one vectorised
-    test per block and never a full-size copy.
+    A row's float64 sum is finite exactly when each float32 component is.
     """
-    for start in range(0, len(entries), _FINITE_BLOCK):
-        block = [vector for _, vector in entries[start:start + _FINITE_BLOCK]]
-        if not np.isfinite(np.concatenate(block)).all():
-            return start + next(i for i, vector in enumerate(block)
-                                if not np.isfinite(vector).all())
-    return None
+    bad = np.flatnonzero(~np.isfinite(matrix.sum(axis=1, dtype=np.float64)))
+    return int(bad[0]) if bad.size else None
 
 
 def load_text_model(path: str | Path) -> EmbeddingStore:
@@ -150,13 +179,17 @@ def load_text_model(path: str | Path) -> EmbeddingStore:
     """
     path = Path(path)
     line_nos = array("i")
+    row: dict[str, int] = {}
     # a component beyond float32 range casts to inf (quietly), rejected below
     with path.open("r", encoding="utf-8") as handle, np.errstate(over="ignore"):
         header = handle.readline()
         if not header.strip():
             raise MalformedHeaderError(f"{path}: empty file")
         vocab, dim = _parse_header(header)
-        entries: list[tuple[str, np.ndarray]] = []
+        # A row takes 2 bytes a component (a space and a digit), and at least
+        # 1, so no header sizes the matrix beyond the file.
+        fits = os.fstat(handle.fileno()).st_size // max(1, 2 * dim)
+        matrix = np.zeros((min(vocab, fits), dim), dtype=np.float32)
         line_no = 1
         for raw_line in handle:
             line_no += 1
@@ -168,20 +201,22 @@ def load_text_model(path: str | Path) -> EmbeddingStore:
                 raise DimensionMismatchError(
                     f"{path} line {line_no}: expected {dim} components, "
                     f"found {len(parts) - 1}", line_no=line_no)
-            token = parts[0]
+            if len(row) == vocab:
+                raise MalformedHeaderError(
+                    f"{path} line {line_no}: header declares only {vocab} rows")
+            index = _add_token(row, parts[0])
             try:
-                values = np.array(list(map(float, parts[1:])), dtype=np.float32)
+                matrix[index] = list(map(float, parts[1:]))
             except ValueError:
                 raise DataError(f"{path} line {line_no}: unparseable number") from None
-            entries.append((token, values))
             line_nos.append(line_no)
-    bad = _first_nonfinite(entries)
+    bad = _first_bad_row(matrix)
     if bad is not None:
         raise DataError(f"{path} line {line_nos[bad]}: non-finite vector component")
-    if len(entries) != vocab:
+    if len(row) != vocab:
         raise MalformedHeaderError(
-            f"{path}: header declares {vocab} rows, found {len(entries)}")
-    return EmbeddingStore(entries, dim=dim, source_path=str(path))
+            f"{path}: header declares {vocab} rows, found {len(row)}")
+    return EmbeddingStore._from_matrix(row, matrix, str(path))
 
 
 def load_binary_model(path: str | Path) -> EmbeddingStore:
@@ -198,7 +233,11 @@ def load_binary_model(path: str | Path) -> EmbeddingStore:
     vocab, dim = _parse_header(header)
     record_bytes = 4 * dim
     offset = newline + 1
-    entries: list[tuple[str, np.ndarray]] = []
+    # A record takes a space and its vector at least, so no header sizes the
+    # matrix beyond the file; records past the end are truncated.
+    fits = (len(blob) - offset) // (record_bytes + 1)
+    matrix = np.zeros((min(vocab, fits), dim), dtype=np.float32)
+    row: dict[str, int] = {}
     for index in range(vocab):
         # Tolerate a newline left over from the previous record.
         while offset < len(blob) and blob[offset:offset + 1] == b"\n":
@@ -211,17 +250,17 @@ def load_binary_model(path: str | Path) -> EmbeddingStore:
         end = start + record_bytes
         if end > len(blob):
             raise TruncatedRecordError(index)
-        vector = np.frombuffer(blob, dtype="<f4", count=dim, offset=start).copy()
-        entries.append((token, vector))
+        matrix[_add_token(row, token)] = np.frombuffer(
+            blob, dtype="<f4", count=dim, offset=start)
         offset = end
     while offset < len(blob) and blob[offset:offset + 1] == b"\n":
         offset += 1
     if offset != len(blob):
         raise DataError(f"{path}: {len(blob) - offset} trailing bytes after last record")
-    bad = _first_nonfinite(entries)
+    bad = _first_bad_row(matrix)
     if bad is not None:
         raise DataError(f"{path}: non-finite vector component in record {bad}")
-    return EmbeddingStore(entries, dim=dim, source_path=str(path))
+    return EmbeddingStore._from_matrix(row, matrix, str(path))
 
 
 def load_model(path: str | Path, fmt: str = "auto") -> EmbeddingStore:
@@ -295,10 +334,8 @@ class Vocabulary:
     with float64 norms beside them. Row 0 is the origin: every label that
     does not resolve sits there, as ``UNKNOWN_TOKEN``, so it has norm 0 and
     lies at each word's norm from that word. Resolution depends only on the
-    cleaned text, so labels that clean alike are resolved once.
-
-    Complete once constructed and never written afterwards, so threads may
-    share it. Lookups are for the labels it was built from.
+    cleaned text, so labels that clean alike are resolved once. Lookups are
+    for the labels it was built from.
     """
 
     __slots__ = ("tokens", "vectors", "norms", "_cleaned", "_row")
@@ -326,9 +363,7 @@ class Vocabulary:
                 row_of_cleaned[cleaned] = row
             cleaned_of[raw] = cleaned
             row_of[raw] = row
-        vectors = np.zeros((len(tokens), store.dim), dtype=np.float32)
-        for row in range(1, len(tokens)):
-            vectors[row] = store.get(tokens[row])
+        vectors = store.vectors(tokens)
         vectors.setflags(write=False)
         # the scalar cosine's norm, row by row, so both paths divide alike
         norms = np.array([math.sqrt(float(np.dot(v, v)))

@@ -4,7 +4,7 @@ Fetching and evaluating are separate phases: ``fetch_predictions`` talks to a
 rate-limited endpoint and fills a persistent response cache, while
 ``run_evaluation`` is pure file-in, report-out and never touches the network.
 Images are processed in natural ascending image_id order ("2" before "10"),
-and per-image work parallelizes without changing any output byte.
+one at a time.
 
 Scoring interns every label of the run once, into a Vocabulary, before any
 image is scored; each image's truth side is then interned once and shared by
@@ -20,7 +20,6 @@ import os
 import re
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -58,6 +57,8 @@ from .labelset import (
     intern_objects,
     intern_truth,
     object_stats,
+    prediction_from_json,
+    prediction_to_json,
     read_ground_truth,
     read_predictions,
     top_k,
@@ -244,11 +245,11 @@ def fetch_predictions(spec: ApiClientSpec, refs: Sequence[ImageRef],
         cache_path = cache_root / f"{digest}.json"
         if cache_path.exists():
             try:
-                payload = json.loads(cache_path.read_text(encoding="utf-8"))
-                records.append(_record_from_cache(payload))
-            except (json.JSONDecodeError, KeyError, TypeError):
-                raise CacheCorruptError(f"unreadable cache entry: {cache_path}") \
-                    from None
+                records.append(
+                    prediction_from_json(cache_path.read_text(encoding="utf-8")))
+            except (DataError, UnicodeDecodeError) as exc:
+                raise CacheCorruptError(
+                    f"unreadable cache entry: {cache_path}: {exc}") from None
             continue
         if spec.max_total is not None and issued + 1 > spec.max_total:
             raise QuotaExhaustedError(
@@ -257,7 +258,7 @@ def fetch_predictions(spec: ApiClientSpec, refs: Sequence[ImageRef],
         issued += 1
         record = _fetch_one(spec, ref, body, headers, transport, limiter, sleep)
         tmp = cache_path.with_suffix(".tmp")
-        tmp.write_text(_record_to_cache(record), encoding="utf-8")
+        tmp.write_text(prediction_to_json(record), encoding="utf-8")
         tmp.replace(cache_path)
         records.append(record)
     return records
@@ -292,26 +293,6 @@ def _fetch_one(spec, ref, body, headers, transport, limiter, sleep) -> Predictio
         f"{last_error}")
 
 
-def _record_to_cache(record: PredictionRecord) -> str:
-    objects = []
-    for obj in record.objects:
-        payload: dict = {"labels": list(obj.synonyms)}
-        if obj.confidence is not None:
-            payload["confidence"] = obj.confidence
-        objects.append(payload)
-    return json.dumps({"image_id": record.image_id, "api_id": record.api_id,
-                       "objects": objects})
-
-
-def _record_from_cache(payload: Mapping) -> PredictionRecord:
-    objects = tuple(
-        PredictedObject(synonyms=tuple(obj["labels"]),
-                        confidence=obj.get("confidence"))
-        for obj in payload["objects"])
-    return PredictionRecord(image_id=payload["image_id"], api_id=payload["api_id"],
-                            objects=objects)
-
-
 # -- evaluation --------------------------------------------------------------
 
 @dataclass
@@ -322,7 +303,7 @@ class RunConfig:
     embeddings_format: str = "auto"
     top_ks: tuple[int, ...] = (1, 3, 5)
     threshold: float = DEFAULT_THRESHOLD
-    workers: int = 1
+    workers: int = 1  # validated for existing configs; scoring runs in one thread
     include_semantic: bool = True
     include_label_based: bool = True
     include_wmd: bool = True
@@ -371,30 +352,32 @@ class _Scored:
 
 
 def _sha256_file(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with Path(path).open("rb") as handle:
+        for chunk in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
-def _annotate(exc: EvaluationError, api_id: str, image_id: str) -> EvaluationError:
-    message = f"{api_id}/{image_id}: {exc}"
-    try:
-        return type(exc)(message)
-    except TypeError:
-        return DataError(message)
+def _annotate(exc: EvaluationError, api_id: str, image_id: str) -> None:
+    """Prefix the failing unit to the error's message, keeping the error."""
+    exc.args = (f"{api_id}/{image_id}: {exc}",)
 
 
 def run_evaluation(config: RunConfig) -> reporting.MetricReport:
     """Score every api_id x k combination and assemble the metric report.
 
     Output is deterministic: images are reduced in natural ascending
-    image_id order regardless of the worker count, and the provenance block
-    echoes only evaluation-relevant settings.
+    image_id order, and the provenance block echoes only evaluation-relevant
+    settings. A truth record none of whose labels survives cleaning is
+    skipped and counted as empty truth.
     """
     store = load_model(config.embeddings_path, config.embeddings_format)
     truth_records = read_ground_truth(config.ground_truth_path)
     usable_truth = {r.image_id: r for r in truth_records if r.usable}
-    unusable_ids = {r.image_id for r in truth_records if not r.usable}
+    unusable_ids = {r.image_id for r in truth_records if r.image_id not in usable_truth}
     if unusable_ids:
-        logger.warning("skipping %d ground-truth records with no labels",
+        logger.warning("skipping %d ground-truth records with no usable labels",
                        len(unusable_ids))
 
     by_api: dict[str, dict[str, PredictionRecord]] = {}
@@ -423,7 +406,6 @@ def run_evaluation(config: RunConfig) -> reporting.MetricReport:
         },
     }
 
-    # Every label is interned before scoring starts, so the pool only reads.
     vocab = Vocabulary(store, _run_labels(usable_truth.values(), by_api.values()))
     truths = {image_id: intern_truth(record.labels, vocab)
               for image_id, record in usable_truth.items()}
@@ -478,7 +460,8 @@ def run_evaluation(config: RunConfig) -> reporting.MetricReport:
                     wmd_result = dataset_wmd(
                         ((r.truth.bag, r.objects.bag) for r in results), store)
                 except EvaluationError as exc:
-                    raise _annotate(exc, api_id, "<dataset>") from exc
+                    _annotate(exc, api_id, "<dataset>")
+                    raise
                 cells["wmd"] = wmd_result.value
                 skips["wmd_empty_prediction"] = wmd_result.skipped
             if config.sentence is not None:
@@ -553,23 +536,17 @@ def _score_units(units: Sequence[tuple[str, int, str]],
     ks_of: dict[tuple[str, str], list[int]] = {}
     for api_id, k, image_id in units:
         ks_of.setdefault((api_id, image_id), []).append(k)
-
-    def job(key: tuple[str, str]) -> list[_Scored]:
-        api_id, image_id = key
+    scored: dict[tuple[str, int, str], _Scored] = {}
+    for (api_id, image_id), ks in ks_of.items():
         try:
-            return _score_image(truths[image_id], by_api[api_id][image_id],
-                                ks_of[key], store, config)
+            results = _score_image(truths[image_id], by_api[api_id][image_id], ks,
+                                   store, config)
         except EvaluationError as exc:
-            raise _annotate(exc, api_id, image_id) from exc
-
-    if config.workers == 1:
-        per_image = [job(key) for key in ks_of]
-    else:
-        with ThreadPoolExecutor(max_workers=config.workers) as executor:
-            per_image = list(executor.map(job, ks_of))
-    return {(api_id, k, image_id): result
-            for (api_id, image_id), results in zip(ks_of, per_image)
-            for k, result in zip(ks_of[api_id, image_id], results)}
+            _annotate(exc, api_id, image_id)
+            raise
+        scored.update(((api_id, k, image_id), result)
+                      for k, result in zip(ks, results))
+    return scored
 
 
 def _sentence_mean(units: Sequence[EvaluationUnit], provider: ProviderConfig,

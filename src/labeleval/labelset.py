@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .embeddings import EmbeddingStore, Vocabulary
+from .embeddings import EmbeddingStore, Vocabulary, clean_label
 from .errors import (
     BadConfidenceError,
     DuplicateImageError,
@@ -34,7 +34,8 @@ class GroundTruthRecord:
 
     @property
     def usable(self) -> bool:
-        return len(self.labels) > 0
+        """Whether any label survives cleaning; scores need one that does."""
+        return any(clean_label(label) for label in self.labels)
 
 
 @dataclass(frozen=True)
@@ -61,12 +62,12 @@ class EvaluationUnit:
     objects: tuple[PredictedObject, ...]
 
 
-def _require(condition: bool, message: str, line_no: int) -> None:
+def _require(condition: bool, message: str, line_no: int | None) -> None:
     if not condition:
         raise ParseError(message, line_no=line_no)
 
 
-def _string_list(value, field: str, line_no: int) -> tuple[str, ...]:
+def _string_list(value, field: str, line_no: int | None) -> tuple[str, ...]:
     _require(isinstance(value, list), f"{field} must be an array", line_no)
     for item in value:
         _require(isinstance(item, str), f"{field} entries must be strings", line_no)
@@ -96,7 +97,7 @@ def read_ground_truth(path: str | Path) -> list[GroundTruthRecord]:
     return records
 
 
-def _parse_object(payload, line_no: int) -> PredictedObject:
+def _parse_object(payload, line_no: int | None) -> PredictedObject:
     _require(isinstance(payload, dict), "object entries must be objects", line_no)
     synonyms = _string_list(payload.get("labels"), "labels", line_no)
     _require(len(synonyms) > 0, "object labels must be non-empty", line_no)
@@ -110,29 +111,30 @@ def _parse_object(payload, line_no: int) -> PredictedObject:
     return PredictedObject(synonyms=synonyms, confidence=confidence)
 
 
+def prediction_from_json(text: str, line_no: int | None = None) -> PredictionRecord:
+    """Read one record as ``prediction_to_json`` writes it; a bad one raises
+    ParseError, naming ``line_no`` when given, or BadConfidenceError."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}", line_no=line_no) from None
+    _require(isinstance(payload, dict), "record must be an object", line_no)
+    image_id = payload.get("image_id")
+    api_id = payload.get("api_id")
+    _require(isinstance(image_id, str) and image_id != "",
+             "image_id must be a non-empty string", line_no)
+    _require(isinstance(api_id, str) and api_id != "",
+             "api_id must be a non-empty string", line_no)
+    objects_payload = payload.get("objects")
+    _require(isinstance(objects_payload, list), "objects must be an array", line_no)
+    objects = tuple(_parse_object(o, line_no) for o in objects_payload)
+    return PredictionRecord(image_id=image_id, api_id=api_id, objects=objects)
+
+
 def read_predictions(path: str | Path) -> list[PredictionRecord]:
-    records: list[PredictionRecord] = []
     with Path(path).open("r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", line_no=line_no) from None
-            _require(isinstance(payload, dict), "record must be an object", line_no)
-            image_id = payload.get("image_id")
-            api_id = payload.get("api_id")
-            _require(isinstance(image_id, str) and image_id != "",
-                     "image_id must be a non-empty string", line_no)
-            _require(isinstance(api_id, str) and api_id != "",
-                     "api_id must be a non-empty string", line_no)
-            objects_payload = payload.get("objects")
-            _require(isinstance(objects_payload, list), "objects must be an array", line_no)
-            objects = tuple(_parse_object(o, line_no) for o in objects_payload)
-            records.append(PredictionRecord(image_id=image_id, api_id=api_id,
-                                            objects=objects))
-    return records
+        return [prediction_from_json(line, line_no)
+                for line_no, line in enumerate(handle, start=1) if line.strip()]
 
 
 def ground_truth_to_json(record: GroundTruthRecord) -> str:

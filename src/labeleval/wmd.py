@@ -17,13 +17,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .embeddings import UNKNOWN_TOKEN, EmbeddingStore
+from .embeddings import EmbeddingStore
 from .errors import (
     EmptyBagError,
     EmptyDatasetError,
     InfeasibleMarginalsError,
     NumericalFailureError,
-    UnresolvedTokenError,
 )
 
 _MARGINAL_TOL = 1e-9
@@ -74,31 +73,16 @@ def build_nbow(bag: Sequence[str]) -> NBow:
     return NBow(tokens=tuple(order), weights=weights)
 
 
-def _token_vector(token: str, store: EmbeddingStore) -> np.ndarray:
-    if token == UNKNOWN_TOKEN:
-        # Unknowns embed at the origin, so moving mass between an unknown and
-        # a word costs that word's norm, and unknown-to-unknown costs nothing.
-        return np.zeros(store.dim, dtype=np.float32)
-    vector = store.get(token)
-    if vector is None:
-        raise UnresolvedTokenError(token)
-    return vector
-
-
-def _token_vectors(tokens: Sequence[str],
-                   store: EmbeddingStore) -> np.ndarray:
-    return np.array([_token_vector(t, store) for t in tokens], dtype=np.float64)
-
-
 def cost_matrix(a: NBow, b: NBow, store: EmbeddingStore) -> np.ndarray:
     """Euclidean distance of every token pair, upcast to float64.
 
     Sums squared differences rather than expanding |a|^2 + |b|^2 - 2ab,
     which loses precision between near neighbours; identical tokens have
-    identical vectors, so they cost exactly 0.
+    identical vectors, so they cost exactly 0. ``UNKNOWN_TOKEN`` embeds at
+    the origin; any other token the store lacks raises UnresolvedTokenError.
     """
-    left = _token_vectors(a.tokens, store)
-    right = _token_vectors(b.tokens, store)
+    left = store.vectors(a.tokens).astype(np.float64)
+    right = store.vectors(b.tokens).astype(np.float64)
     diff = left[:, None, :] - right[None, :, :]
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 

@@ -102,6 +102,49 @@ class TestEvaluateCommand:
         assert err.startswith("data error: ")
         assert "transport solver failed to converge" in err
 
+    def test_annotated_error_names_unit_once(self, capsys, monkeypatch, tmp_path,
+                                             fixture_files, fixture_model_file):
+        from labeleval import harness
+        from labeleval.errors import UnresolvedTokenError
+
+        def failing_wmd(*args, **kwargs):
+            raise UnresolvedTokenError("zzz")
+
+        monkeypatch.setattr(harness, "dataset_wmd", failing_wmd)
+        code, _, err = run_cli(
+            capsys, "evaluate",
+            "--ground-truth", str(fixture_files["truth"]),
+            "--predictions", str(fixture_files["predictions"][0]),
+            "--embeddings", str(fixture_model_file),
+            "--top-k", "5", "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert err.splitlines() == [
+            "data error: clarifai/<dataset>: "
+            "token not present in embedding store: 'zzz'"]
+
+    def test_truth_cleaning_to_nothing_is_skipped(self, capsys, tmp_path,
+                                                  fixture_model_file):
+        truth = tmp_path / "truth.jsonl"
+        truth.write_text(
+            json.dumps({"image_id": "1.jpg", "labels": ["car"]}) + "\n"
+            + json.dumps({"image_id": "2.jpg", "labels": ["!!!"]}) + "\n",
+            encoding="utf-8")
+        predictions = tmp_path / "a.jsonl"
+        predictions.write_text("".join(
+            json.dumps({"image_id": image_id, "api_id": "a",
+                        "objects": [{"labels": ["car"], "confidence": 0.9}]}) + "\n"
+            for image_id in ("1.jpg", "2.jpg")), encoding="utf-8")
+        out = tmp_path / "report"
+        code, _, err = run_cli(
+            capsys, "evaluate",
+            "--ground-truth", str(truth), "--predictions", str(predictions),
+            "--embeddings", str(fixture_model_file),
+            "--top-k", "1", "--out", str(out))
+        assert code == 0, err
+        (record,) = parse_json_lines(tmp_path / "report.jsonl")
+        assert record["skips"]["empty_truth"] == 1
+        assert record["metrics"]["precision"] == 1.0
+
     def test_bad_top_k_is_usage_error(self, capsys, tmp_path, fixture_files,
                                       fixture_model_file):
         code, _, _ = run_cli(

@@ -232,3 +232,42 @@ class TestStoreInvariants:
     def test_wrong_width_vector_rejected(self):
         with pytest.raises(DimensionMismatchError):
             EmbeddingStore([("bad", np.ones(3, dtype=np.float32))], dim=2)
+
+
+class TestStoreMatrix:
+    def test_lying_text_header_is_malformed(self, tmp_path):
+        path = write_text(tmp_path, f"{10**12} 2\ncat 1 0\ndog 0 1\nemu 1 1\n")
+        with pytest.raises(MalformedHeaderError, match="found 3"):
+            load_text_model(path)
+
+    def test_lying_binary_header_is_truncated(self, tmp_path):
+        path = tmp_path / "model.bin"
+        path.write_bytes(f"{10**12} 2\n".encode() + b"".join(
+            token + b" " + np.array([1.0, 0.5], dtype="<f4").tobytes() + b"\n"
+            for token in (b"cat", b"dog", b"emu")))
+        with pytest.raises(TruncatedRecordError) as info:
+            load_binary_model(path)
+        assert info.value.index == 3
+
+    def test_text_rows_beyond_header_name_the_line(self, tmp_path):
+        path = write_text(tmp_path, "1 1\ncat 1\ndog 2\n")
+        with pytest.raises(MalformedHeaderError, match="line 3"):
+            load_text_model(path)
+
+    def test_vectors_follow_one_rule(self, tiny_store):
+        from labeleval.embeddings import UNKNOWN_TOKEN
+        from labeleval.errors import UnresolvedTokenError
+
+        vectors = tiny_store.vectors(["diagonal", UNKNOWN_TOKEN, "east"])
+        assert vectors.dtype == np.float32
+        assert vectors.tolist() == [[3.0, 4.0], [0.0, 0.0], [1.0, 0.0]]
+        assert tiny_store.vectors([]).shape == (0, 2)
+        with pytest.raises(UnresolvedTokenError):
+            tiny_store.vectors(["east", "zzqx"])
+
+    def test_loaded_rows_are_read_only(self, tmp_path):
+        store = load_text_model(write_text(tmp_path, "2 2\ncat 1 0\ndog 0 1\n"))
+        with pytest.raises(ValueError):
+            store.get("dog")[0] = 5.0
+        assert [token for token, _ in store.items()] == ["cat", "dog"]
+        assert store.get("emu") is None

@@ -1,12 +1,16 @@
+import hashlib
 import json
+import re
 
 import pytest
 
 import street_scene
 from labeleval.errors import (
     AuthMissingError,
+    CacheCorruptError,
     EmptyDatasetError,
     QuotaExhaustedError,
+    UnresolvedTokenError,
     UpstreamError,
 )
 from labeleval.harness import (
@@ -367,3 +371,51 @@ class TestRunEvaluation:
         assert config.workers == 2
         report = run_evaluation(config)
         assert len(report.rows) == len(street_scene.PREDICTIONS)
+
+
+class TestFetchCacheValidation:
+    @pytest.mark.parametrize("bad_object", [
+        {"labels": [7]},
+        {"labels": ["car"], "confidence": 7.5},
+    ])
+    def test_bad_entry_names_its_path(self, tmp_path, bad_object):
+        clock = FakeClock()
+        transport = FakeTransport(clock)
+        refs = make_images(tmp_path, 1)
+        cache = tmp_path / "cache"
+        fetch_predictions(make_spec(), refs, cache, transport=transport,
+                          clock=clock.monotonic, sleep=clock.sleep)
+        (entry,) = (cache / "vendor").glob("*.json")
+        entry.write_text(json.dumps({"image_id": "0.jpg", "api_id": "vendor",
+                                     "objects": [bad_object]}), encoding="utf-8")
+        with pytest.raises(CacheCorruptError, match=re.escape(str(entry))):
+            fetch_predictions(make_spec(), refs, cache, transport=transport,
+                              clock=clock.monotonic, sleep=clock.sleep)
+        assert len(transport.times) == 1
+
+
+def test_digest_of_a_file_larger_than_one_chunk(tmp_path):
+    from labeleval.harness import _sha256_file
+
+    path = tmp_path / "model.bin"
+    data = bytes(range(256)) * 12_000
+    path.write_bytes(data)
+    assert _sha256_file(path) == hashlib.sha256(data).hexdigest()
+
+
+def test_annotated_error_keeps_class_and_attributes(monkeypatch, fixture_files,
+                                                    fixture_model_file):
+    from labeleval import harness
+
+    def failing_wmd(*args, **kwargs):
+        raise UnresolvedTokenError("zzz")
+
+    monkeypatch.setattr(harness, "dataset_wmd", failing_wmd)
+    with pytest.raises(UnresolvedTokenError) as info:
+        run_evaluation(RunConfig(
+            ground_truth_path=str(fixture_files["truth"]),
+            prediction_paths=(str(fixture_files["predictions"][0]),),
+            embeddings_path=str(fixture_model_file), top_ks=(1,)))
+    assert info.value.token == "zzz"
+    assert str(info.value) == ("clarifai/<dataset>: "
+                               "token not present in embedding store: 'zzz'")
