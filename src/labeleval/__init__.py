@@ -41,7 +41,6 @@ from .harness import (
     run_evaluation,
 )
 from .labelset import (
-    EvaluationUnit,
     GroundTruthRecord,
     InternedObjects,
     InternedTruth,

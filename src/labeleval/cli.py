@@ -75,10 +75,25 @@ def _provider_from_flags(provider: str | None, model: str | None,
 @click.option("--sentence-provider", default=None,
               help="Precomputed vector file or http(s) endpoint.")
 @click.option("--sentence-model", default=None)
-def evaluate(config_path, ground_truth, predictions, embeddings, top_k_text,
-             threshold, workers, out_path, out_format, sentence_provider,
-             sentence_model):
+def evaluate(**flags):
     """Score predictions against ground truth and emit the ranked report."""
+    try:
+        config = _run_config(**flags)
+    except KeyError as exc:
+        raise click.ClickException(f"config lacks required key {exc}") from None
+    except (ValueError, TypeError) as exc:
+        raise click.ClickException(f"invalid run settings: {exc}") from None
+    result = run_evaluation(config)
+    reporting.rank_and_colorize(result)
+    paths = reporting.emit(result, config.output_path, config.output_format)
+    for path in paths:
+        click.echo(f"wrote {path}")
+
+
+def _run_config(config_path, ground_truth, predictions, embeddings, top_k_text,
+                threshold, workers, out_path, out_format, sentence_provider,
+                sentence_model) -> RunConfig:
+    """The run's settings: the config file, if any, overridden by the flags."""
     if config_path:
         config = RunConfig.from_file(config_path)
     else:
@@ -89,33 +104,19 @@ def evaluate(config_path, ground_truth, predictions, embeddings, top_k_text,
         config = RunConfig(ground_truth_path=ground_truth,
                            prediction_paths=tuple(predictions),
                            embeddings_path=embeddings)
-    overrides = {}
-    if ground_truth:
-        overrides["ground_truth_path"] = ground_truth
-    if predictions:
-        overrides["prediction_paths"] = tuple(predictions)
-    if embeddings:
-        overrides["embeddings_path"] = embeddings
-    if top_k_text is not None:
-        overrides["top_ks"] = _parse_top_ks(top_k_text)
-    if threshold is not None:
-        overrides["threshold"] = threshold
-    if workers is not None:
-        overrides["workers"] = workers
-    if out_path is not None:
-        overrides["output_path"] = out_path
-    if out_format is not None:
-        overrides["output_format"] = out_format
-    provider = _provider_from_flags(sentence_provider, sentence_model)
-    if provider is not None:
-        overrides["sentence"] = provider
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
-    result = run_evaluation(config)
-    reporting.rank_and_colorize(result)
-    paths = reporting.emit(result, config.output_path, config.output_format)
-    for path in paths:
-        click.echo(f"wrote {path}")
+    overrides = {
+        "ground_truth_path": ground_truth,
+        "prediction_paths": tuple(predictions) or None,
+        "embeddings_path": embeddings,
+        "top_ks": None if top_k_text is None else _parse_top_ks(top_k_text),
+        "threshold": threshold,
+        "workers": workers,
+        "output_path": out_path,
+        "output_format": out_format,
+        "sentence": _provider_from_flags(sentence_provider, sentence_model),
+    }
+    return dataclasses.replace(
+        config, **{key: value for key, value in overrides.items() if value is not None})
 
 
 @cli.command()

@@ -171,18 +171,27 @@ def _first_bad_row(matrix: np.ndarray) -> int | None:
     return int(bad[0]) if bad.size else None
 
 
+def _text_lines(handle, path: Path) -> Iterator[str]:
+    """The lines of a text handle; undecodable bytes are a DataError."""
+    try:
+        yield from handle
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not valid UTF-8 text") from None
+
+
 def load_text_model(path: str | Path) -> EmbeddingStore:
     """Load a text-format model. Raises on header/row inconsistencies.
 
     A component that is NaN, infinite, or too large for float32 is a
-    DataError naming its line.
+    DataError naming its line; text that is not UTF-8 is a DataError too.
     """
     path = Path(path)
     line_nos = array("i")
     row: dict[str, int] = {}
     # a component beyond float32 range casts to inf (quietly), rejected below
     with path.open("r", encoding="utf-8") as handle, np.errstate(over="ignore"):
-        header = handle.readline()
+        lines = _text_lines(handle, path)
+        header = next(lines, "")
         if not header.strip():
             raise MalformedHeaderError(f"{path}: empty file")
         vocab, dim = _parse_header(header)
@@ -191,7 +200,7 @@ def load_text_model(path: str | Path) -> EmbeddingStore:
         fits = os.fstat(handle.fileno()).st_size // max(1, 2 * dim)
         matrix = np.zeros((min(vocab, fits), dim), dtype=np.float32)
         line_no = 1
-        for raw_line in handle:
+        for raw_line in lines:
             line_no += 1
             line = raw_line.rstrip("\n")
             if not line:
@@ -220,7 +229,7 @@ def load_text_model(path: str | Path) -> EmbeddingStore:
 
 
 def load_binary_model(path: str | Path) -> EmbeddingStore:
-    """Load a binary-format model; a NaN or infinity names its record index."""
+    """Load a binary-format model; a bad vector or token names its record index."""
     path = Path(path)
     blob = path.read_bytes()
     newline = blob.find(b"\n")
@@ -245,7 +254,10 @@ def load_binary_model(path: str | Path) -> EmbeddingStore:
         space = blob.find(b" ", offset)
         if space < 0:
             raise TruncatedRecordError(index)
-        token = blob[offset:space].decode("utf-8")
+        try:
+            token = blob[offset:space].decode("utf-8")
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: record {index}: token is not UTF-8") from None
         start = space + 1
         end = start + record_bytes
         if end > len(blob):

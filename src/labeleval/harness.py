@@ -20,7 +20,7 @@ import os
 import re
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -48,7 +48,6 @@ from .errors import (
     UpstreamError,
 )
 from .labelset import (
-    EvaluationUnit,
     GroundTruthRecord,
     InternedObjects,
     InternedTruth,
@@ -64,7 +63,7 @@ from .labelset import (
     top_k,
 )
 from .semantic import DEFAULT_THRESHOLD, semantic_intersection, similarity_matrix
-from .sentence import BowProvenance, ProviderConfig, fetch_embeddings, render_bow_text
+from .sentence import ProviderConfig, fetch_embeddings, render_bow_text
 from .wmd import dataset_wmd
 
 logger = logging.getLogger(__name__)
@@ -245,11 +244,12 @@ def fetch_predictions(spec: ApiClientSpec, refs: Sequence[ImageRef],
         cache_path = cache_root / f"{digest}.json"
         if cache_path.exists():
             try:
-                records.append(
-                    prediction_from_json(cache_path.read_text(encoding="utf-8")))
+                cached = prediction_from_json(cache_path.read_text(encoding="utf-8"))
             except (DataError, UnicodeDecodeError) as exc:
                 raise CacheCorruptError(
                     f"unreadable cache entry: {cache_path}: {exc}") from None
+            # The entry is keyed by image bytes, which other ids may share.
+            records.append(replace(cached, image_id=ref.image_id, api_id=spec.api_id))
             continue
         if spec.max_total is not None and issued + 1 > spec.max_total:
             raise QuotaExhaustedError(
@@ -419,6 +419,8 @@ def run_evaluation(config: RunConfig) -> reporting.MetricReport:
         [(api_id, k, image_id) for api_id in sorted(by_api)
          for image_id in eval_ids[api_id] for k in config.top_ks],
         truths, by_api, store, config)
+    sentence = (_sentence_mean(scored, eval_ids, usable_truth, config)
+                if config.sentence is not None else {})
 
     rows: list[reporting.ReportRow] = []
     for api_id in sorted(by_api):
@@ -430,29 +432,17 @@ def run_evaluation(config: RunConfig) -> reporting.MetricReport:
                               for label in truths[image_id].labels})
         for k in config.top_ks:
             results = [scored[api_id, k, image_id] for image_id in eval_ids[api_id]]
-            cells: dict[str, float] = {}
-            exact_mean = mean_scores([r.exact for r in results])
-            cells["accuracy"] = exact_mean.accuracy
-            cells["precision"] = exact_mean.precision
-            cells["recall"] = exact_mean.recall
-            cells["f1"] = exact_mean.f1
+            # each score dataclass's fields, in order, are its columns
+            cells = dict(vars(mean_scores([r.exact for r in results])))
             if config.include_semantic:
                 semantic_mean = mean_scores([r.semantic for r in results])
-                cells["accuracy_semantic"] = semantic_mean.accuracy
-                cells["precision_semantic"] = semantic_mean.precision
-                cells["recall_semantic"] = semantic_mean.recall
-                cells["f1_semantic"] = semantic_mean.f1
+                cells.update((f"{name}_semantic", value)
+                             for name, value in vars(semantic_mean).items())
             if config.include_label_based:
                 ledger = ConfusionLedger(label_space)
                 for r in results:
                     ledger.accumulate(r.truth, r.objects, r.match)
-                label_scores = label_based_scores(ledger)
-                cells["macro_precision"] = label_scores.macro_precision
-                cells["macro_recall"] = label_scores.macro_recall
-                cells["macro_f1"] = label_scores.macro_f1
-                cells["micro_precision"] = label_scores.micro_precision
-                cells["micro_recall"] = label_scores.micro_recall
-                cells["micro_f1"] = label_scores.micro_f1
+                cells.update(vars(label_based_scores(ledger)))
             skips = {"missing_truth": skip_missing_truth,
                      "empty_truth": skip_empty_truth}
             if config.include_wmd:
@@ -465,14 +455,8 @@ def run_evaluation(config: RunConfig) -> reporting.MetricReport:
                 cells["wmd"] = wmd_result.value
                 skips["wmd_empty_prediction"] = wmd_result.skipped
             if config.sentence is not None:
-                units = [EvaluationUnit(image_id=image_id,
-                                        truth_labels=usable_truth[image_id].labels,
-                                        objects=r.objects.objects)
-                         for image_id, r in zip(eval_ids[api_id], results)]
-                sentence_mean, sentence_skipped = _sentence_mean(
-                    units, config.sentence, api_id, k)
-                cells["sentence_similarity"] = sentence_mean
-                skips["sentence_empty_prediction"] = sentence_skipped
+                (cells["sentence_similarity"],
+                 skips["sentence_empty_prediction"]) = sentence[api_id, k]
             unknown_rate, labels_per_object = object_stats(
                 [r.objects for r in results])
             rows.append(reporting.ReportRow(
@@ -549,25 +533,32 @@ def _score_units(units: Sequence[tuple[str, int, str]],
     return scored
 
 
-def _sentence_mean(units: Sequence[EvaluationUnit], provider: ProviderConfig,
-                   api_id: str, k: int) -> tuple[float, int]:
-    texts: list[str] = []
-    spans: list[tuple[int, int] | None] = []
-    for unit in units:
-        truth_text = render_bow_text(unit.truth_labels, BowProvenance.truth())
-        try:
-            predicted_text = render_bow_text(unit.objects,
-                                             BowProvenance.prediction(api_id, k))
-        except EmptyBagError:
-            spans.append(None)
-            continue
-        spans.append((len(texts), len(texts) + 1))
-        texts.extend([truth_text.text, predicted_text.text])
-    skipped = sum(1 for span in spans if span is None)
-    if not texts:
-        raise EmptyDatasetError(f"{api_id}: no prediction texts to embed")
-    vectors = fetch_embeddings(provider, texts)
-    scores = [cosine(vectors[a], vectors[b])
-              for span in spans if span is not None
-              for a, b in (span,)]
-    return sum(scores) / len(scores), skipped
+def _sentence_mean(scored: Mapping[tuple[str, int, str], _Scored],
+                   eval_ids: Mapping[str, Sequence[str]],
+                   truth: Mapping[str, GroundTruthRecord],
+                   config: RunConfig) -> dict[tuple[str, int], tuple[float, int]]:
+    """Each (api, k)'s mean sentence similarity and empty-prediction skips.
+
+    Truth texts are rendered once; one provider call embeds every distinct text.
+    """
+    truth_texts = {image_id: render_bow_text(record.labels).text
+                   for image_id, record in truth.items()}
+    rows: dict[str, int] = {}  # distinct text -> its vector's index
+    pairs: dict[tuple[str, int], list[tuple[int, int]]] = {}
+    for api_id in sorted(eval_ids):
+        for k in config.top_ks:
+            cell = pairs[api_id, k] = []
+            for image_id in eval_ids[api_id]:
+                try:
+                    predicted = render_bow_text(
+                        scored[api_id, k, image_id].objects.objects).text
+                except EmptyBagError:
+                    continue
+                cell.append((rows.setdefault(truth_texts[image_id], len(rows)),
+                             rows.setdefault(predicted, len(rows))))
+            if not cell:
+                raise EmptyDatasetError(f"{api_id}: no prediction texts to embed")
+    vectors = fetch_embeddings(config.sentence, list(rows))
+    return {(api_id, k): (sum(cosine(vectors[a], vectors[b]) for a, b in cell)
+                          / len(cell), len(eval_ids[api_id]) - len(cell))
+            for (api_id, k), cell in pairs.items()}

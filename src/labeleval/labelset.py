@@ -53,15 +53,6 @@ class PredictionRecord:
     objects: tuple[PredictedObject, ...]
 
 
-@dataclass(frozen=True)
-class EvaluationUnit:
-    """One image's truth labels paired with its post-top-k objects."""
-
-    image_id: str
-    truth_labels: tuple[str, ...]
-    objects: tuple[PredictedObject, ...]
-
-
 def _require(condition: bool, message: str, line_no: int | None) -> None:
     if not condition:
         raise ParseError(message, line_no=line_no)

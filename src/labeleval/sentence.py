@@ -158,25 +158,23 @@ def _post_json(endpoint: str, payload: dict, timeout: float) -> dict:
     return response.json()
 
 
-def _fetch_remote(config: ProviderConfig, texts: Sequence[str],
+def _fetch_remote(config: ProviderConfig, wanted: dict[str, str],
                   post: Callable[[str, dict, float], dict],
-                  sleep: Callable[[float], None]) -> list[np.ndarray]:
+                  sleep: Callable[[float], None]) -> dict[str, np.ndarray]:
+    """Vectors of the ``wanted`` digest -> text entries, from cache or endpoint."""
     endpoint = config.endpoint
     cache = _DiskCache(config.cache_dir, config.model) if config.cache_dir else None
     resolved: dict[str, np.ndarray] = {}
-    missing: list[str] = []
-    for text in texts:
-        digest = text_digest(text)
-        if digest in resolved:
-            continue
+    missing: list[tuple[str, str]] = []
+    for digest, text in wanted.items():
         cached = cache.get(digest) if cache else None
         if cached is not None:
             resolved[digest] = cached
-        elif text not in missing:
-            missing.append(text)
+        else:
+            missing.append((digest, text))
     for start in range(0, len(missing), config.batch_size):
         batch = missing[start:start + config.batch_size]
-        payload = {"model": config.model, "texts": batch}
+        payload = {"model": config.model, "texts": [text for _, text in batch]}
         reply = None
         for attempt in range(config.max_retries + 1):
             try:
@@ -193,41 +191,37 @@ def _fetch_remote(config: ProviderConfig, texts: Sequence[str],
             raise ProviderUnavailableError(
                 f"provider returned {0 if not isinstance(vectors, list) else len(vectors)}"
                 f" vectors for {len(batch)} texts")
-        for text, vector in zip(batch, vectors):
-            digest = text_digest(text)
+        for (digest, _), vector in zip(batch, vectors):
             arr = np.asarray(vector, dtype=np.float64)
             resolved[digest] = arr
             if cache:
                 cache.put(digest, arr)
-    out = [resolved[text_digest(text)] for text in texts]
-    dims = {v.shape for v in out}
-    if len(dims) > 1:
-        raise DimensionInconsistentError(f"provider vector lengths differ: {sorted(dims)}")
-    return out
+    return resolved
 
 
 def fetch_embeddings(config: ProviderConfig, texts: Sequence[str], *,
                      post: Callable[[str, dict, float], dict] = _post_json,
                      sleep: Callable[[float], None] = time.sleep) -> list[np.ndarray]:
-    """One vector per input text, from the configured provider."""
+    """One vector per input text, from the provider's digest -> vector table."""
     if not texts:
         raise ValueError("texts must be non-empty")
+    digests = [text_digest(text) for text in texts]
     if config.mode == "file":
         table = _load_precomputed(config.path, config.model)
-        out = []
-        for text in texts:
-            digest = text_digest(text)
-            if digest not in table:
-                raise ProviderUnavailableError(
-                    f"precomputed file {config.path} lacks digest {digest}"
-                    f" for model {config.model!r}")
-            out.append(table[digest])
-        dims = {v.shape for v in out}
-        if len(dims) > 1:
-            raise DimensionInconsistentError(
-                f"precomputed vector lengths differ: {sorted(dims)}")
-        return out
-    return _fetch_remote(config, texts, post, sleep)
+    else:
+        table = _fetch_remote(config, dict(zip(digests, texts)), post, sleep)
+    out = []
+    for digest in digests:
+        if digest not in table:
+            raise ProviderUnavailableError(
+                f"precomputed file {config.path} lacks digest {digest}"
+                f" for model {config.model!r}")
+        out.append(table[digest])
+    dims = {v.shape for v in out}
+    if len(dims) > 1:
+        raise DimensionInconsistentError(
+            f"{config.mode} provider vector lengths differ: {sorted(dims)}")
+    return out
 
 
 def sentence_score(truth_text: BowText | str, predicted_text: BowText | str,

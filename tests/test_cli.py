@@ -156,6 +156,49 @@ class TestEvaluateCommand:
         assert code == 1
 
 
+class TestBadRunSettings:
+    """A bad setting ends in exit 1 and one line naming it, never a traceback."""
+
+    def flags(self, fixture_files, fixture_model_file, tmp_path):
+        return ["evaluate",
+                "--ground-truth", str(fixture_files["truth"]),
+                "--predictions", str(fixture_files["predictions"][0]),
+                "--embeddings", str(fixture_model_file),
+                "--top-k", "1", "--out", str(tmp_path / "report")]
+
+    def test_threshold_above_one(self, capsys, tmp_path, fixture_files,
+                                 fixture_model_file):
+        code, _, err = run_cli(capsys, *self.flags(fixture_files, fixture_model_file,
+                                                   tmp_path), "--threshold", "2")
+        assert code == 1
+        assert err.splitlines() == [
+            "Error: invalid run settings: threshold must lie in (0, 1]"]
+
+    def test_zero_workers(self, capsys, tmp_path, fixture_files, fixture_model_file):
+        code, _, err = run_cli(capsys, *self.flags(fixture_files, fixture_model_file,
+                                                   tmp_path), "--workers", "0")
+        assert code == 1
+        assert err.splitlines() == ["Error: invalid run settings: workers must be >= 1"]
+
+    @pytest.mark.parametrize("workers", ["1", "2", "8"])
+    def test_valid_workers_still_run(self, capsys, tmp_path, fixture_files,
+                                     fixture_model_file, workers):
+        code, _, err = run_cli(capsys, *self.flags(fixture_files, fixture_model_file,
+                                                   tmp_path), "--workers", workers)
+        assert code == 0, err
+
+    def test_config_without_predictions(self, capsys, tmp_path, fixture_files,
+                                        fixture_model_file):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"ground_truth": str(fixture_files["truth"]),
+                                      "embeddings": str(fixture_model_file)}),
+                          encoding="utf-8")
+        code, _, err = run_cli(capsys, "evaluate", "--config", str(config))
+        assert code == 1
+        assert err.splitlines() == [
+            "Error: config lacks required key 'predictions'"]
+
+
 class TestProviderFlags:
     def test_path_means_file_mode(self):
         from labeleval.cli import _provider_from_flags
@@ -211,6 +254,13 @@ class TestInspectCommand:
         assert "'Parking_Meter'" in stdout
         assert "title_underscore" in stdout
         assert "unknown" in stdout
+
+    def test_non_utf8_token_is_data_error(self, capsys, tmp_path):
+        model = tmp_path / "model.txt"
+        model.write_bytes(b"1 2\n\xff\xfe 1 0\n")
+        code, _, err = run_cli(capsys, "inspect-embeddings", str(model))
+        assert code == 2
+        assert err.splitlines() == [f"data error: {model}: not valid UTF-8 text"]
 
 
 class TestStatsCommand:

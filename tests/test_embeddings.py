@@ -69,6 +69,14 @@ class TestTextLoader:
         with pytest.raises(DataError, match=r"line 4: non-finite"):
             load_text_model(path)
 
+    def test_non_utf8_token_names_path(self, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_bytes(b"2 1\ncat 1\n\xff\xfe 2\n")
+        with pytest.raises(DataError) as info:
+            load_text_model(path)
+        assert type(info.value) is DataError
+        assert str(info.value) == f"{path}: not valid UTF-8 text"
+
 
 class TestBinaryLoader:
     def test_matches_text_model(self, tmp_path):
@@ -99,6 +107,15 @@ class TestBinaryLoader:
         path.write_bytes(blob)
         with pytest.raises(DataError, match=r"non-finite vector component in record 2"):
             load_binary_model(path)
+
+    def test_non_utf8_token_names_record(self, tmp_path):
+        path = tmp_path / "model.bin"
+        vector = np.array([1.0], dtype="<f4").tobytes()
+        path.write_bytes(b"2 1\ncat " + vector + b"\n\xff\xfe " + vector + b"\n")
+        with pytest.raises(DataError) as info:
+            load_binary_model(path)
+        assert type(info.value) is DataError
+        assert str(info.value) == f"{path}: record 1: token is not UTF-8"
 
     def test_zero_vocab(self, tmp_path):
         path = tmp_path / "model.bin"

@@ -8,7 +8,9 @@ import street_scene
 from labeleval.errors import (
     AuthMissingError,
     CacheCorruptError,
+    EmptyBagError,
     EmptyDatasetError,
+    ProviderUnavailableError,
     QuotaExhaustedError,
     UnresolvedTokenError,
     UpstreamError,
@@ -196,6 +198,23 @@ class TestFetch:
         assert len(transport.times) == 3
 
 
+    def test_identical_bytes_keep_their_own_ids(self, tmp_path):
+        clock = FakeClock()
+        transport = FakeTransport(clock)
+        refs = []
+        for image_id in ("1.jpg", "2.jpg"):
+            path = tmp_path / f"copy-of-{image_id}"
+            path.write_bytes(b"the same image")
+            refs.append(ImageRef(image_id=image_id, path=str(path)))
+        records = fetch_predictions(make_spec(), refs, tmp_path / "c",
+                                    transport=transport,
+                                    clock=clock.monotonic, sleep=clock.sleep)
+        assert [(r.image_id, r.api_id) for r in records] == \
+            [("1.jpg", "vendor"), ("2.jpg", "vendor")]
+        assert len(transport.times) == 1
+        assert records[0].objects == records[1].objects
+
+
 class TestNormalization:
     def test_nested_paths_and_string_labels(self):
         spec = make_spec(objects_path="result.items", labels_path="name",
@@ -371,6 +390,124 @@ class TestRunEvaluation:
         assert config.workers == 2
         report = run_evaluation(config)
         assert len(report.rows) == len(street_scene.PREDICTIONS)
+
+
+class TestSentencePass:
+    """The run embeds every distinct text of every (api, k) in one call."""
+
+    TRUTH = {"1.jpg": ("car", "street"), "2.jpg": ("tree",), "10.jpg": ("dog",)}
+    OBJECTS = {
+        "a": {"1.jpg": [("car", 0.9), ("tree", 0.4)], "2.jpg": [("tree", 0.8)],
+              "10.jpg": [("cat", 0.7), ("dog", 0.6)]},
+        "b": {"1.jpg": [("car", 0.9)], "2.jpg": [("bush", 0.5), ("tree", 0.3)],
+              "10.jpg": [("***", 0.9)]},
+    }
+
+    def write_inputs(self, tmp_path, objects=None):
+        objects = objects or self.OBJECTS
+        gt_path = tmp_path / "gt.jsonl"
+        pred_path = tmp_path / "pred.jsonl"
+        write_ground_truth([GroundTruthRecord(image_id=i, labels=labels)
+                            for i, labels in self.TRUTH.items()], gt_path)
+        write_predictions([
+            PredictionRecord(image_id=i, api_id=api_id, objects=tuple(
+                PredictedObject(synonyms=(label,), confidence=c)
+                for label, c in entries))
+            for api_id, per_image in objects.items()
+            for i, entries in per_image.items()], pred_path)
+        return gt_path, pred_path
+
+    def texts_in_parent_order(self, objects=None):
+        """Truth and prediction texts per (api, k), images in natural order."""
+        from labeleval.labelset import top_k
+
+        texts = []
+        for api_id, per_image in sorted((objects or self.OBJECTS).items()):
+            for k in (1, 2):
+                for image_id in sorted(per_image, key=natural_key):
+                    record = PredictionRecord(
+                        image_id=image_id, api_id=api_id, objects=tuple(
+                            PredictedObject(synonyms=(label,), confidence=c)
+                            for label, c in per_image[image_id]))
+                    try:
+                        predicted = render_bow_text(top_k(record, k).objects).text
+                    except EmptyBagError:
+                        continue
+                    texts += [render_bow_text(self.TRUTH[image_id]).text, predicted]
+        return texts
+
+    def run(self, tmp_path, model_file, texts, monkeypatch, objects=None):
+        from labeleval import harness
+
+        vector_file = tmp_path / "vectors.jsonl"
+        vector_file.write_text("".join(
+            json.dumps({"digest": text_digest(text), "model": "m",
+                        "vector": [1.0, len(text) / 10.0, text.count("r") - 0.5]})
+            + "\n" for text in texts), encoding="utf-8")
+        calls = []
+        real_fetch = harness.fetch_embeddings
+
+        def counting_fetch(config, texts, **kwargs):
+            calls.append(list(texts))
+            return real_fetch(config, texts, **kwargs)
+
+        monkeypatch.setattr(harness, "fetch_embeddings", counting_fetch)
+        gt_path, pred_path = self.write_inputs(tmp_path, objects)
+        provider = ProviderConfig(mode="file", path=str(vector_file), model="m")
+        config = RunConfig(ground_truth_path=str(gt_path),
+                           prediction_paths=(str(pred_path),),
+                           embeddings_path=str(model_file), top_ks=(1, 2),
+                           include_semantic=False, include_wmd=False,
+                           sentence=provider)
+        return calls, provider, config
+
+    def test_one_call_for_every_distinct_text(self, tmp_path, fixture_model_file,
+                                              monkeypatch):
+        from labeleval.sentence import sentence_score
+
+        texts = self.texts_in_parent_order()
+        calls, provider, config = self.run(tmp_path, fixture_model_file, texts,
+                                           monkeypatch)
+        report = run_evaluation(config)
+        assert calls == [list(dict.fromkeys(texts))]
+        assert len(calls[0]) < len(texts)  # texts repeat across (api, k)
+        rows = {(row.api_id, row.k): row for row in report.rows}
+        assert rows["b", 1].skips["sentence_empty_prediction"] == 1
+        assert rows["a", 2].skips["sentence_empty_prediction"] == 0
+        # Each cell is the mean of the pairwise scores in natural image order.
+        pairs = list(zip(texts[::2], texts[1::2]))
+        for api_id, k, images in (("a", 1, 3), ("a", 2, 3), ("b", 1, 2),
+                                  ("b", 2, 2)):
+            cell, pairs = pairs[:images], pairs[images:]
+            scores = [sentence_score(t, p, provider) for t, p in cell]
+            assert rows[api_id, k].cells["sentence_similarity"] == \
+                sum(scores) / len(scores)
+
+    def test_empty_cell_raises_before_any_provider_call(self, tmp_path,
+                                                        fixture_model_file,
+                                                        monkeypatch):
+        objects = dict(self.OBJECTS, c={"2.jpg": [("***", 0.9)]})
+        calls, _, config = self.run(tmp_path, fixture_model_file,
+                                    self.texts_in_parent_order(objects),
+                                    monkeypatch, objects)
+        with pytest.raises(EmptyDatasetError,
+                           match=re.escape("c: no prediction texts to embed")):
+            run_evaluation(config)
+        assert calls == []
+
+    def test_missing_digest_names_the_first_missing_text(self, tmp_path,
+                                                         fixture_model_file,
+                                                         monkeypatch):
+        texts = self.texts_in_parent_order()
+        # The first missing text of (a, 2) precedes b's at k=1, though b's
+        # image sorts first.
+        first, later = "car tree", "bush"
+        assert texts.index(first) < texts.index(later)
+        kept = [t for t in texts if t not in (first, later)]
+        _, _, config = self.run(tmp_path, fixture_model_file, kept, monkeypatch)
+        with pytest.raises(ProviderUnavailableError,
+                           match=text_digest(first)):
+            run_evaluation(config)
 
 
 class TestFetchCacheValidation:

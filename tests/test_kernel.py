@@ -301,6 +301,23 @@ class TestDualCertificate:
             assert np.max(np.abs(plan.flow.sum(axis=1) - supply)) <= 1e-9
             assert np.max(np.abs(plan.flow.sum(axis=0) - demand)) <= 1e-9
 
+    def test_relaxed_bound_never_exceeds_the_optimum(self):
+        """RWMD (Kusner et al. 2015) is a lower bound on the transport cost."""
+        rng = random.Random(2015)
+        for index in range(200):
+            supply, demand, costs = certificate_instance(rng)
+            if index % 10 == 0:  # single-side instances take the closed form
+                supply, costs = np.ones(1), costs[:1]
+            elif index % 10 == 5:
+                demand, costs = np.ones(1), costs[:, :1]
+            relaxed = max(float(supply @ costs.min(axis=1)),
+                          float(demand @ costs.min(axis=0)))
+            objective = solve_transport(supply, demand, costs).objective
+            assert relaxed <= objective + 1e-12
+            if len(supply) == 1 or len(demand) == 1:
+                # one side's relaxation is the only feasible flow
+                assert relaxed == pytest.approx(objective, abs=1e-12)
+
 
 def test_pool_threads_only_read_shared_state(tmp_path, fixture_model_file):
     """More workers than cores and a thread switch every microsecond report
