@@ -21,6 +21,7 @@ from typing import Iterator, Sequence
 from .embeddings import EmbeddingStore, Vocabulary, clean_label
 from .errors import (
     BadConfidenceError,
+    DataError,
     DuplicateImageError,
     EmptyInputError,
     ParseError,
@@ -65,26 +66,47 @@ def _string_list(value, field: str, line_no: int | None) -> tuple[str, ...]:
     return tuple(value)
 
 
+def record_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Numbered non-blank lines of a UTF-8 record file, read as text.
+
+    A line that is not valid UTF-8 is a DataError naming the path and the
+    line: undecodable bytes are read as escaped surrogates, which no valid
+    UTF-8 decodes to, so such a line fails to encode again.
+    """
+    with Path(path).open("r", encoding="utf-8", errors="surrogateescape") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise DataError(f"{path} line {line_no}: not valid UTF-8 text") from None
+            if line.strip():
+                yield line_no, line
+
+
+def _parse_json(text: str, line_no: int | None):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}", line_no=line_no) from None
+    except (ValueError, RecursionError) as exc:
+        # an integer past the digit limit, or arrays nested past the stack
+        raise ParseError(f"invalid JSON: {exc}", line_no=line_no) from None
+
+
 def read_ground_truth(path: str | Path) -> list[GroundTruthRecord]:
     records: list[GroundTruthRecord] = []
     seen: set[str] = set()
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", line_no=line_no) from None
-            _require(isinstance(payload, dict), "record must be an object", line_no)
-            image_id = payload.get("image_id")
-            _require(isinstance(image_id, str) and image_id != "",
-                     "image_id must be a non-empty string", line_no)
-            labels = _string_list(payload.get("labels"), "labels", line_no)
-            if image_id in seen:
-                raise DuplicateImageError(image_id)
-            seen.add(image_id)
-            records.append(GroundTruthRecord(image_id=image_id, labels=labels))
+    for line_no, line in record_lines(path):
+        payload = _parse_json(line, line_no)
+        _require(isinstance(payload, dict), "record must be an object", line_no)
+        image_id = payload.get("image_id")
+        _require(isinstance(image_id, str) and image_id != "",
+                 "image_id must be a non-empty string", line_no)
+        labels = _string_list(payload.get("labels"), "labels", line_no)
+        if image_id in seen:
+            raise DuplicateImageError(image_id)
+        seen.add(image_id)
+        records.append(GroundTruthRecord(image_id=image_id, labels=labels))
     return records
 
 
@@ -96,7 +118,10 @@ def _parse_object(payload, line_no: int | None) -> PredictedObject:
     if confidence is not None:
         _require(isinstance(confidence, (int, float)) and not isinstance(confidence, bool),
                  "confidence must be a number", line_no)
-        confidence = float(confidence)
+        try:
+            confidence = float(confidence)
+        except OverflowError:  # an integer too large for a float
+            raise BadConfidenceError(confidence) from None
         if not (0.0 <= confidence <= 1.0):
             raise BadConfidenceError(confidence)
     return PredictedObject(synonyms=synonyms, confidence=confidence)
@@ -105,10 +130,7 @@ def _parse_object(payload, line_no: int | None) -> PredictedObject:
 def prediction_from_json(text: str, line_no: int | None = None) -> PredictionRecord:
     """Read one record as ``prediction_to_json`` writes it; a bad one raises
     ParseError, naming ``line_no`` when given, or BadConfidenceError."""
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", line_no=line_no) from None
+    payload = _parse_json(text, line_no)
     _require(isinstance(payload, dict), "record must be an object", line_no)
     image_id = payload.get("image_id")
     api_id = payload.get("api_id")
@@ -123,9 +145,7 @@ def prediction_from_json(text: str, line_no: int | None = None) -> PredictionRec
 
 
 def read_predictions(path: str | Path) -> list[PredictionRecord]:
-    with Path(path).open("r", encoding="utf-8") as handle:
-        return [prediction_from_json(line, line_no)
-                for line_no, line in enumerate(handle, start=1) if line.strip()]
+    return [prediction_from_json(line, line_no) for line_no, line in record_lines(path)]
 
 
 def ground_truth_to_json(record: GroundTruthRecord) -> str:

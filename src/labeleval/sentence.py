@@ -26,7 +26,7 @@ from .errors import (
     EmptyBagError,
     ProviderUnavailableError,
 )
-from .labelset import PredictedObject
+from .labelset import PredictedObject, record_lines
 
 #: Environment variable that overrides the remote provider endpoint.
 ENDPOINT_ENV_VAR = "LABELEVAL_SENTENCE_ENDPOINT"
@@ -109,19 +109,16 @@ def render_bow_text(bag, provenance: BowProvenance | None = None) -> BowText:
 
 def _load_precomputed(path: str, model: str) -> dict[str, np.ndarray]:
     vectors: dict[str, np.ndarray] = {}
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                digest = record["digest"]
-                vector = np.asarray(record["vector"], dtype=np.float64)
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                raise CacheCorruptError(
-                    f"{path} line {line_no}: unreadable vector record") from None
-            if record.get("model") == model:
-                vectors[digest] = vector
+    for line_no, line in record_lines(path):
+        try:
+            record = json.loads(line)
+            digest = record["digest"]
+            vector = np.asarray(record["vector"], dtype=np.float64)
+        except (KeyError, TypeError, ValueError, RecursionError):
+            raise CacheCorruptError(
+                f"{path} line {line_no}: unreadable vector record") from None
+        if record.get("model") == model:
+            vectors[digest] = vector
     return vectors
 
 

@@ -4,9 +4,11 @@ Each label bag becomes a normalized bag-of-words (token counts divided by the
 total count). The distance between two bags is the minimum total cost of
 moving one bag's mass onto the other, where moving mass between two tokens
 costs their embedding Euclidean distance. The balanced transportation LP is
-solved exactly with the classic basis-tree simplex (northwest-corner start,
-dual-variable pricing), not an entropic approximation, in the network-simplex
-style of Bonneel et al. 2011.
+solved exactly, not by an entropic approximation, with the network simplex
+of Ahuja-Magnanti-Orlin (*Network Flows*, ch. 11) as Bonneel et al. 2011
+use it: a least-cost (matrix-minimum) start, dual-variable pricing, and a
+basis tree kept across pivots, of which each pivot re-hangs only the
+subtree the leaving cell cuts off.
 """
 
 from __future__ import annotations
@@ -87,72 +89,131 @@ def cost_matrix(a: NBow, b: NBow, store: EmbeddingStore) -> np.ndarray:
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
 
-# The simplex below runs on plain Python lists: a basis is a list of (i, j)
-# cells forming a spanning tree of the m row and n column nodes, and flows,
-# costs and duals are lists of floats.
+# The simplex below runs on plain Python lists: flows, costs and duals are
+# lists of floats, and the basis is a spanning tree of the m row nodes
+# 0..m-1 and the n column nodes m..m+n-1, whose edges are the basic cells.
 
-def _northwest_corner(supply: Sequence[float], demand: Sequence[float]):
+def _least_cost_start(supply: Sequence[float], demand: Sequence[float],
+                      costs: np.ndarray):
+    """Matrix-minimum start: allocate cells in (cost, i, j) order.
+
+    Each allocation crosses out exactly one line, the one it exhausts (its
+    row on a tie), except that the last open row or column is never crossed
+    while the other side still has an open line. So the start has exactly
+    m + n - 1 cells; and as every cell is the last one placed in the line
+    it crosses, they form no cycle, hence a spanning tree, even when flows
+    are zero.
+    """
     m, n = len(supply), len(demand)
     flow = [[0.0] * n for _ in range(m)]
-    basis: list[tuple[int, int]] = []
     rem_s = list(supply)
     rem_d = list(demand)
-    i = j = 0
-    while True:
-        basis.append((i, j))
+    row_open = [True] * m
+    col_open = [True] * n
+    rows_left, cols_left = m, n
+    basis: list[tuple[int, int]] = []
+    # a stable sort of the row-major cells breaks cost ties by (i, j)
+    for index in np.argsort(costs, axis=None, kind="stable").tolist():
+        i, j = divmod(index, n)
+        if not (row_open[i] and col_open[j]):
+            continue
         moved = min(rem_s[i], rem_d[j])
         flow[i][j] = moved
         rem_s[i] -= moved
         rem_d[j] -= moved
-        if i == m - 1 and j == n - 1:
+        basis.append((i, j))
+        if rows_left == 1 and cols_left == 1:
             break
-        if i == m - 1:
-            j += 1
-        elif j == n - 1:
-            i += 1
-        elif rem_s[i] <= rem_d[j]:
-            i += 1
+        if cols_left == 1 or (rows_left > 1 and rem_s[i] <= rem_d[j]):
+            row_open[i] = False
+            rows_left -= 1
         else:
-            j += 1
+            col_open[j] = False
+            cols_left -= 1
     return flow, basis
 
 
-def _tree(basis: Sequence[tuple[int, int]], m: int, n: int):
-    """Adjacency of the basis tree: node -> [(other node, i, j)]."""
-    adjacency: list[list[tuple[int, int, int]]] = [[] for _ in range(m + n)]
-    for i, j in basis:
-        adjacency[i].append((m + j, i, j))
-        adjacency[m + j].append((i, i, j))
-    return adjacency
+class _BasisTree:
+    """The basis as a tree rooted at row 0, with its duals.
 
+    ``parent`` and ``depth`` locate every node; a non-root node's parent edge
+    is its basic cell. ``u`` prices rows and ``v`` columns so that
+    u_i + v_j = c_ij on every basic cell, with u_0 = 0.
+    """
 
-def _duals(adjacency: list[list[tuple[int, int, int]]], costs: list[list[float]],
-           m: int, n: int):
-    """Solve u_i + v_j = c_ij over the basis tree (u_0 fixed at 0)."""
-    u: list[float | None] = [None] * m
-    v: list[float | None] = [None] * n
-    u[0] = 0.0
-    stack = [0]
-    while stack:
-        node = stack.pop()
-        for other, i, j in adjacency[node]:
-            if other < m:
-                if u[other] is None:
-                    u[other] = costs[i][j] - v[j]
+    def __init__(self, basis: Sequence[tuple[int, int]], costs: list[list[float]]):
+        m, n = len(costs), len(costs[0])
+        self.m = m
+        self.costs = costs
+        self.basic = set(basis)
+        self.adjacency: list[list[int]] = [[] for _ in range(m + n)]
+        for i, j in basis:
+            self.adjacency[i].append(m + j)
+            self.adjacency[m + j].append(i)
+        self.parent = [-1] * (m + n)
+        self.depth = [0] * (m + n)
+        self.u = [0.0] * m
+        self.v = [0.0] * n
+        for child in self.adjacency[0]:
+            self.hang(child, 0)
+
+    def hang(self, top: int, above: int) -> None:
+        """Hang the subtree holding ``top`` below node ``above``.
+
+        Every node of that subtree takes its parent, depth and dual from its
+        new parent edge; the rest of the tree is untouched.
+        """
+        m, costs, parent, depth, u, v = (
+            self.m, self.costs, self.parent, self.depth, self.u, self.v)
+        parent[top] = above
+        stack = [top]
+        while stack:
+            node = stack.pop()
+            up = parent[node]
+            depth[node] = depth[up] + 1
+            if node < m:
+                u[node] = costs[node][up - m] - v[up - m]
+            else:
+                v[node - m] = costs[up][node - m] - u[up]
+            for other in self.adjacency[node]:
+                if other != up:
+                    parent[other] = node
                     stack.append(other)
-            elif v[other - m] is None:
-                v[other - m] = costs[i][j] - u[i]
-                stack.append(other)
-    return u, v
+
+    def cell(self, node: int) -> tuple[int, int]:
+        """The basic cell joining a non-root node to its parent."""
+        up = self.parent[node]
+        return (node, up - self.m) if node < self.m else (up, node - self.m)
+
+    def exchange(self, entering: tuple[int, int], leaving_node: int,
+                 leaving_on_row_side: bool) -> None:
+        """Swap the leaving cell (``leaving_node``'s parent edge) for the
+        entering one, and re-hang only the subtree the leaving cell cuts off.
+
+        That subtree holds the entering cell's row when the leaving cell lies
+        on the row's path to the common ancestor, and its column otherwise.
+        """
+        i, j = entering
+        up = self.parent[leaving_node]
+        self.basic.remove(self.cell(leaving_node))
+        self.basic.add(entering)
+        self.adjacency[leaving_node].remove(up)
+        self.adjacency[up].remove(leaving_node)
+        column = self.m + j
+        self.adjacency[i].append(column)
+        self.adjacency[column].append(i)
+        if leaving_on_row_side:
+            self.hang(i, column)
+        else:
+            self.hang(column, i)
 
 
-def _entering(basis: Sequence[tuple[int, int]], costs: list[list[float]],
+def _entering(basic: set[tuple[int, int]], costs: list[list[float]],
               u: list[float], v: list[float]) -> tuple[int, int] | None:
     """Non-basic cell of most negative price (c - u) - v, row-major first.
 
     None when no price falls below -_PRICE_TOL: the basis is optimal.
     """
-    basic = set(basis)
     best = -_PRICE_TOL
     entering = None
     for i, row in enumerate(costs):
@@ -165,85 +226,64 @@ def _entering(basis: Sequence[tuple[int, int]], costs: list[list[float]],
     return entering
 
 
-def _cycle(adjacency: list[list[tuple[int, int, int]]], entering: tuple[int, int],
-           m: int, n: int) -> list[tuple[int, int]]:
-    """Cells of the unique cycle closed by the entering cell, entering first."""
-    start, goal = entering[0], m + entering[1]
-    parent: list[tuple[int, int, int] | None] = [None] * (m + n)
-    parent[start] = (start, -1, -1)
-    queue = [start]
-    for node in queue:
-        if node == goal:
-            break
-        for other, i, j in adjacency[node]:
-            if parent[other] is None:
-                parent[other] = (node, i, j)
-                queue.append(other)
-    cells = [entering]
-    node = goal
-    while node != start:
-        prev, i, j = parent[node]
-        cells.append((i, j))
-        node = prev
-    return cells
+def _pivot_loop(flow: list[list[float]], tree: _BasisTree, max_pivots: int) -> bool:
+    """Pivot to optimality, updating ``flow`` and ``tree`` in place.
 
-
-def _pivot_loop(flow: list[list[float]], basis: list[tuple[int, int]],
-                costs: list[list[float]], max_pivots: int):
-    """Pivot to optimality in place; returns the final duals (u, v).
-
-    Returns None when the cap hits first.
+    The entering cell closes one cycle: the tree paths from its row and its
+    column up to their common ancestor. Walking that cycle from the column,
+    cells alternate between losing and gaining flow; a path cell loses when
+    its lower node is a row on the row's path, or a column on the column's
+    path. Returns False when the cap hits first.
     """
-    m, n = len(costs), len(costs[0])
+    m = tree.m
+    parent, depth = tree.parent, tree.depth
     for _ in range(max_pivots):
-        adjacency = _tree(basis, m, n)
-        u, v = _duals(adjacency, costs, m, n)
-        entering = _entering(basis, costs, u, v)
+        entering = _entering(tree.basic, tree.costs, tree.u, tree.v)
         if entering is None:
-            return u, v
-        cycle = _cycle(adjacency, entering, m, n)
-        givers = cycle[1::2]
-        theta = min(flow[i][j] for i, j in givers)
-        leaving = min(cell for cell in givers if flow[cell[0]][cell[1]] == theta)
-        for position, (i, j) in enumerate(cycle):
-            if position % 2 == 0:
-                flow[i][j] += theta
+            return True
+        i, j = entering
+        gainers = [entering]
+        givers: list[tuple[tuple[int, int], int, bool]] = []
+        x, y = i, m + j  # x climbs from the row, y from the column
+        while x != y:
+            if depth[x] >= depth[y]:
+                if x < m:
+                    givers.append((tree.cell(x), x, True))
+                else:
+                    gainers.append(tree.cell(x))
+                x = parent[x]
             else:
-                value = flow[i][j] - theta
-                flow[i][j] = value if value > 0.0 else 0.0
-        basis.remove(leaving)
-        basis.append(entering)
-    return None
+                if y >= m:
+                    givers.append((tree.cell(y), y, False))
+                else:
+                    gainers.append(tree.cell(y))
+                y = parent[y]
+        theta = min(flow[a][b] for (a, b), _, _ in givers)
+        # the leaving cell: the lowest (i, j) among givers that drop to zero
+        _, node, row_side = min(
+            giver for giver in givers if flow[giver[0][0]][giver[0][1]] == theta)
+        for a, b in gainers:
+            flow[a][b] += theta
+        for (a, b), _, _ in givers:
+            value = flow[a][b] - theta
+            flow[a][b] = value if value > 0.0 else 0.0
+        tree.exchange(entering, node, row_side)
+    return False
 
 
-def _tree_flows(basis: Sequence[tuple[int, int]], supply: Sequence[float],
+def _tree_flows(tree: _BasisTree, supply: Sequence[float],
                 demand: Sequence[float]) -> list[list[float]]:
-    """Flows implied by a spanning basis for given marginals (leaf elimination)."""
+    """Flows a basis tree implies for given marginals, deepest nodes first.
+
+    A node's parent cell carries whatever the node's subtree has left over.
+    """
     m, n = len(supply), len(demand)
     flow = [[0.0] * n for _ in range(m)]
     residual = list(supply) + list(demand)
-    incident: list[list[int]] = [[] for _ in range(m + n)]
-    for e, (i, j) in enumerate(basis):
-        incident[i].append(e)
-        incident[m + j].append(e)
-    used = [False] * len(basis)
-    degree = [len(edges) for edges in incident]
-    leaves = [node for node in range(m + n) if degree[node] == 1]
-    while leaves:
-        node = leaves.pop()
-        edge = next((e for e in incident[node] if not used[e]), None)
-        if edge is None:
-            continue
-        used[edge] = True
-        i, j = basis[edge]
-        other = m + j if node == i else i
+    for node in sorted(range(1, m + n), key=tree.depth.__getitem__, reverse=True):
+        i, j = tree.cell(node)
         flow[i][j] = residual[node]
-        residual[node] = 0.0
-        residual[other] -= flow[i][j]
-        degree[node] -= 1
-        degree[other] -= 1
-        if degree[other] == 1:
-            leaves.append(other)
+        residual[tree.parent[node]] -= residual[node]
     return flow
 
 
@@ -269,9 +309,10 @@ def solve_transport(supply, demand, costs, *, max_pivots: int | None = None)\
     When each supply weight meets an equal demand weight at zero cost, as
     for identical bags, that matching is optimal at exactly 0.
 
-    Determinism: entering cells take the most negative price with row-major
-    index tie-breaks, leaving cells the lowest index among minimum givers, so
-    identical inputs always produce the identical plan.
+    Determinism: the start allocates cells in (cost, i, j) order, so equal
+    costs go row-major; entering cells take the most negative price with
+    row-major index tie-breaks, leaving cells the lowest index among minimum
+    givers. Identical inputs always produce the identical plan.
     """
     s = np.asarray(supply, dtype=np.float64).copy()
     d = np.asarray(demand, dtype=np.float64).copy()
@@ -303,12 +344,12 @@ def solve_transport(supply, demand, costs, *, max_pivots: int | None = None)\
     else:
         if max_pivots is None:
             max_pivots = 1000 + 10 * m * n
-        flow, basis = _northwest_corner(s.tolist(), d.tolist())
-        duals = _pivot_loop(flow, basis, cost_rows, max_pivots)
-        if duals is None:
-            flow, duals = _perturbation_fallback(s, d, cost_rows, max_pivots)
+        flow, basis = _least_cost_start(s.tolist(), d.tolist(), c)
+        tree = _BasisTree(basis, cost_rows)
+        if not _pivot_loop(flow, tree, max_pivots):
+            flow, tree = _perturbation_fallback(s, d, c, cost_rows, max_pivots)
         plan = np.array(flow, dtype=np.float64)
-        u, v = (np.array(side, dtype=np.float64) for side in duals)
+        u, v = np.array(tree.u, dtype=np.float64), np.array(tree.v, dtype=np.float64)
     objective = float(np.sum(plan * c))
     return TransportPlan(flow=plan, objective=max(0.0, objective), u=u, v=v)
 
@@ -335,34 +376,35 @@ def _free_matching(supply: list[float], demand: list[float],
     return matching
 
 
-def _perturbation_fallback(s: np.ndarray, d: np.ndarray, costs: list[list[float]],
-                           max_pivots: int):
+def _perturbation_fallback(s: np.ndarray, d: np.ndarray, c: np.ndarray,
+                           costs: list[list[float]], max_pivots: int):
     """Break suspected cycling by solving a slightly perturbed twin.
 
     The perturbed instance is non-degenerate, so its pivots terminate; its
     final basis is then re-priced against the original marginals. Returns
-    the flow and the basis duals.
+    the flow and the basis tree, whose duals do not depend on the marginals.
     """
     m, n = len(s), len(d)
     eps = 1e-9 / (m + 1)
     bumped_s = s + eps * np.arange(1, m + 1)
     bumped_d = d.copy()
     bumped_d[-1] += eps * (m * (m + 1) / 2)
-    flow, basis = _northwest_corner(bumped_s.tolist(), bumped_d.tolist())
+    flow, basis = _least_cost_start(bumped_s.tolist(), bumped_d.tolist(), c)
+    tree = _BasisTree(basis, costs)
     # the perturbed twin is non-degenerate; give it a size-based budget even
     # when the caller capped the first attempt aggressively
     budget = max(4 * max_pivots, 1000 + 10 * m * n)
-    if _pivot_loop(flow, basis, costs, budget) is None:
+    if not _pivot_loop(flow, tree, budget):
         raise NumericalFailureError("transport solver failed to converge")
-    flow = _tree_flows(basis, s.tolist(), d.tolist())
+    flow = _tree_flows(tree, s.tolist(), d.tolist())
     if min(min(row) for row in flow) < -_MARGINAL_TOL:
         raise NumericalFailureError("perturbed basis infeasible for original marginals")
     flow = [[value if value > 0.0 else 0.0 for value in row] for row in flow]
-    u, v = _duals(_tree(basis, m, n), costs, m, n)
+    u, v = tree.u, tree.v
     if any((cost - u[i]) - v[j] < -1e-8
            for i, row in enumerate(costs) for j, cost in enumerate(row)):
         raise NumericalFailureError("perturbed basis is not optimal for original costs")
-    return flow, (u, v)
+    return flow, tree
 
 
 def wmd_pair(truth_bag: Sequence[str], predicted_bag: Sequence[str],

@@ -199,6 +199,49 @@ class TestBadRunSettings:
             "Error: config lacks required key 'predictions'"]
 
 
+class TestUndecodableInputs:
+    """A record file holding bytes that are not UTF-8 is a data error: exit 2
+    and one line naming the file and the line, never a traceback."""
+
+    BAD_LABEL = b'{"image_id": "2.jpg", "labels": ["\xff\xfe"]}\n'
+
+    def evaluate(self, capsys, tmp_path, truth, predictions, model, *extra):
+        return run_cli(capsys, "evaluate", "--ground-truth", str(truth),
+                       "--predictions", str(predictions), "--embeddings", str(model),
+                       "--top-k", "1", "--out", str(tmp_path / "report"), *extra)
+
+    def test_ground_truth(self, capsys, tmp_path, fixture_files, fixture_model_file):
+        truth = tmp_path / "truth.jsonl"
+        truth.write_bytes(b'{"image_id": "1.jpg", "labels": ["car"]}\n' + self.BAD_LABEL)
+        code, _, err = self.evaluate(capsys, tmp_path, truth,
+                                     fixture_files["predictions"][0], fixture_model_file)
+        assert code == 2
+        assert err.splitlines() == [f"data error: {truth} line 2: not valid UTF-8 text"]
+
+    def test_predictions(self, capsys, tmp_path, fixture_files, fixture_model_file):
+        predictions = tmp_path / "a.jsonl"
+        predictions.write_bytes(
+            b'{"image_id": "1.jpg", "api_id": "a", "objects": []}\n\n'
+            b'{"image_id": "2.jpg", "api_id": "a", '
+            b'"objects": [{"labels": ["\xff\xfe"]}]}\n')
+        code, _, err = self.evaluate(capsys, tmp_path, fixture_files["truth"],
+                                     predictions, fixture_model_file)
+        assert code == 2
+        assert err.splitlines() == [
+            f"data error: {predictions} line 3: not valid UTF-8 text"]
+
+    def test_precomputed_sentence_vectors(self, capsys, tmp_path, fixture_files,
+                                          fixture_model_file):
+        vectors = tmp_path / "vectors.jsonl"
+        vectors.write_bytes(b'{"digest": "\xff", "model": "m", "vector": [1.0]}\n')
+        code, _, err = self.evaluate(capsys, tmp_path, fixture_files["truth"],
+                                     fixture_files["predictions"][0], fixture_model_file,
+                                     "--sentence-provider", str(vectors),
+                                     "--sentence-model", "m")
+        assert code == 2
+        assert err.splitlines() == [f"data error: {vectors} line 1: not valid UTF-8 text"]
+
+
 class TestProviderFlags:
     def test_path_means_file_mode(self):
         from labeleval.cli import _provider_from_flags

@@ -1,10 +1,13 @@
+import json
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import street_scene
 from labeleval.embeddings import UNKNOWN_TOKEN
 from labeleval.errors import (
     BadConfidenceError,
+    DataError,
     DuplicateImageError,
     EmptyInputError,
     ParseError,
@@ -14,6 +17,8 @@ from labeleval.labelset import (
     PredictionRecord,
     label_bag,
     metadata_stats,
+    prediction_from_json,
+    prediction_to_json,
     read_ground_truth,
     read_predictions,
     top_k,
@@ -89,6 +94,75 @@ class TestPredictionReader:
         path = tmp_path / "roundtrip.jsonl"
         write_predictions(records, path)
         assert read_predictions(path) == records
+
+
+# Small JSON documents built from the record fields, so that examples reach
+# the field checks and not only the JSON parser.
+_FIELDS = ("image_id", "api_id", "labels", "objects", "confidence")
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_FIELDS) | st.text(max_size=2), inner, max_size=4),
+    max_leaves=8)
+_record_text = _json_values.map(json.dumps) | st.text(max_size=12)
+_record_bytes = _record_text.map(str.encode) | st.binary(max_size=12)
+_record_files = st.lists(
+    st.tuples(_record_bytes, st.sampled_from([b"\n", b"\r\n", b"\r", b""])),
+    max_size=4).map(lambda lines: b"".join(line + end for line, end in lines))
+
+_fuzz = settings(max_examples=150, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestReaderFuzz:
+    """Malformed records are a DataError and never any other exception."""
+
+    @_fuzz
+    @given(blob=_record_files)
+    def test_ground_truth_file(self, tmp_path, blob):
+        path = tmp_path / "truth.jsonl"
+        path.write_bytes(blob)
+        try:
+            records = read_ground_truth(path)
+        except DataError:
+            return
+        assert all(isinstance(r.image_id, str) and r.image_id for r in records)
+
+    @_fuzz
+    @given(blob=_record_files)
+    def test_prediction_file(self, tmp_path, blob):
+        path = tmp_path / "predictions.jsonl"
+        path.write_bytes(blob)
+        try:
+            records = read_predictions(path)
+        except DataError:
+            return
+        assert all(prediction_from_json(prediction_to_json(r)) == r for r in records)
+
+    @_fuzz
+    @given(text=_record_text)
+    def test_cache_codec(self, text):
+        try:
+            record = prediction_from_json(text)
+        except DataError:
+            return
+        assert prediction_from_json(prediction_to_json(record)) == record
+
+    @pytest.mark.parametrize("line", [
+        "1" * 5000,  # past the interpreter's integer digit limit
+        "[" * 100_000,  # nested past the recursion limit
+        '{"image_id": "1", "api_id": "a", "objects": [{"labels": ["x"], '
+        '"confidence": 1' + "0" * 400 + "}]}",  # too large for a float
+    ], ids=["digits", "nesting", "huge-confidence"])
+    def test_records_past_interpreter_limits(self, tmp_path, line):
+        with pytest.raises(DataError):
+            prediction_from_json(line)
+        path = tmp_path / "records.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(DataError):
+            read_predictions(path)
+        with pytest.raises(DataError):
+            read_ground_truth(path)
 
 
 class TestTopK:

@@ -66,6 +66,13 @@ class TestPrecomputedProvider:
         assert np.allclose(vectors[0], [1.0, 0.0])
         assert np.allclose(vectors[1], [0.0, 1.0])
 
+    def test_deeply_nested_record_is_unreadable(self, tmp_path):
+        path = tmp_path / "vectors.jsonl"
+        path.write_text("[" * 100_000 + "\n", encoding="utf-8")
+        config = ProviderConfig(mode="file", path=str(path), model="m")
+        with pytest.raises(CacheCorruptError, match="line 1: unreadable vector record"):
+            fetch_embeddings(config, ["alpha"])
+
     def test_missing_text_names_digest(self, tmp_path):
         path = tmp_path / "vectors.jsonl"
         write_precomputed(path, "m", {"alpha": [1.0]})

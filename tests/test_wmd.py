@@ -3,7 +3,9 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from labeleval import wmd
 from labeleval.embeddings import UNKNOWN_TOKEN, EmbeddingStore
 from labeleval.errors import (
     EmptyBagError,
@@ -175,6 +177,83 @@ class TestSolveTransport:
             assert plan.objective == pytest.approx(expected, abs=1e-9)
             assert np.max(np.abs(plan.flow.sum(axis=1) - supply)) <= 1e-9
             assert np.max(np.abs(plan.flow.sum(axis=0) - demand)) <= 1e-9
+
+
+@st.composite
+def degenerate_instances(draw, max_cells=25):
+    """Up to 5x5, with tied and zero costs and repeated weights.
+
+    The enumeration oracle checks m^(n-1) n^(m-1) bases (4,096 at 4x4,
+    390,625 at 5x5), so oracle tests pass a smaller ``max_cells``.
+    """
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, min(5, max_cells // m)))
+    supply = np.array(draw(st.lists(st.integers(1, 3), min_size=m, max_size=m)), float)
+    demand = np.array(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)), float)
+    costs = np.array([draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                                    min_size=n, max_size=n)) for _ in range(m)])
+    return supply / supply.sum(), demand / demand.sum(), costs
+
+
+def assert_certified(plan, supply, demand, costs, tol):
+    reduced = costs - plan.u[:, None] - plan.v[None, :]
+    assert reduced.min() >= -tol
+    assert abs(float(supply @ plan.u + demand @ plan.v) - plan.objective) <= tol
+    assert np.max(np.abs(plan.flow.sum(axis=1) - supply)) <= 1e-9
+    assert np.max(np.abs(plan.flow.sum(axis=0) - demand)) <= 1e-9
+    assert plan.flow.min() >= 0.0
+
+
+class TestDegenerateInstances:
+    @settings(max_examples=60, deadline=None)
+    @given(instance=degenerate_instances(max_cells=16))
+    def test_objective_matches_oracle(self, instance):
+        supply, demand, costs = instance
+        plan = solve_transport(supply, demand, costs)
+        assert plan.objective == pytest.approx(
+            optimal_objective(supply, demand, costs), abs=1e-12)
+        assert_certified(plan, supply, demand, costs, 1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(instance=degenerate_instances(max_cells=16))
+    def test_fallback_matches_oracle(self, instance):
+        supply, demand, costs = instance
+        plan = solve_transport(supply, demand, costs, max_pivots=0)
+        assert plan.objective == pytest.approx(
+            optimal_objective(supply, demand, costs), abs=1e-12)
+        assert_certified(plan, supply, demand, costs, 1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(instance=degenerate_instances())
+    def test_start_is_a_feasible_spanning_tree(self, instance):
+        supply, demand, costs = instance
+        m, n = costs.shape
+        flow, basis = wmd._least_cost_start(supply.tolist(), demand.tolist(), costs)
+        assert len(basis) == len(set(basis)) == m + n - 1
+        component = list(range(m + n))
+
+        def find(node):
+            while component[node] != node:
+                node = component[node]
+            return node
+
+        for i, j in basis:  # m + n - 1 cells joining m + n nodes with no cycle
+            a, b = find(i), find(m + j)
+            assert a != b
+            component[a] = b
+        flow = np.array(flow)
+        assert flow.min() >= 0.0
+        assert all(flow[i, j] == 0.0 for i in range(m) for j in range(n)
+                   if (i, j) not in basis)
+        assert np.max(np.abs(flow.sum(axis=1) - supply)) <= 1e-9
+        assert np.max(np.abs(flow.sum(axis=0) - demand)) <= 1e-9
+
+    @settings(max_examples=100, deadline=None)
+    @given(instance=degenerate_instances())
+    def test_certified_up_to_five_by_five(self, instance):
+        supply, demand, costs = instance
+        assert_certified(solve_transport(supply, demand, costs), supply, demand,
+                         costs, 1e-12)
 
 
 class TestWmdPair:
