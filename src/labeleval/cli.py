@@ -13,7 +13,7 @@ from pathlib import Path
 import click
 
 from . import report as reporting
-from .embeddings import load_model, resolve_label
+from .embeddings import clean_label, load_model, resolve_label, wanted_tokens
 from .errors import DataError, UpstreamError
 from .harness import (
     ApiClientSpec,
@@ -149,11 +149,12 @@ def wmd_command(truth_labels, predicted_labels, embeddings):
     """Distance between two comma-separated label lists."""
     from .labelset import label_bag
 
-    store = load_model(embeddings)
     truth = [part for part in truth_labels.split(",") if part.strip()]
     predicted = [part for part in predicted_labels.split(",") if part.strip()]
     if not truth or not predicted:
         raise click.UsageError("both label lists must be non-empty")
+    store = load_model(embeddings,
+                       wanted=wanted_tokens(map(clean_label, truth + predicted)))
     value = wmd_pair(label_bag(truth, store), label_bag(predicted, store), store)
     click.echo(f"{value:.6f}")
 
@@ -183,11 +184,13 @@ def inspect_embeddings(model_path, tokens):
 @click.option("--json", "as_json", is_flag=True, default=False)
 def stats(predictions, embeddings, k, as_json):
     """Per-API unknown-object rate and mean labels per object."""
-    store = load_model(embeddings)
     by_api: dict[str, list] = {}
     for path in predictions:
         for record in read_predictions(path):
             by_api.setdefault(record.api_id, []).append(record)
+    store = load_model(embeddings, wanted=wanted_tokens(
+        clean_label(label) for records in by_api.values() for record in records
+        for obj in record.objects for label in obj.synonyms))
     rows = []
     for api_id in sorted(by_api):
         unknown_rate, labels_per_object = metadata_stats(by_api[api_id], store, k)

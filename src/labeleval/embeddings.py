@@ -5,6 +5,11 @@ rows of "token c1 ... cD". Binary: the same ascii header, then V records of
 token bytes, a single 0x20, and D little-endian float32 values with an
 optional trailing newline. Every component must be finite.
 
+A load reads the file once, in blocks: the same bytes feed the store's
+SHA-256 digest, and every row is checked. Given ``wanted`` tokens, a load
+keeps only their rows, so a run holds the few thousand rows its labels can
+resolve to, not the whole model.
+
 A run resolves its labels once, into a ``Vocabulary``; the scalar ``cosine``
 and ``euclidean`` stay as the reference the vectorised scoring is checked
 against.
@@ -13,13 +18,16 @@ against.
 from __future__ import annotations
 
 import enum
+import hashlib
+import io
 import math
 import os
 import re
-from array import array
+import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -36,6 +44,10 @@ from .errors import (
 #: Distinguished token standing in for every label the store cannot resolve.
 UNKNOWN_TOKEN = "<unk>"
 
+#: Bytes a model load reads at a time, and records a binary load checks at a time.
+_READ_BYTES = 1 << 22
+_BLOCK_ROWS = 4096
+
 _DISALLOWED = re.compile(r"[^a-z0-9 ]+")
 _MULTISPACE = re.compile(r" +")
 
@@ -45,6 +57,15 @@ def clean_label(raw: str) -> str:
     lowered = raw.lower()
     kept = _DISALLOWED.sub("", lowered)
     return _MULTISPACE.sub(" ", kept).strip()
+
+
+def clean_labels(labels: Iterable[str]) -> dict[str, str]:
+    """Each distinct raw label, in first-seen order, mapped to its cleaned text."""
+    cleaned: dict[str, str] = {}
+    for raw in labels:
+        if raw not in cleaned:
+            cleaned[raw] = clean_label(raw)
+    return cleaned
 
 
 class Permutation(enum.Enum):
@@ -73,10 +94,11 @@ class EmbeddingStore:
     """Immutable token -> vector index over one read-only float32 matrix.
 
     Row r of the V x D matrix is the vector of the r-th token, in load
-    order. ``vectors`` is the one place a token becomes a vector.
+    order. ``vectors`` is the one place a token becomes a vector. A loaded
+    store carries the SHA-256 hex digest of its file in ``digest``.
     """
 
-    __slots__ = ("dim", "source_path", "_row", "_matrix")
+    __slots__ = ("dim", "source_path", "digest", "_row", "_matrix")
 
     def __init__(self, entries: Iterable[tuple[str, np.ndarray]], dim: int,
                  source_path: str = ""):
@@ -90,18 +112,18 @@ class EmbeddingStore:
                     f"vector for {token!r} has {arr.size} components, expected {dim}")
             vectors.append(arr)
         self._adopt(row, np.array(vectors, dtype=np.float32).reshape(len(row), dim),
-                    source_path)
+                    source_path, "")
 
     @classmethod
     def _from_matrix(cls, row: dict[str, int], matrix: np.ndarray,
-                     source_path: str) -> "EmbeddingStore":
-        return cls.__new__(cls)._adopt(row, matrix, source_path)
+                     source_path: str, digest: str) -> "EmbeddingStore":
+        return cls.__new__(cls)._adopt(row, matrix, source_path, digest)
 
     def _adopt(self, row: dict[str, int], matrix: np.ndarray,
-               source_path: str) -> "EmbeddingStore":
+               source_path: str, digest: str) -> "EmbeddingStore":
         """Take a filled matrix read-only; ``row`` maps each token to its row."""
         matrix.setflags(write=False)
-        self.dim, self.source_path = matrix.shape[1], source_path
+        self.dim, self.source_path, self.digest = matrix.shape[1], source_path, digest
         self._row, self._matrix = row, matrix
         return self
 
@@ -159,6 +181,10 @@ def _parse_header(line: str) -> tuple[int, int]:
         raise MalformedHeaderError(f"non-integer header fields: {line!r}") from None
     if vocab < 0 or dim < 0:
         raise MalformedHeaderError(f"negative header fields: {line!r}")
+    # A loader bounds the dimension by the row the file must hold; with no
+    # rows, only numpy bounds it, at the widest float32 array it can size.
+    if not vocab and 4 * dim > sys.maxsize:
+        raise MalformedHeaderError(f"dimension too large: {line!r}")
     return vocab, dim
 
 
@@ -167,11 +193,79 @@ def _first_bad_row(matrix: np.ndarray) -> int | None:
 
     A row's float64 sum is finite exactly when each float32 component is.
     """
-    bad = np.flatnonzero(~np.isfinite(matrix.sum(axis=1, dtype=np.float64)))
+    with np.errstate(invalid="ignore"):  # inf + -inf sums to NaN, as it should
+        bad = np.flatnonzero(~np.isfinite(matrix.sum(axis=1, dtype=np.float64)))
     return int(bad[0]) if bad.size else None
 
 
-def _text_lines(handle, path: Path) -> Iterator[str]:
+class _HashingFile(io.RawIOBase):
+    """A binary file whose every byte read also goes into a SHA-256 digest."""
+
+    def __init__(self, path: Path):
+        self._handle = path.open("rb", buffering=0)
+        self.size = os.fstat(self._handle.fileno()).st_size
+        self.sha256 = hashlib.sha256()
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        count = self._handle.readinto(buffer)
+        self.sha256.update(memoryview(buffer)[:count])
+        return count
+
+    def close(self) -> None:
+        self._handle.close()
+        super().close()
+
+
+def _open_hashed(path: Path) -> io.BufferedReader:
+    """The file, read ``_READ_BYTES`` at a time through its ``raw.sha256``."""
+    return io.BufferedReader(_HashingFile(path), _READ_BYTES)
+
+
+class _RowSink:
+    """The rows a load keeps, taken one parsed block at a time.
+
+    Every token of the file is recorded, so a duplicate is caught on any row,
+    and every block is checked for NaN and infinities before its rows are
+    copied out: all of them, or, given ``wanted``, those whose token is in it.
+    ``first_bad`` is the place (line or record) of the first non-finite row.
+    """
+
+    __slots__ = ("seen", "first_bad", "_kept", "_wanted", "_matrix")
+
+    def __init__(self, vocab: int, fits: int, dim: int,
+                 wanted: AbstractSet[str] | None):
+        self.seen: dict[str, int] = {}  # every token read -> its row in the file
+        self.first_bad: int | None = None
+        self._kept = self.seen if wanted is None else {}
+        self._wanted = wanted
+        # kept rows have distinct tokens, all wanted, and the file holds them
+        capacity = min(vocab, fits, len(wanted) if wanted is not None else vocab)
+        self._matrix = np.zeros((capacity, dim), dtype=np.float32)
+
+    def block(self, tokens: Sequence[str], rows: np.ndarray,
+              places: Sequence[int]) -> None:
+        """Keep a block's rows; ``places`` names each row in an error."""
+        bad = _first_bad_row(rows)
+        if bad is not None and self.first_bad is None:
+            self.first_bad = places[bad]
+        if self._wanted is None:
+            first = len(self.seen) - len(tokens)
+            self._matrix[first:first + len(tokens)] = rows
+        else:
+            for index, token in enumerate(tokens):
+                if token in self._wanted:
+                    self._matrix[len(self._kept)] = rows[index]
+                    self._kept[token] = len(self._kept)
+
+    def store(self, path: Path, digest: str) -> EmbeddingStore:
+        return EmbeddingStore._from_matrix(
+            self._kept, self._matrix[:len(self._kept)], str(path), digest)
+
+
+def _text_lines(handle: io.TextIOBase, path: Path) -> Iterator[str]:
     """The lines of a text handle; undecodable bytes are a DataError."""
     try:
         yield from handle
@@ -179,110 +273,231 @@ def _text_lines(handle, path: Path) -> Iterator[str]:
         raise DataError(f"{path}: not valid UTF-8 text") from None
 
 
-def load_text_model(path: str | Path) -> EmbeddingStore:
+def _parse_numbers(fields: list[str], dim: int) -> np.ndarray | None:
+    """The float64 rows of space-separated number fields, or None if one is bad.
+
+    numpy's C parser takes only ASCII decimal syntax (no ``_`` separators, no
+    other digits) and rounds each number to the nearest float64, as
+    ``float`` does.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # all fields blank: no data
+        try:
+            rows = np.loadtxt(fields, dtype=np.float64, delimiter=" ",
+                              comments=None, ndmin=2)
+        except ValueError:
+            return None
+    # a blank line of fields is skipped, not parsed, so it shows as a short count
+    return rows if rows.shape == (len(fields), dim) else None
+
+
+def _parse_block(fields: list[str], dim: int, line_nos: Sequence[int],
+                 path: Path) -> np.ndarray:
+    """A block's float32 rows; an unparseable number is a DataError naming its line.
+
+    A number beyond float32 range becomes an infinity, which the caller
+    rejects.
+    """
+    if not dim:
+        return np.zeros((len(fields), 0), dtype=np.float32)
+    rows = _parse_numbers(fields, dim)
+    if rows is None:
+        # re-walk the block a line at a time, so the error names the first bad line
+        rows = np.empty((len(fields), dim))
+        for index, (numbers, line_no) in enumerate(zip(fields, line_nos)):
+            row = _parse_numbers([numbers], dim)
+            if row is None:
+                raise DataError(f"{path} line {line_no}: unparseable number")
+            rows[index] = row
+    return rows.astype(np.float32)
+
+
+def load_text_model(path: str | Path, *,
+                    wanted: AbstractSet[str] | None = None) -> EmbeddingStore:
     """Load a text-format model. Raises on header/row inconsistencies.
 
-    A component that is NaN, infinite, or too large for float32 is a
-    DataError naming its line; text that is not UTF-8 is a DataError too.
+    A component that is NaN, infinite, too large for float32 or not an ASCII
+    decimal number is a DataError naming its line; text that is not UTF-8 is
+    a DataError too. With ``wanted``, only the rows of those tokens are kept,
+    but every row is still checked.
     """
     path = Path(path)
-    line_nos = array("i")
-    row: dict[str, int] = {}
-    # a component beyond float32 range casts to inf (quietly), rejected below
-    with path.open("r", encoding="utf-8") as handle, np.errstate(over="ignore"):
-        lines = _text_lines(handle, path)
+    with _open_hashed(path) as binary, \
+            io.TextIOWrapper(binary, encoding="utf-8") as text, \
+            np.errstate(over="ignore"):  # a float32 overflow is rejected below
+        lines = _text_lines(text, path)
         header = next(lines, "")
         if not header.strip():
             raise MalformedHeaderError(f"{path}: empty file")
         vocab, dim = _parse_header(header)
         # A row takes 2 bytes a component (a space and a digit), and at least
-        # 1, so no header sizes the matrix beyond the file.
-        fits = os.fstat(handle.fileno()).st_size // max(1, 2 * dim)
-        matrix = np.zeros((min(vocab, fits), dim), dtype=np.float32)
-        line_no = 1
-        for raw_line in lines:
-            line_no += 1
-            line = raw_line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(" ")
-            if len(parts) != dim + 1:
-                raise DimensionMismatchError(
-                    f"{path} line {line_no}: expected {dim} components, "
-                    f"found {len(parts) - 1}", line_no=line_no)
-            if len(row) == vocab:
-                raise MalformedHeaderError(
-                    f"{path} line {line_no}: header declares only {vocab} rows")
-            index = _add_token(row, parts[0])
-            try:
-                matrix[index] = list(map(float, parts[1:]))
-            except ValueError:
-                raise DataError(f"{path} line {line_no}: unparseable number") from None
-            line_nos.append(line_no)
-    bad = _first_bad_row(matrix)
-    if bad is not None:
-        raise DataError(f"{path} line {line_nos[bad]}: non-finite vector component")
-    if len(row) != vocab:
-        raise MalformedHeaderError(
-            f"{path}: header declares {vocab} rows, found {len(row)}")
-    return EmbeddingStore._from_matrix(row, matrix, str(path))
-
-
-def load_binary_model(path: str | Path) -> EmbeddingStore:
-    """Load a binary-format model; a bad vector or token names its record index."""
-    path = Path(path)
-    blob = path.read_bytes()
-    newline = blob.find(b"\n")
-    if newline < 0:
-        raise MalformedHeaderError(f"{path}: missing header line")
-    try:
-        header = blob[:newline].decode("ascii")
-    except UnicodeDecodeError:
-        raise MalformedHeaderError(f"{path}: non-ascii header") from None
-    vocab, dim = _parse_header(header)
-    record_bytes = 4 * dim
-    offset = newline + 1
-    # A record takes a space and its vector at least, so no header sizes the
-    # matrix beyond the file; records past the end are truncated.
-    fits = (len(blob) - offset) // (record_bytes + 1)
-    matrix = np.zeros((min(vocab, fits), dim), dtype=np.float32)
-    row: dict[str, int] = {}
-    for index in range(vocab):
-        # Tolerate a newline left over from the previous record.
-        while offset < len(blob) and blob[offset:offset + 1] == b"\n":
-            offset += 1
-        space = blob.find(b" ", offset)
-        if space < 0:
-            raise TruncatedRecordError(index)
+        # 1, so no header sizes a matrix beyond the file.
+        fits = binary.raw.size // max(1, 2 * dim)
+        if vocab and not fits:
+            raise MalformedHeaderError(
+                f"{path}: a row of {dim} components cannot fit in the file")
+        sink = _RowSink(vocab, fits, dim, wanted)
+        seen = sink.seen
+        # Each line is checked as it is decoded; its numbers wait in a block
+        # of about _READ_BYTES, parsed at once.
+        tokens: list[str] = []
+        fields: list[str] = []
+        line_nos: list[int] = []
+        held = 0
         try:
-            token = blob[offset:space].decode("utf-8")
+            for line_no, line in enumerate(lines, start=2):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                found = line.count(" ")
+                if found != dim:
+                    raise DimensionMismatchError(
+                        f"{path} line {line_no}: expected {dim} components, "
+                        f"found {found}", line_no=line_no)
+                if len(seen) == vocab:
+                    raise MalformedHeaderError(
+                        f"{path} line {line_no}: header declares only {vocab} rows")
+                token, _, numbers = line.partition(" ")
+                _add_token(seen, token)
+                tokens.append(token)
+                fields.append(numbers)
+                line_nos.append(line_no)
+                held += len(numbers)
+                if held >= _READ_BYTES:
+                    sink.block(tokens, _parse_block(fields, dim, line_nos, path), line_nos)
+                    tokens, fields, line_nos, held = [], [], [], 0
+        except DataError:
+            _parse_block(fields, dim, line_nos, path)  # an earlier bad number first
+            raise
+        sink.block(tokens, _parse_block(fields, dim, line_nos, path), line_nos)
+    if sink.first_bad is not None:
+        raise DataError(f"{path} line {sink.first_bad}: non-finite vector component")
+    if len(seen) != vocab:
+        raise MalformedHeaderError(
+            f"{path}: header declares {vocab} rows, found {len(seen)}")
+    return sink.store(path, binary.raw.sha256.hexdigest())
+
+
+class _RecordReader:
+    """The records of a binary model, read a chunk at a time.
+
+    Only the bytes not yet taken are held, so memory stays at about a chunk
+    unless one record is longer.
+    """
+
+    __slots__ = ("_source", "_data", "_view", "_pos")
+
+    def __init__(self, source: io.BufferedReader):
+        self._source = source
+        self._data = b""
+        self._view = memoryview(self._data)
+        self._pos = 0
+
+    def _more(self, pos: int) -> bool:
+        """Keep the held bytes from ``pos`` on, plus the next chunk, if any."""
+        chunk = self._source.read(_READ_BYTES)
+        if chunk:
+            self._data = self._data[pos:] + chunk
+            self._view = memoryview(self._data)
+            self._pos = 0
+        return bool(chunk)
+
+    def record(self, size: int) -> tuple[bytes | None, memoryview | None]:
+        """The next record's token bytes and its ``size`` vector bytes.
+
+        Newlines before the token (one may end the previous record) are
+        skipped. Either part is None when the stream ends before it does.
+        """
+        while True:
+            data, pos = self._data, self._pos
+            while pos < len(data) and data[pos] == 0x0A:
+                pos += 1
+            space = data.find(b" ", pos)
+            end = space + 1 + size
+            if 0 <= space and end <= len(data):
+                self._pos = end
+                return data[pos:space], self._view[space + 1:end]
+            if not self._more(pos):
+                return (None, None) if space < 0 else (data[pos:space], None)
+
+    def trailing(self) -> int:
+        """How many bytes follow the newlines after the last record, reading them all."""
+        while True:
+            rest = self._data[self._pos:].lstrip(b"\n")
+            if rest or not self._more(len(self._data)):
+                break
+        left = len(rest)
+        while chunk := self._source.read(_READ_BYTES):
+            left += len(chunk)
+        return left
+
+
+def load_binary_model(path: str | Path, *,
+                      wanted: AbstractSet[str] | None = None) -> EmbeddingStore:
+    """Load a binary-format model; a bad vector or token names its record index.
+
+    With ``wanted``, only the rows of those tokens are kept, but every record
+    is still checked.
+    """
+    path = Path(path)
+    with _open_hashed(path) as source:
+        header = source.readline()
+        if not header.endswith(b"\n"):
+            raise MalformedHeaderError(f"{path}: missing header line")
+        try:
+            vocab, dim = _parse_header(header[:-1].decode("ascii"))
         except UnicodeDecodeError:
-            raise DataError(f"{path}: record {index}: token is not UTF-8") from None
-        start = space + 1
-        end = start + record_bytes
-        if end > len(blob):
-            raise TruncatedRecordError(index)
-        matrix[_add_token(row, token)] = np.frombuffer(
-            blob, dtype="<f4", count=dim, offset=start)
-        offset = end
-    while offset < len(blob) and blob[offset:offset + 1] == b"\n":
-        offset += 1
-    if offset != len(blob):
-        raise DataError(f"{path}: {len(blob) - offset} trailing bytes after last record")
-    bad = _first_bad_row(matrix)
-    if bad is not None:
-        raise DataError(f"{path}: non-finite vector component in record {bad}")
-    return EmbeddingStore._from_matrix(row, matrix, str(path))
+            raise MalformedHeaderError(f"{path}: non-ascii header") from None
+        record_bytes = 4 * dim
+        # A record takes a space and its vector at least, so no header sizes a
+        # matrix or a block beyond the file; records past the end are truncated.
+        fits = (source.raw.size - len(header)) // (record_bytes + 1)
+        if vocab and not fits:
+            raise TruncatedRecordError(0)
+        sink = _RowSink(vocab, fits, dim, wanted)
+        block_rows = min(_BLOCK_ROWS, fits)
+        block_bytes = bytearray(block_rows * record_bytes)
+        block = np.frombuffer(block_bytes, dtype="<f4").reshape(block_rows, dim)
+        records = _RecordReader(source)
+        tokens: list[str] = []
+        for index in range(vocab):
+            raw_token, vector = records.record(record_bytes)
+            if raw_token is None:
+                raise TruncatedRecordError(index)
+            try:
+                token = raw_token.decode("utf-8")
+            except UnicodeDecodeError:
+                raise DataError(f"{path}: record {index}: token is not UTF-8") from None
+            if vector is None:
+                raise TruncatedRecordError(index)
+            _add_token(sink.seen, token)
+            start = len(tokens) * record_bytes
+            block_bytes[start:start + record_bytes] = vector
+            tokens.append(token)
+            if len(tokens) == len(block) or index == vocab - 1:
+                sink.block(tokens, block[:len(tokens)],
+                           range(index + 1 - len(tokens), index + 1))
+                tokens.clear()
+        trailing = records.trailing()
+        if trailing:
+            raise DataError(f"{path}: {trailing} trailing bytes after last record")
+    if sink.first_bad is not None:
+        raise DataError(f"{path}: non-finite vector component in record {sink.first_bad}")
+    return sink.store(path, source.raw.sha256.hexdigest())
 
 
-def load_model(path: str | Path, fmt: str = "auto") -> EmbeddingStore:
-    """Dispatch on format; 'auto' treats a .bin suffix as binary."""
+def load_model(path: str | Path, fmt: str = "auto", *,
+               wanted: AbstractSet[str] | None = None) -> EmbeddingStore:
+    """Dispatch on format; 'auto' treats a .bin suffix as binary.
+
+    With ``wanted``, the store keeps only the rows of those tokens.
+    """
     if fmt == "auto":
         fmt = "binary" if Path(path).suffix == ".bin" else "text"
     if fmt == "text":
-        return load_text_model(path)
+        return load_text_model(path, wanted=wanted)
     if fmt == "binary":
-        return load_binary_model(path)
+        return load_binary_model(path, wanted=wanted)
     raise ValueError(f"unknown model format: {fmt!r}")
 
 
@@ -314,24 +529,38 @@ def save_binary_model(store: EmbeddingStore, path: str | Path) -> None:
             handle.write(b"\n")
 
 
-def resolve_label(store: EmbeddingStore, raw: str) -> LabelResolution:
-    """Resolve a raw label by trying its spelling permutations in order.
+def spellings(cleaned: str) -> tuple[tuple[str, Permutation], ...]:
+    """The store tokens a cleaned label may resolve to, in the order tried.
 
-    Tries the cleaned label as-is, then with spaces removed, then with spaces
+    The cleaned label as-is, then with spaces removed, then with spaces
     replaced by underscores, then with each word capitalized and joined by
-    underscores. The first token present in the store wins.
+    underscores. An empty label has none.
     """
-    cleaned = clean_label(raw)
     if not cleaned:
-        return LabelResolution(raw_label=raw, token=None, permutation=None)
-    candidates = (
+        return ()
+    return (
         (cleaned, Permutation.AS_IS),
         (cleaned.replace(" ", ""), Permutation.NO_SPACE),
         (cleaned.replace(" ", "_"), Permutation.UNDERSCORE),
         ("_".join(w.capitalize() for w in cleaned.split(" ")),
          Permutation.TITLE_UNDERSCORE),
     )
-    for candidate, permutation in candidates:
+
+
+def wanted_tokens(cleaned_labels: Iterable[str]) -> set[str]:
+    """Every token the cleaned labels may resolve to: the rows a load keeps.
+
+    A store restricted to them resolves these labels as the whole model does.
+    """
+    return {token for cleaned in cleaned_labels for token, _ in spellings(cleaned)}
+
+
+def resolve_label(store: EmbeddingStore, raw: str) -> LabelResolution:
+    """Resolve a raw label by trying its ``spellings`` in order.
+
+    The first token present in the store wins.
+    """
+    for candidate, permutation in spellings(clean_label(raw)):
         if candidate in store:
             return LabelResolution(raw_label=raw, token=candidate,
                                    permutation=permutation)
@@ -352,16 +581,13 @@ class Vocabulary:
 
     __slots__ = ("tokens", "vectors", "norms", "_cleaned", "_row")
 
-    def __init__(self, store: EmbeddingStore, labels: Iterable[str]):
+    def __init__(self, store: EmbeddingStore, cleaned_of: Mapping[str, str]):
+        """``cleaned_of`` maps each raw label to its cleaned text, as ``clean_labels``."""
         tokens = [UNKNOWN_TOKEN]
         token_row = {UNKNOWN_TOKEN: 0}
-        cleaned_of: dict[str, str] = {}
         row_of: dict[str, int] = {}
         row_of_cleaned: dict[str, int] = {}
-        for raw in labels:
-            if raw in cleaned_of:
-                continue
-            cleaned = clean_label(raw)
+        for raw, cleaned in cleaned_of.items():
             row = row_of_cleaned.get(cleaned)
             if row is None:
                 token = resolve_label(store, cleaned).token if cleaned else None
@@ -373,7 +599,6 @@ class Vocabulary:
                         row = token_row[token] = len(tokens)
                         tokens.append(token)
                 row_of_cleaned[cleaned] = row
-            cleaned_of[raw] = cleaned
             row_of[raw] = row
         vectors = store.vectors(tokens)
         vectors.setflags(write=False)

@@ -34,7 +34,14 @@ from .bipartition import (
     mean_scores,
     scores_from_counts,
 )
-from .embeddings import EmbeddingStore, Vocabulary, cosine, load_model
+from .embeddings import (
+    EmbeddingStore,
+    Vocabulary,
+    clean_labels,
+    cosine,
+    load_model,
+    wanted_tokens,
+)
 from .errors import (
     AuthMissingError,
     BadConfidenceError,
@@ -370,9 +377,9 @@ def run_evaluation(config: RunConfig) -> reporting.MetricReport:
     Output is deterministic: images are reduced in natural ascending
     image_id order, and the provenance block echoes only evaluation-relevant
     settings. A truth record none of whose labels survives cleaning is
-    skipped and counted as empty truth.
+    skipped and counted as empty truth. The records are read before the
+    model, which keeps only the rows the run's labels may resolve to.
     """
-    store = load_model(config.embeddings_path, config.embeddings_format)
     truth_records = read_ground_truth(config.ground_truth_path)
     usable_truth = {r.image_id: r for r in truth_records if r.usable}
     unusable_ids = {r.image_id for r in truth_records if r.image_id not in usable_truth}
@@ -391,11 +398,14 @@ def run_evaluation(config: RunConfig) -> reporting.MetricReport:
     if not by_api:
         raise EmptyDatasetError("no prediction records found")
 
+    cleaned = clean_labels(_run_labels(usable_truth.values(), by_api.values()))
+    store = load_model(config.embeddings_path, config.embeddings_format,
+                       wanted=wanted_tokens(cleaned.values()))
     provenance = {
         "ground_truth_digest": _sha256_file(config.ground_truth_path),
         "prediction_digests": {str(p): _sha256_file(p)
                                for p in config.prediction_paths},
-        "embeddings_digest": _sha256_file(config.embeddings_path),
+        "embeddings_digest": store.digest,
         "config": {
             "top_ks": list(config.top_ks),
             "threshold": config.threshold,
@@ -406,7 +416,7 @@ def run_evaluation(config: RunConfig) -> reporting.MetricReport:
         },
     }
 
-    vocab = Vocabulary(store, _run_labels(usable_truth.values(), by_api.values()))
+    vocab = Vocabulary(store, cleaned)
     truths = {image_id: intern_truth(record.labels, vocab)
               for image_id, record in usable_truth.items()}
     eval_ids = {api_id: sorted((i for i in per_image if i in usable_truth),

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .embeddings import EmbeddingStore, Vocabulary, clean_label
+from .embeddings import EmbeddingStore, Vocabulary, clean_label, clean_labels
 from .errors import (
     BadConfidenceError,
     DataError,
@@ -292,7 +292,7 @@ def intern_unit(truth: Sequence[str] | InternedTruth,
     if any(interned):
         raise TypeError("intern both sides of a unit or neither")
     truth, objects = tuple(truth), tuple(objects)
-    vocab = Vocabulary(store, [*truth, *_raw_labels(objects)])
+    vocab = Vocabulary(store, clean_labels([*truth, *_raw_labels(objects)]))
     return intern_truth(truth, vocab), intern_objects(objects, vocab)
 
 
@@ -303,7 +303,7 @@ def label_bag(side, store: EmbeddingStore) -> list[str]:
     PredictedObject; unresolved labels become UNKNOWN_TOKEN.
     """
     labels = list(_raw_labels(side))
-    vocab = Vocabulary(store, labels)
+    vocab = Vocabulary(store, clean_labels(labels))
     return [vocab.token(raw) for raw in labels]
 
 
@@ -333,6 +333,6 @@ def metadata_stats(records: Sequence[PredictionRecord], store: EmbeddingStore,
                    k: int) -> tuple[float, float]:
     """(unknown_object_rate, mean_labels_per_object) over the top-k objects."""
     ranked = [top_k(record, k).objects for record in records]
-    vocab = Vocabulary(store, (label for objects in ranked
-                               for label in _raw_labels(objects)))
+    vocab = Vocabulary(store, clean_labels(label for objects in ranked
+                                           for label in _raw_labels(objects)))
     return object_stats([intern_objects(objects, vocab) for objects in ranked])

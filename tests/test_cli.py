@@ -306,6 +306,84 @@ class TestInspectCommand:
         assert err.splitlines() == [f"data error: {model}: not valid UTF-8 text"]
 
 
+    def test_loads_every_row(self, capsys, monkeypatch, fixture_model_file):
+        from labeleval import cli
+        from labeleval.embeddings import load_text_model
+
+        loads = []
+        real = cli.load_model
+        monkeypatch.setattr(cli, "load_model",
+                            lambda *a, **kw: loads.append(kw) or real(*a, **kw))
+        code, stdout, _ = run_cli(capsys, "inspect-embeddings",
+                                  str(fixture_model_file), "--token", "car")
+        assert code == 0
+        assert loads == [{}]
+        full = load_text_model(fixture_model_file)
+        assert stdout.splitlines()[0] == f"vocab_size={len(full)} dim={full.dim}"
+
+    @pytest.mark.parametrize("name,message", [
+        ("model.txt", "{path}: a row of 99999999999999999999 components cannot "
+                      "fit in the file"),
+        ("model.bin", "truncated record at index 0"),
+    ], ids=["text", "binary"])
+    def test_huge_header_dimension(self, capsys, tmp_path, name, message):
+        model = tmp_path / name
+        model.write_bytes(b"1 99999999999999999999\ncat 1\n")
+        code, _, err = run_cli(capsys, "inspect-embeddings", str(model))
+        assert code == 2
+        assert err.splitlines() == [f"data error: {message.format(path=model)}"]
+
+
+class TestRestrictedCommands:
+    """wmd and stats keep only their labels' rows, and print what a full load does."""
+
+    @pytest.fixture
+    def loads(self, monkeypatch):
+        from labeleval import cli
+
+        calls = []
+        real = cli.load_model
+        monkeypatch.setattr(cli, "load_model",
+                            lambda *a, **kw: calls.append(kw) or real(*a, **kw))
+        return calls
+
+    def test_wmd(self, capsys, loads, fixture_model_file):
+        from labeleval.embeddings import load_text_model
+        from labeleval.labelset import label_bag
+        from labeleval.wmd import wmd_pair
+
+        truth = ["parking meter", "Lamp Post", "car"]
+        predicted = ["tree", "zzqx", "street"]
+        code, stdout, _ = run_cli(capsys, "wmd", ",".join(truth), ",".join(predicted),
+                                  "--embeddings", str(fixture_model_file))
+        assert code == 0
+        assert [sorted(kw) for kw in loads] == [["wanted"]]
+        full = load_text_model(fixture_model_file)
+        value = wmd_pair(label_bag(truth, full), label_bag(predicted, full), full)
+        assert stdout == f"{value:.6f}\n"
+
+    def test_stats(self, capsys, loads, fixture_files, fixture_model_file):
+        from labeleval.embeddings import load_text_model
+        from labeleval.labelset import metadata_stats, read_predictions
+
+        argv = ["stats", "--embeddings", str(fixture_model_file), "--json", "-k", "3"]
+        for path in fixture_files["predictions"]:
+            argv += ["--predictions", str(path)]
+        code, stdout, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert [sorted(kw) for kw in loads] == [["wanted"]]
+        full = load_text_model(fixture_model_file)
+        expected = []
+        for path in fixture_files["predictions"]:
+            records = read_predictions(path)
+            unknown, per_object = metadata_stats(records, full, 3)
+            expected.append({"api_id": records[0].api_id,
+                             "unknown_object_rate": unknown,
+                             "mean_labels_per_object": per_object})
+        rows = [json.loads(line) for line in stdout.splitlines()]
+        assert rows == sorted(expected, key=lambda row: row["api_id"])
+
+
 class TestStatsCommand:
     def test_table_output(self, capsys, fixture_files, fixture_model_file):
         argv = ["stats", "--embeddings", str(fixture_model_file), "-k", "5"]

@@ -280,6 +280,39 @@ class TestRunEvaluation:
         for row_a, row_b in zip(reports[0].rows, reports[1].rows):
             assert row_a == row_b
 
+    def test_model_is_read_once_keeping_the_run_rows(self, monkeypatch,
+                                                      fixture_files,
+                                                      fixture_model_file):
+        from labeleval import harness
+        from labeleval.embeddings import load_model
+
+        loads, hashed = [], []
+
+        def recording_load(*args, **kwargs):
+            loads.append(kwargs)
+            return load_model(*args, **kwargs)
+
+        def recording_hash(path, real=harness._sha256_file):
+            hashed.append(str(path))
+            return real(path)
+
+        monkeypatch.setattr(harness, "load_model", recording_load)
+        monkeypatch.setattr(harness, "_sha256_file", recording_hash)
+        config = self.make_config(fixture_files, fixture_model_file)
+        report = run_evaluation(config)
+        assert len(loads) == 1
+        wanted = loads[0]["wanted"]
+        assert {"Parking_Meter", "lamp_post", "car"} <= wanted
+        assert str(fixture_model_file) not in hashed
+        assert report.provenance["embeddings_digest"] == \
+            hashlib.sha256(fixture_model_file.read_bytes()).hexdigest()
+
+        monkeypatch.setattr(harness, "load_model",
+                            lambda path, fmt, wanted: load_model(path, fmt))
+        full = run_evaluation(config)
+        assert report.rows == full.rows
+        assert report.provenance == full.provenance
+
     def test_k1_equals_k5_for_single_object_records(self, tmp_path,
                                                     fixture_model_file):
         truth = [GroundTruthRecord(image_id="1.jpg", labels=("car", "tree"))]

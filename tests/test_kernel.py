@@ -24,6 +24,7 @@ from labeleval.embeddings import (
     EmbeddingStore,
     Vocabulary,
     clean_label,
+    clean_labels,
     cosine,
     euclidean,
     resolve_label,
@@ -146,8 +147,8 @@ class TestDifferential:
 
 class TestVocabulary:
     def test_rows_resolution_and_origin(self, fixture_store):
-        vocab = Vocabulary(fixture_store, ["Parking Meter", "parking  meter!",
-                                           "zzqx", "car", "", "car"])
+        vocab = Vocabulary(fixture_store, clean_labels(
+            ["Parking Meter", "parking  meter!", "zzqx", "car", "", "car"]))
         assert vocab.tokens[0] == UNKNOWN_TOKEN
         assert vocab.row("zzqx") == vocab.row("") == 0
         assert not vocab.vectors[0].any() and vocab.norms[0] == 0.0
@@ -180,8 +181,8 @@ class TestPrefixRule:
         for _ in range(100):
             record = ranked_record(rng, rng.randint(0, 8))
             truth = rng.sample(SPELLINGS, rng.randint(1, 5))
-            vocab = Vocabulary(fixture_store, list(truth) + [
-                s for o in record.objects for s in o.synonyms])
+            vocab = Vocabulary(fixture_store, clean_labels(list(truth) + [
+                s for o in record.objects for s in o.synonyms]))
             interned_truth = intern_truth(truth, vocab)
             k_max = 10
             ranked = intern_objects(top_k(record, k_max).objects, vocab)
@@ -198,8 +199,8 @@ class TestPrefixRule:
         for _ in range(100):
             record = ranked_record(rng, rng.randint(0, 6))
             truth = rng.sample(SPELLINGS, rng.randint(1, 5))
-            vocab = Vocabulary(fixture_store, list(truth) + [
-                s for o in record.objects for s in o.synonyms])
+            vocab = Vocabulary(fixture_store, clean_labels(list(truth) + [
+                s for o in record.objects for s in o.synonyms]))
             sides = intern_truth(truth, vocab), intern_objects(record.objects, vocab)
             match = exact_intersection(*sides)
             assert match == exact_intersection(truth, record.objects)
@@ -215,8 +216,8 @@ class TestPrefixRule:
 
 def test_unit_sides_are_interned_together(fixture_store):
     truth, objects = ["car", "tree"], (PredictedObject(synonyms=("Car!",)),)
-    vocab = Vocabulary(fixture_store, ["car", "tree", "Car!"])
-    other = Vocabulary(fixture_store, ["car", "tree", "Car!"])
+    vocab = Vocabulary(fixture_store, clean_labels(["car", "tree", "Car!"]))
+    other = Vocabulary(fixture_store, clean_labels(["car", "tree", "Car!"]))
     with pytest.raises(TypeError):
         exact_intersection(intern_truth(truth, vocab), objects)
     with pytest.raises(ValueError):
