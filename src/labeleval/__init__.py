@@ -10,7 +10,6 @@ from .bipartition import (
     ConfusionLedger,
     ExampleScores,
     LabelBasedScores,
-    dataset_example_metrics,
     example_scores,
     exact_intersection,
     label_based_scores,
@@ -67,8 +66,6 @@ from .semantic import (
     similarity_matrix,
 )
 from .sentence import (
-    BowProvenance,
-    BowText,
     ProviderConfig,
     fetch_embeddings,
     render_bow_text,

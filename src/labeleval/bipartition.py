@@ -15,13 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .embeddings import EmbeddingStore, clean_label
+from .embeddings import clean_label
 from .errors import EmptyDatasetError, EmptyLedgerError, EmptyTruthError
-from .labelset import InternedObjects, InternedTruth, PredictedObject, intern_unit
-
-#: Exact matching reads only the cleaned text, so raw sides are interned
-#: against a store that resolves nothing.
-_TEXT_ONLY = EmbeddingStore((), dim=0)
+from .labelset import (TEXT_ONLY, InternedObjects, InternedTruth, PredictedObject,
+                       intern_unit)
 
 
 @dataclass(frozen=True)
@@ -75,7 +72,7 @@ def exact_intersection(truth: Sequence[str] | InternedTruth,
     Each object, in order, matches the first still-unmatched truth label that
     equals any of its cleaned synonyms.
     """
-    truth, objects = intern_unit(truth, objects, _TEXT_ONLY)
+    truth, objects = intern_unit(truth, objects, TEXT_ONLY)
     matched_truth: list[int] = []
     matched_objects: list[int] = []
     taken = [False] * len(truth.labels)
@@ -110,7 +107,7 @@ def scores_from_counts(matched: int, n_truth: int, n_objects: int) -> ExampleSco
 def example_scores(truth: Sequence[str] | InternedTruth,
                    objects: Sequence[PredictedObject] | InternedObjects
                    ) -> ExampleScores:
-    truth, objects = intern_unit(truth, objects, _TEXT_ONLY)
+    truth, objects = intern_unit(truth, objects, TEXT_ONLY)
     match = exact_intersection(truth, objects)
     return scores_from_counts(match.matched, len(truth.labels), len(objects))
 
@@ -128,14 +125,6 @@ def mean_scores(scores: Sequence[ExampleScores]) -> ExampleScores:
         f1 += s.f1
     return ExampleScores(accuracy=acc / n, precision=pre / n,
                          recall=rec / n, f1=f1 / n)
-
-
-def dataset_example_metrics(
-        units: Sequence[tuple[Sequence[str], Sequence[PredictedObject]]]
-) -> ExampleScores:
-    if not units:
-        raise EmptyDatasetError("no images to evaluate")
-    return mean_scores([example_scores(truth, objects) for truth, objects in units])
 
 
 class ConfusionLedger:
@@ -172,7 +161,7 @@ class ConfusionLedger:
         ``match`` is the image's exact match when the caller already has it;
         otherwise it is computed here.
         """
-        truth, objects = intern_unit(truth, objects, _TEXT_ONLY)
+        truth, objects = intern_unit(truth, objects, TEXT_ONLY)
         if match is None:
             match = exact_intersection(truth, objects)
         matched_labels = {truth.labels[ti] for ti in match.truth_indices}
@@ -197,18 +186,6 @@ class ConfusionLedger:
             else:
                 self.extra_fp += 1
         self.images += 1
-        return self
-
-    def merge(self, other: "ConfusionLedger") -> "ConfusionLedger":
-        """Combine counters from a ledger over the same label space."""
-        if other.label_space != self.label_space:
-            raise ValueError("cannot merge ledgers with different label spaces")
-        for j in range(len(self.label_space)):
-            self.tp[j] += other.tp[j]
-            self.fp[j] += other.fp[j]
-            self.fn[j] += other.fn[j]
-        self.extra_fp += other.extra_fp
-        self.images += other.images
         return self
 
 

@@ -13,7 +13,8 @@ from pathlib import Path
 import click
 
 from . import report as reporting
-from .embeddings import clean_label, load_model, resolve_label, wanted_tokens
+from .embeddings import (Vocabulary, clean_label, clean_labels, load_model, resolve_label,
+                         wanted_tokens)
 from .errors import DataError, UpstreamError
 from .harness import (
     ApiClientSpec,
@@ -147,15 +148,15 @@ def fetch(spec_path, images_path, cache_dir, out_path):
 @click.option("--embeddings", type=click.Path(exists=True), required=True)
 def wmd_command(truth_labels, predicted_labels, embeddings):
     """Distance between two comma-separated label lists."""
-    from .labelset import label_bag
-
     truth = [part for part in truth_labels.split(",") if part.strip()]
     predicted = [part for part in predicted_labels.split(",") if part.strip()]
     if not truth or not predicted:
         raise click.UsageError("both label lists must be non-empty")
-    store = load_model(embeddings,
-                       wanted=wanted_tokens(map(clean_label, truth + predicted)))
-    value = wmd_pair(label_bag(truth, store), label_bag(predicted, store), store)
+    cleaned = clean_labels(truth + predicted)
+    vocab = Vocabulary(load_model(embeddings, wanted=wanted_tokens(cleaned.values())),
+                       cleaned)
+    value = wmd_pair([vocab.row(raw) for raw in truth],
+                     [vocab.row(raw) for raw in predicted], vocab)
     click.echo(f"{value:.6f}")
 
 

@@ -9,6 +9,8 @@ one at a time.
 Scoring interns every label of the run once, into a Vocabulary, before any
 image is scored; each image's truth side is then interned once and shared by
 every API, and each (api, image) is scored at every k by one kernel call.
+Every metric family, WMD and the sentence text included, reads those
+interned sides.
 """
 
 from __future__ import annotations
@@ -429,7 +431,7 @@ def run_evaluation(config: RunConfig) -> reporting.MetricReport:
         [(api_id, k, image_id) for api_id in sorted(by_api)
          for image_id in eval_ids[api_id] for k in config.top_ks],
         truths, by_api, store, config)
-    sentence = (_sentence_mean(scored, eval_ids, usable_truth, config)
+    sentence = (_sentence_mean(scored, eval_ids, truths, config)
                 if config.sentence is not None else {})
 
     rows: list[reporting.ReportRow] = []
@@ -458,7 +460,7 @@ def run_evaluation(config: RunConfig) -> reporting.MetricReport:
             if config.include_wmd:
                 try:
                     wmd_result = dataset_wmd(
-                        ((r.truth.bag, r.objects.bag) for r in results), store)
+                        ((r.truth.bag, r.objects.rows) for r in results), vocab)
                 except EvaluationError as exc:
                     _annotate(exc, api_id, "<dataset>")
                     raise
@@ -545,14 +547,13 @@ def _score_units(units: Sequence[tuple[str, int, str]],
 
 def _sentence_mean(scored: Mapping[tuple[str, int, str], _Scored],
                    eval_ids: Mapping[str, Sequence[str]],
-                   truth: Mapping[str, GroundTruthRecord],
+                   truths: Mapping[str, InternedTruth],
                    config: RunConfig) -> dict[tuple[str, int], tuple[float, int]]:
     """Each (api, k)'s mean sentence similarity and empty-prediction skips.
 
     Truth texts are rendered once; one provider call embeds every distinct text.
     """
-    truth_texts = {image_id: render_bow_text(record.labels).text
-                   for image_id, record in truth.items()}
+    truth_texts = {image_id: render_bow_text(truth) for image_id, truth in truths.items()}
     rows: dict[str, int] = {}  # distinct text -> its vector's index
     pairs: dict[tuple[str, int], list[tuple[int, int]]] = {}
     for api_id in sorted(eval_ids):
@@ -560,8 +561,7 @@ def _sentence_mean(scored: Mapping[tuple[str, int, str], _Scored],
             cell = pairs[api_id, k] = []
             for image_id in eval_ids[api_id]:
                 try:
-                    predicted = render_bow_text(
-                        scored[api_id, k, image_id].objects.objects).text
+                    predicted = render_bow_text(scored[api_id, k, image_id].objects)
                 except EmptyBagError:
                     continue
                 cell.append((rows.setdefault(truth_texts[image_id], len(rows)),

@@ -5,9 +5,11 @@ ground truth {"image_id": ..., "labels": [...]}, predictions
 {"image_id": ..., "api_id": ..., "objects": [{"labels": [...],
 "confidence": ...}]} where confidence may be omitted.
 
-Scoring reads the two sides of a unit through a Vocabulary: an
-``InternedTruth`` per image and an ``InternedObjects`` per (api, image) at
-the largest k, whose prefixes serve the smaller ks.
+Every metric family reads the two sides of a unit through a Vocabulary:
+an ``InternedTruth`` per image and an ``InternedObjects`` per (api, image)
+at the largest k, whose prefixes serve the smaller ks. The sides hold
+cleaned labels and vocabulary rows, never store tokens; their raw labels
+give the sentence text through ``Vocabulary.cleaned``.
 """
 
 from __future__ import annotations
@@ -26,6 +28,10 @@ from .errors import (
     EmptyInputError,
     ParseError,
 )
+
+#: Exact matching and sentence rendering read only the cleaned text, so raw
+#: sides are interned for them against a store that resolves nothing.
+TEXT_ONLY = EmbeddingStore((), dim=0)
 
 
 @dataclass(frozen=True)
@@ -195,23 +201,25 @@ class InternedTruth:
 
     ``labels`` are the cleaned labels deduplicated in first-occurrence
     order, empty cleanings dropped: the set the bipartition metrics count.
-    ``rows`` are their vocabulary rows. ``bag`` holds the token of every raw
-    label in file order, duplicates included: the image's WMD bag.
+    ``rows`` are their vocabulary rows. ``raw`` holds every raw label in file
+    order, duplicates included, and ``bag`` the vocabulary row of each: the
+    image's sentence text and its WMD bag.
     """
 
     vocab: Vocabulary
     labels: tuple[str, ...]
     rows: tuple[int, ...]
-    bag: tuple[str, ...]
+    raw: tuple[str, ...]
+    bag: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class InternedObjects:
     """Ranked predicted objects through a Vocabulary.
 
-    ``synonyms`` holds each object's non-empty cleaned synonyms. ``rows`` and
-    ``bag`` list the vocabulary row and the token of every synonym, object
-    by object in listed order; object ``i`` owns ``ends[i-1]:ends[i]`` of
+    ``synonyms`` holds each object's non-empty cleaned synonyms. ``rows``
+    lists the vocabulary row of every synonym, object by object in listed
+    order: the side's WMD bag. Object ``i`` owns ``ends[i-1]:ends[i]`` of
     them. Interned once at the largest k, ``prefix(k)`` is the side at k,
     because ``top_k`` is a stable sort.
     """
@@ -221,7 +229,6 @@ class InternedObjects:
     synonyms: tuple[frozenset[str], ...]
     ends: tuple[int, ...]
     rows: tuple[int, ...]
-    bag: tuple[str, ...]
 
     def __len__(self) -> int:
         return len(self.objects)
@@ -233,7 +240,12 @@ class InternedObjects:
         end = self.ends[k - 1] if k > 0 else 0
         return InternedObjects(vocab=self.vocab, objects=self.objects[:k],
                                synonyms=self.synonyms[:k], ends=self.ends[:k],
-                               rows=self.rows[:end], bag=self.bag[:end])
+                               rows=self.rows[:end])
+
+    @property
+    def raw(self) -> tuple[str, ...]:
+        """Every synonym as read, object by object in listed order."""
+        return tuple(raw for obj in self.objects for raw in obj.synonyms)
 
 
 def _raw_labels(side) -> Iterator[str]:
@@ -253,8 +265,8 @@ def intern_truth(labels: Sequence[str], vocab: Vocabulary) -> InternedTruth:
         if cleaned and cleaned not in deduplicated:
             deduplicated[cleaned] = vocab.row(raw)
     return InternedTruth(vocab=vocab, labels=tuple(deduplicated),
-                         rows=tuple(deduplicated.values()),
-                         bag=tuple(vocab.token(raw) for raw in labels))
+                         rows=tuple(deduplicated.values()), raw=tuple(labels),
+                         bag=tuple(map(vocab.row, labels)))
 
 
 def intern_objects(objects: Sequence[PredictedObject],
@@ -271,8 +283,7 @@ def intern_objects(objects: Sequence[PredictedObject],
         rows.extend(vocab.row(raw) for raw in obj.synonyms)
         ends.append(len(rows))
     return InternedObjects(vocab=vocab, objects=objects, synonyms=tuple(synonyms),
-                           ends=tuple(ends), rows=tuple(rows),
-                           bag=tuple(vocab.tokens[row] for row in rows))
+                           ends=tuple(ends), rows=tuple(rows))
 
 
 def intern_unit(truth: Sequence[str] | InternedTruth,
@@ -296,15 +307,21 @@ def intern_unit(truth: Sequence[str] | InternedTruth,
     return intern_truth(truth, vocab), intern_objects(objects, vocab)
 
 
+def intern_bag(side, store: EmbeddingStore) -> InternedTruth:
+    """A raw side (truth labels, or objects' synonyms in listed order),
+    interned as one truth side through a Vocabulary of its own."""
+    labels = tuple(_raw_labels(side))
+    return intern_truth(labels, Vocabulary(store, clean_labels(labels)))
+
+
 def label_bag(side, store: EmbeddingStore) -> list[str]:
     """Flatten one side of an evaluation unit into resolved tokens.
 
     Accepts either a sequence of truth labels or a sequence of
     PredictedObject; unresolved labels become UNKNOWN_TOKEN.
     """
-    labels = list(_raw_labels(side))
-    vocab = Vocabulary(store, clean_labels(labels))
-    return [vocab.token(raw) for raw in labels]
+    bag = intern_bag(side, store)
+    return [bag.vocab.token(raw) for raw in bag.raw]
 
 
 def object_stats(sides: Sequence[InternedObjects]) -> tuple[float, float]:

@@ -1,7 +1,8 @@
 """Aggregated bag-of-words similarity through a sentence-embedding provider.
 
 The truth and prediction label bags are rendered to deterministic
-space-joined texts and embedded out-of-process, either by lookup in a
+space-joined texts of their cleaned labels, read off the interned sides'
+Vocabulary, and embedded out-of-process, either by lookup in a
 precomputed vector file or over HTTP. The wire format is a POST of
 {"model": ..., "texts": [...]} answered by {"vectors": [[...], ...]};
 precomputed files are newline-delimited {"digest", "model", "vector"}
@@ -19,38 +20,18 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .embeddings import clean_label, cosine
+from .embeddings import cosine
 from .errors import (
     CacheCorruptError,
     DimensionInconsistentError,
     EmptyBagError,
     ProviderUnavailableError,
 )
-from .labelset import PredictedObject, record_lines
+from .labelset import (TEXT_ONLY, InternedObjects, InternedTruth, PredictedObject,
+                       intern_bag, record_lines)
 
 #: Environment variable that overrides the remote provider endpoint.
 ENDPOINT_ENV_VAR = "LABELEVAL_SENTENCE_ENDPOINT"
-
-
-@dataclass(frozen=True)
-class BowProvenance:
-    kind: str
-    api_id: str | None = None
-    k: int | None = None
-
-    @classmethod
-    def truth(cls) -> "BowProvenance":
-        return cls(kind="truth")
-
-    @classmethod
-    def prediction(cls, api_id: str, k: int) -> "BowProvenance":
-        return cls(kind="prediction", api_id=api_id, k=k)
-
-
-@dataclass(frozen=True)
-class BowText:
-    text: str
-    provenance: BowProvenance
 
 
 @dataclass(frozen=True)
@@ -88,23 +69,20 @@ def text_digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def render_bow_text(bag, provenance: BowProvenance | None = None) -> BowText:
+def render_bow_text(bag: Sequence[str | PredictedObject] | InternedTruth
+                    | InternedObjects) -> str:
     """Join a label bag into one cleaned, space-separated string.
 
-    Accepts truth labels in file order or PredictedObject entries in
-    post-top-k order; object synonyms keep their listed order.
+    Accepts an interned side, truth labels in file order, or PredictedObject
+    entries in post-top-k order; object synonyms keep their listed order.
+    Raw bags are interned first, so every text is read off a Vocabulary.
     """
-    words: list[str] = []
-    for item in bag:
-        if isinstance(item, PredictedObject):
-            words.extend(clean_label(s) for s in item.synonyms)
-        else:
-            words.append(clean_label(item))
-    words = [w for w in words if w]
+    if not isinstance(bag, (InternedTruth, InternedObjects)):
+        bag = intern_bag(bag, TEXT_ONLY)
+    words = [word for word in map(bag.vocab.cleaned, bag.raw) if word]
     if not words:
         raise EmptyBagError("no renderable labels in bag")
-    return BowText(text=" ".join(words),
-                   provenance=provenance or BowProvenance.truth())
+    return " ".join(words)
 
 
 def _load_precomputed(path: str, model: str) -> dict[str, np.ndarray]:
@@ -221,10 +199,8 @@ def fetch_embeddings(config: ProviderConfig, texts: Sequence[str], *,
     return out
 
 
-def sentence_score(truth_text: BowText | str, predicted_text: BowText | str,
+def sentence_score(truth_text: str, predicted_text: str,
                    config: ProviderConfig, **fetch_kwargs) -> float:
     """Cosine similarity of the two texts' provider embeddings."""
-    left = truth_text.text if isinstance(truth_text, BowText) else truth_text
-    right = predicted_text.text if isinstance(predicted_text, BowText) else predicted_text
-    vectors = fetch_embeddings(config, [left, right], **fetch_kwargs)
+    vectors = fetch_embeddings(config, [truth_text, predicted_text], **fetch_kwargs)
     return cosine(vectors[0], vectors[1])

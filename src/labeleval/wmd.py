@@ -1,8 +1,10 @@
 """Word mover's distance over an exact transportation-problem solver.
 
-Each label bag becomes a normalized bag-of-words (token counts divided by the
-total count). The distance between two bags is the minimum total cost of
-moving one bag's mass onto the other, where moving mass between two tokens
+Each label bag becomes a normalized bag-of-words (key counts divided by the
+total count). A bag's keys are whatever its vector source indexes: store
+tokens with an ``EmbeddingStore``, vocabulary rows with a run's
+``Vocabulary``. The distance between two bags is the minimum total cost of
+moving one bag's mass onto the other, where moving mass between two keys
 costs their embedding Euclidean distance. The balanced transportation LP is
 solved exactly, not by an entropic approximation, with the network simplex
 of Ahuja-Magnanti-Orlin (*Network Flows*, ch. 11) as Bonneel et al. 2011
@@ -15,11 +17,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
-from .embeddings import EmbeddingStore
+from .embeddings import EmbeddingStore, Vocabulary
 from .errors import (
     EmptyBagError,
     EmptyDatasetError,
@@ -33,9 +35,9 @@ _PRICE_TOL = 1e-11
 
 @dataclass(frozen=True)
 class NBow:
-    """Distinct tokens in first-appearance order with positive weights summing to 1."""
+    """Distinct keys in first-appearance order with positive weights summing to 1."""
 
-    tokens: tuple[str, ...]
+    tokens: tuple[Hashable, ...]
     weights: np.ndarray
 
 
@@ -61,7 +63,7 @@ class DatasetWmd:
     skipped: int
 
 
-def build_nbow(bag: Sequence[str]) -> NBow:
+def build_nbow(bag: Sequence[Hashable]) -> NBow:
     if not bag:
         raise EmptyBagError("cannot build a normalized bag-of-words from an empty bag")
     counts = Counter()
@@ -75,16 +77,24 @@ def build_nbow(bag: Sequence[str]) -> NBow:
     return NBow(tokens=tuple(order), weights=weights)
 
 
-def cost_matrix(a: NBow, b: NBow, store: EmbeddingStore) -> np.ndarray:
-    """Euclidean distance of every token pair, upcast to float64.
+def _vectors(keys: Sequence[Hashable],
+             source: EmbeddingStore | Vocabulary) -> np.ndarray:
+    """The keys' float64 vectors: vocabulary rows, or store tokens."""
+    if isinstance(source, Vocabulary):
+        return source.gather(keys)[0]
+    return source.vectors(keys).astype(np.float64)
+
+
+def cost_matrix(a: NBow, b: NBow, store: EmbeddingStore | Vocabulary) -> np.ndarray:
+    """Euclidean distance of every key pair, upcast to float64.
 
     Sums squared differences rather than expanding |a|^2 + |b|^2 - 2ab,
-    which loses precision between near neighbours; identical tokens have
-    identical vectors, so they cost exactly 0. ``UNKNOWN_TOKEN`` embeds at
-    the origin; any other token the store lacks raises UnresolvedTokenError.
+    which loses precision between near neighbours; identical keys have
+    identical vectors, so they cost exactly 0. Through a Vocabulary, row 0
+    is the origin; through a store, ``UNKNOWN_TOKEN`` embeds at the origin
+    and any other token the store lacks raises UnresolvedTokenError.
     """
-    left = store.vectors(a.tokens).astype(np.float64)
-    right = store.vectors(b.tokens).astype(np.float64)
+    left, right = _vectors(a.tokens, store), _vectors(b.tokens, store)
     diff = left[:, None, :] - right[None, :, :]
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
@@ -407,17 +417,17 @@ def _perturbation_fallback(s: np.ndarray, d: np.ndarray, c: np.ndarray,
     return flow, tree
 
 
-def wmd_pair(truth_bag: Sequence[str], predicted_bag: Sequence[str],
-             store: EmbeddingStore) -> float:
-    """Distance between two token bags; 0 means a perfect match."""
+def wmd_pair(truth_bag: Sequence[Hashable], predicted_bag: Sequence[Hashable],
+             store: EmbeddingStore | Vocabulary) -> float:
+    """Distance between two bags keyed by ``store``; 0 means a perfect match."""
     a = build_nbow(truth_bag)
     b = build_nbow(predicted_bag)
     costs = cost_matrix(a, b, store)
     return solve_transport(a.weights, b.weights, costs).objective
 
 
-def dataset_wmd(pairs: Iterable[tuple[Sequence[str], Sequence[str]]],
-                store: EmbeddingStore) -> DatasetWmd:
+def dataset_wmd(pairs: Iterable[tuple[Sequence[Hashable], Sequence[Hashable]]],
+                store: EmbeddingStore | Vocabulary) -> DatasetWmd:
     """Mean pair distance in input order; pairs with an empty side are skipped."""
     total = 0.0
     used = 0

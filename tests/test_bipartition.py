@@ -5,7 +5,6 @@ import pytest
 import street_scene
 from labeleval.bipartition import (
     ConfusionLedger,
-    dataset_example_metrics,
     dedup_normalized,
     exact_intersection,
     example_scores,
@@ -106,20 +105,21 @@ class TestExampleScores:
 
 
 class TestDatasetMetrics:
+    """A dataset's example-based scores: the mean of its images' scores."""
+
     def test_single_image(self):
-        unit = (["a"], objects_of("a"))
-        assert dataset_example_metrics([unit]).precision == 1.0
+        assert mean_scores([example_scores(["a"], objects_of("a"))]).precision == 1.0
 
     def test_mean_of_two(self):
         units = [(["a", "b", "c", "d", "e"], objects_of("a")),
                  (["a", "b", "c", "d", "e"], objects_of("a", "b", "c"))]
-        scores = dataset_example_metrics(units)
+        scores = mean_scores([example_scores(*unit) for unit in units])
         assert scores.precision == pytest.approx(1.0)
         assert scores.recall == pytest.approx((0.2 + 0.6) / 2)
 
     def test_empty_dataset(self):
         with pytest.raises(EmptyDatasetError):
-            dataset_example_metrics([])
+            mean_scores([])
 
 
 class TestConfusionLedger:
@@ -157,24 +157,6 @@ class TestConfusionLedger:
         ledger.accumulate(["a", "b"], objects_of("a", "x"))
         in_space_truth = 2
         assert sum(ledger.tp) + sum(ledger.fn) == in_space_truth
-
-    def test_merge_matches_sequential(self):
-        space = ["a", "b"]
-        images = [(["a"], objects_of("a")), (["b"], objects_of("a")),
-                  ([], objects_of("b"))]
-        sequential = ConfusionLedger(space)
-        for truth, objects in images:
-            sequential.accumulate(truth, objects)
-        left = ConfusionLedger(space)
-        right = ConfusionLedger(space)
-        left.accumulate(*images[0])
-        right.accumulate(*images[1])
-        right.accumulate(*images[2])
-        left.merge(right)
-        assert left.tp == sequential.tp
-        assert left.fp == sequential.fp
-        assert left.fn == sequential.fn
-        assert left.extra_fp == sequential.extra_fp
 
 
 class TestLabelBasedScores:

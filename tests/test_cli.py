@@ -285,6 +285,24 @@ class TestWmdCommand:
         assert code == 0
         assert float(stdout.strip()) > 1.0
 
+    @pytest.mark.parametrize("truth, predicted", [
+        ("parking meter,zzqx,car,Car!", "Lamp Post,tree,???"),
+        ("zzqx", "street,lamp post"),
+    ])
+    def test_unknown_and_multi_word_labels(self, capsys, fixture_model_file,
+                                           truth, predicted):
+        from labeleval.embeddings import load_text_model
+        from labeleval.labelset import label_bag
+        from labeleval.wmd import wmd_pair
+
+        code, stdout, _ = run_cli(capsys, "wmd", truth, predicted,
+                                  "--embeddings", str(fixture_model_file))
+        assert code == 0
+        store = load_text_model(fixture_model_file)
+        value = wmd_pair(label_bag(truth.split(","), store),
+                         label_bag(predicted.split(","), store), store)
+        assert stdout == f"{value:.6f}\n"
+
 
 class TestInspectCommand:
     def test_reports_shape_and_resolution(self, capsys, fixture_model_file):

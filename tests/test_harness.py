@@ -28,7 +28,6 @@ from labeleval.harness import (
 from labeleval.labelset import write_ground_truth, write_predictions
 from labeleval.labelset import GroundTruthRecord, PredictionRecord, PredictedObject
 from labeleval.sentence import ProviderConfig, text_digest, render_bow_text
-from labeleval.sentence import BowProvenance
 
 
 class FakeClock:
@@ -383,12 +382,11 @@ class TestRunEvaluation:
 
     def test_sentence_column_from_precomputed_file(self, tmp_path, fixture_files,
                                                    fixture_model_file):
-        texts = {render_bow_text(street_scene.TRUTH_LABELS).text}
+        texts = {render_bow_text(street_scene.TRUTH_LABELS)}
         for api_id in street_scene.PREDICTIONS:
             from labeleval.labelset import top_k
             record = street_scene.prediction_record(api_id)
-            texts.add(render_bow_text(top_k(record, 5).objects,
-                                      BowProvenance.prediction(api_id, 5)).text)
+            texts.add(render_bow_text(top_k(record, 5).objects))
         vector_file = tmp_path / "sentence_vectors.jsonl"
         lines = []
         for text in sorted(texts):
@@ -463,10 +461,10 @@ class TestSentencePass:
                             PredictedObject(synonyms=(label,), confidence=c)
                             for label, c in per_image[image_id]))
                     try:
-                        predicted = render_bow_text(top_k(record, k).objects).text
+                        predicted = render_bow_text(top_k(record, k).objects)
                     except EmptyBagError:
                         continue
-                    texts += [render_bow_text(self.TRUTH[image_id]).text, predicted]
+                    texts += [render_bow_text(self.TRUTH[image_id]), predicted]
         return texts
 
     def run(self, tmp_path, model_file, texts, monkeypatch, objects=None):

@@ -29,7 +29,7 @@ from labeleval.embeddings import (
     euclidean,
     resolve_label,
 )
-from labeleval.errors import ZeroVectorError
+from labeleval.errors import EmptyBagError, ZeroVectorError
 from labeleval.harness import RunConfig, run_evaluation
 from labeleval.labelset import (
     GroundTruthRecord,
@@ -43,6 +43,7 @@ from labeleval.labelset import (
     write_predictions,
 )
 from labeleval.semantic import semantic_intersection, similarity_matrix
+from labeleval.sentence import render_bow_text
 from labeleval.wmd import build_nbow, cost_matrix, dataset_wmd, solve_transport, wmd_pair
 
 WORDS = ["car", "street", "lamp_post", "Parking_Meter", "tree", "man", "zero"]
@@ -198,13 +199,21 @@ class TestPrefixRule:
         rng = random.Random(8)
         for _ in range(100):
             record = ranked_record(rng, rng.randint(0, 6))
-            truth = rng.sample(SPELLINGS, rng.randint(1, 5))
+            # duplicates, labels that clean alike or to nothing, and unknowns
+            truth = rng.choices(SPELLINGS, k=rng.randint(1, 6))
             vocab = Vocabulary(fixture_store, clean_labels(list(truth) + [
                 s for o in record.objects for s in o.synonyms]))
             sides = intern_truth(truth, vocab), intern_objects(record.objects, vocab)
             match = exact_intersection(*sides)
             assert match == exact_intersection(truth, record.objects)
-            assert list(sides[1].bag) == label_bag(record.objects, fixture_store)
+            if record.objects:
+                # WMD over vocabulary rows is WMD over the store's tokens
+                tokens = label_bag(truth, fixture_store), label_bag(record.objects,
+                                                                    fixture_store)
+                assert wmd_pair(sides[0].bag, sides[1].rows, vocab) \
+                    == wmd_pair(*tokens, fixture_store)
+            for side, raw in zip(sides, (truth, record.objects)):
+                assert rendered(side) == rendered(raw)
             raw = similarity_matrix(truth, record.objects, fixture_store)
             interned = similarity_matrix(*sides, fixture_store)
             assert np.array_equal(raw.values, interned.values)
@@ -212,6 +221,28 @@ class TestPrefixRule:
             given_match = ConfusionLedger(space).accumulate(*sides, match)
             own_match = ConfusionLedger(space).accumulate(truth, record.objects)
             assert vars(given_match) == vars(own_match)
+
+
+def rendered(bag):
+    """The sentence text of a bag, or the class of the error rendering it."""
+    try:
+        return render_bow_text(bag)
+    except EmptyBagError as exc:
+        return type(exc)
+
+
+def test_one_vector_gather_per_run(fixture_files, fixture_model_file, monkeypatch):
+    """The run's Vocabulary gathers every vector; each metric family reads it."""
+    gathered = []
+    vectors = EmbeddingStore.vectors
+    monkeypatch.setattr(EmbeddingStore, "vectors",
+                        lambda store, tokens: gathered.append(len(tokens))
+                        or vectors(store, tokens))
+    run_evaluation(RunConfig(
+        ground_truth_path=str(fixture_files["truth"]),
+        prediction_paths=tuple(str(p) for p in fixture_files["predictions"]),
+        embeddings_path=str(fixture_model_file)))
+    assert len(gathered) == 1
 
 
 def test_unit_sides_are_interned_together(fixture_store):

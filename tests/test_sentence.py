@@ -13,7 +13,6 @@ from labeleval.errors import (
 )
 from labeleval.labelset import PredictedObject
 from labeleval.sentence import (
-    BowProvenance,
     ProviderConfig,
     fetch_embeddings,
     render_bow_text,
@@ -32,19 +31,15 @@ def write_precomputed(path, model, vectors_by_text):
 
 class TestRendering:
     def test_truth_labels_in_order(self):
-        rendered = render_bow_text(["street", "city"])
-        assert rendered.text == "street city"
-        assert rendered.provenance == BowProvenance.truth()
+        assert render_bow_text(["street", "city"]) == "street city"
 
     def test_objects_then_synonyms(self):
         objects = [PredictedObject(synonyms=("cab", "hack", "taxi")),
                    PredictedObject(synonyms=("crutch",))]
-        rendered = render_bow_text(objects, BowProvenance.prediction("api", 5))
-        assert rendered.text == "cab hack taxi crutch"
-        assert rendered.provenance.api_id == "api"
+        assert render_bow_text(objects) == "cab hack taxi crutch"
 
     def test_cleaning_applied(self):
-        assert render_bow_text(["Parking  Meter!"]).text == "parking meter"
+        assert render_bow_text(["Parking  Meter!"]) == "parking meter"
 
     def test_empty_bag(self):
         with pytest.raises(EmptyBagError):
