@@ -12,6 +12,7 @@ The matching functions take raw labels or the interned sides of
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -143,12 +144,22 @@ class ConfusionLedger:
         self.label_space: tuple[str, ...] = tuple(dict.fromkeys(
             label for label in cleaned if label))
         self._index = {label: j for j, label in enumerate(self.label_space)}
+        self._zero()
+
+    def _zero(self) -> None:
         q = len(self.label_space)
         self.tp = [0] * q
         self.fp = [0] * q
         self.fn = [0] * q
         self.extra_fp = 0
         self.images = 0
+
+    def fresh(self) -> "ConfusionLedger":
+        """An empty ledger over this one's label space, which is not cleaned
+        again: one cleaning serves every ledger of a space."""
+        ledger = copy.copy(self)  # shares the read-only space and index
+        ledger._zero()
+        return ledger
 
     def tn(self, j: int) -> int:
         return self.images - self.tp[j] - self.fp[j] - self.fn[j]

@@ -7,10 +7,13 @@ Images are processed in natural ascending image_id order ("2" before "10"),
 one at a time.
 
 Scoring interns every label of the run once, into a Vocabulary, before any
-image is scored; each image's truth side is then interned once and shared by
-every API, and each (api, image) is scored at every k by one kernel call.
+image is scored; each image's truth side, and its WMD nBOW, is then built
+once and shared by every API, and each (api, image) is scored at every k by
+one kernel call. The kernel builds that image's objects, similarity grid
+and WMD cost block once, at the largest k, and each k reads their prefix.
 Every metric family, WMD and the sentence text included, reads those
-interned sides.
+interned sides; the per-(api, k) reductions (means, the confusion ledger,
+``dataset_wmd``) run after the kernel.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from .bipartition import (
     scores_from_counts,
 )
 from .embeddings import (
-    EmbeddingStore,
     Vocabulary,
     clean_labels,
     cosine,
@@ -73,7 +75,7 @@ from .labelset import (
 )
 from .semantic import DEFAULT_THRESHOLD, semantic_intersection, similarity_matrix
 from .sentence import ProviderConfig, fetch_embeddings, render_bow_text
-from .wmd import dataset_wmd
+from .wmd import NBow, build_nbow, dataset_wmd, prefix_wmd
 
 logger = logging.getLogger(__name__)
 
@@ -358,6 +360,7 @@ class _Scored:
     match: MatchResult
     exact: ExampleScores
     semantic: ExampleScores | None
+    wmd: float | None  # None when WMD is off or a side is empty
 
 
 def _sha256_file(path: str | Path) -> str:
@@ -430,7 +433,7 @@ def run_evaluation(config: RunConfig) -> reporting.MetricReport:
     scored = _score_units(
         [(api_id, k, image_id) for api_id in sorted(by_api)
          for image_id in eval_ids[api_id] for k in config.top_ks],
-        truths, by_api, store, config)
+        truths, by_api, config)
     sentence = (_sentence_mean(scored, eval_ids, truths, config)
                 if config.sentence is not None else {})
 
@@ -440,8 +443,10 @@ def run_evaluation(config: RunConfig) -> reporting.MetricReport:
         skip_missing_truth = sum(1 for i in per_image
                                  if i not in usable_truth and i not in unusable_ids)
         skip_empty_truth = sum(1 for i in per_image if i in unusable_ids)
-        label_space = sorted({label for image_id in eval_ids[api_id]
-                              for label in truths[image_id].labels})
+        # the label space is cleaned once per API; each k's ledger starts empty
+        blank_ledger = (ConfusionLedger(sorted({label for image_id in eval_ids[api_id]
+                                                for label in truths[image_id].labels}))
+                        if config.include_label_based else None)
         for k in config.top_ks:
             results = [scored[api_id, k, image_id] for image_id in eval_ids[api_id]]
             # each score dataclass's fields, in order, are its columns
@@ -451,7 +456,7 @@ def run_evaluation(config: RunConfig) -> reporting.MetricReport:
                 cells.update((f"{name}_semantic", value)
                              for name, value in vars(semantic_mean).items())
             if config.include_label_based:
-                ledger = ConfusionLedger(label_space)
+                ledger = blank_ledger.fresh()
                 for r in results:
                     ledger.accumulate(r.truth, r.objects, r.match)
                 cells.update(vars(label_based_scores(ledger)))
@@ -460,7 +465,8 @@ def run_evaluation(config: RunConfig) -> reporting.MetricReport:
             if config.include_wmd:
                 try:
                     wmd_result = dataset_wmd(
-                        ((r.truth.bag, r.objects.rows) for r in results), vocab)
+                        ((r.truth.bag, r.objects.rows) for r in results), vocab,
+                        distances=[r.wmd for r in results])
                 except EvaluationError as exc:
                     _annotate(exc, api_id, "<dataset>")
                     raise
@@ -493,19 +499,23 @@ def _run_labels(truth_records: Iterable[GroundTruthRecord],
                 yield from obj.synonyms
 
 
-def _score_image(truth: InternedTruth, record: PredictionRecord, ks: Sequence[int],
-                 store: EmbeddingStore, config: RunConfig) -> list[_Scored]:
+def _score_image(truth: InternedTruth, truth_nbow: NBow | None,
+                 record: PredictionRecord, ks: Sequence[int],
+                 config: RunConfig) -> list[_Scored]:
     """The per-image kernel: one (api, image) at each k of ``ks``, in order.
 
-    The objects are interned and the similarity grid built once, at the
-    largest k; each k reads their prefix, since ``top_k`` is a stable sort.
+    The objects are interned, and the similarity grid and the WMD cost
+    block built, once, at the largest k; each k reads their prefix, since
+    ``top_k`` is a stable sort. ``truth_nbow`` is the truth side's WMD bag,
+    built once per image; None turns WMD off.
     """
     objects = intern_objects(top_k(record, max(ks)).objects, truth.vocab)
-    grid = (similarity_matrix(truth, objects, store)
-            if config.include_semantic else None)
+    grid = similarity_matrix(truth, objects) if config.include_semantic else None
+    prefixes = [objects.prefix(k) for k in ks]
+    distances = ([None] * len(ks) if truth_nbow is None else
+                 prefix_wmd(truth_nbow, [side.rows for side in prefixes], truth.vocab))
     scored: list[_Scored] = []
-    for k in ks:
-        objects_k = objects.prefix(k)
+    for k, objects_k, distance in zip(ks, prefixes, distances):
         n_truth, n_objects = len(truth.labels), len(objects_k)
         match = exact_intersection(truth, objects_k)
         semantic = None
@@ -515,28 +525,33 @@ def _score_image(truth: InternedTruth, record: PredictionRecord, ks: Sequence[in
         scored.append(_Scored(truth=truth, objects=objects_k, match=match,
                               exact=scores_from_counts(match.matched, n_truth,
                                                        n_objects),
-                              semantic=semantic))
+                              semantic=semantic, wmd=distance))
     return scored
 
 
 def _score_units(units: Sequence[tuple[str, int, str]],
                  truths: Mapping[str, InternedTruth],
                  by_api: Mapping[str, Mapping[str, PredictionRecord]],
-                 store: EmbeddingStore,
                  config: RunConfig) -> dict[tuple[str, int, str], _Scored]:
     """Score (api_id, k, image_id) units, keyed by unit.
 
     The units of one (api, image) go to the per-image kernel together, so
-    it interns and grids that image's objects once for all their ks.
+    it interns, grids and costs that image's objects once for all their ks.
+    Each image's truth nBOW is built once and shared by every API.
     """
     ks_of: dict[tuple[str, str], list[int]] = {}
     for api_id, k, image_id in units:
         ks_of.setdefault((api_id, image_id), []).append(k)
+    truth_nbows: dict[str, NBow | None] = {}
     scored: dict[tuple[str, int, str], _Scored] = {}
     for (api_id, image_id), ks in ks_of.items():
+        truth = truths[image_id]
+        if image_id not in truth_nbows:
+            truth_nbows[image_id] = (build_nbow(truth.bag)
+                                     if config.include_wmd and truth.bag else None)
         try:
-            results = _score_image(truths[image_id], by_api[api_id][image_id], ks,
-                                   store, config)
+            results = _score_image(truth, truth_nbows[image_id],
+                                   by_api[api_id][image_id], ks, config)
         except EvaluationError as exc:
             _annotate(exc, api_id, image_id)
             raise

@@ -288,12 +288,13 @@ def intern_objects(objects: Sequence[PredictedObject],
 
 def intern_unit(truth: Sequence[str] | InternedTruth,
                 objects: Sequence[PredictedObject] | InternedObjects,
-                store: EmbeddingStore) -> tuple[InternedTruth, InternedObjects]:
+                store: EmbeddingStore | None) -> tuple[InternedTruth, InternedObjects]:
     """Both sides of one unit, interned through one Vocabulary.
 
-    Sides the kernel already interned pass through as they are. Raw sides
-    (truth labels and PredictedObjects) are interned through a Vocabulary
-    built from ``store`` over their labels. One side of each kind is an error.
+    Sides the kernel already interned pass through as they are, and
+    ``store`` may be None for them. Raw sides (truth labels and
+    PredictedObjects) are interned through a Vocabulary built from
+    ``store`` over their labels. One side of each kind is an error.
     """
     interned = (isinstance(truth, InternedTruth), isinstance(objects, InternedObjects))
     if all(interned):
@@ -302,6 +303,8 @@ def intern_unit(truth: Sequence[str] | InternedTruth,
         return truth, objects
     if any(interned):
         raise TypeError("intern both sides of a unit or neither")
+    if store is None:
+        raise TypeError("raw sides need a store to resolve their labels through")
     truth, objects = tuple(truth), tuple(objects)
     vocab = Vocabulary(store, clean_labels([*truth, *_raw_labels(objects)]))
     return intern_truth(truth, vocab), intern_objects(objects, vocab)

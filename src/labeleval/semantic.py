@@ -61,13 +61,13 @@ class SemanticMatch:
 
 def similarity_matrix(truth: Sequence[str] | InternedTruth,
                       objects: Sequence[PredictedObject] | InternedObjects,
-                      store: EmbeddingStore) -> SimilarityMatrix:
+                      store: EmbeddingStore | None = None) -> SimilarityMatrix:
     """Cosine grid of deduplicated truth labels against objects.
 
     A cell is the best cosine over the object's synonyms, upcast to float64
     and clamped to [-1, 1]. Zero-norm vectors, unresolved labels among them,
-    never score above -1. Raw sides resolve through ``store``; interned
-    ones carry their vocabulary.
+    never score above -1. Raw sides resolve through ``store``, which they
+    need; interned ones carry their vocabulary and need none.
     """
     truth, objects = intern_unit(truth, objects, store)
     n_truth, n_objects = len(truth.labels), len(objects)

@@ -11,12 +11,18 @@ of Ahuja-Magnanti-Orlin (*Network Flows*, ch. 11) as Bonneel et al. 2011
 use it: a least-cost (matrix-minimum) start, dual-variable pricing, and a
 basis tree kept across pivots, of which each pivot re-hangs only the
 subtree the leaving cell cuts off.
+
+A run's kernel measures one (api, image) at every k with ``prefix_wmd``:
+the truth nBOW is built once per image, and one cost block, built against
+the object side at the largest k, serves every k through its leading
+columns. ``dataset_wmd`` then averages each (api, k)'s distances.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Hashable, Iterable, Sequence
 
 import numpy as np
@@ -324,14 +330,17 @@ def solve_transport(supply, demand, costs, *, max_pivots: int | None = None)\
     row-major index tie-breaks, leaving cells the lowest index among minimum
     givers. Identical inputs always produce the identical plan.
     """
-    s = np.asarray(supply, dtype=np.float64).copy()
-    d = np.asarray(demand, dtype=np.float64).copy()
+    s = np.asarray(supply, dtype=np.float64)
+    d = np.array(demand, dtype=np.float64)  # a copy: it is rescaled below
     c = np.asarray(costs, dtype=np.float64)
     if s.ndim != 1 or d.ndim != 1 or c.shape != (len(s), len(d)):
         raise ValueError("costs must be shaped (len(supply), len(demand))")
-    if not (np.all(np.isfinite(c)) and np.all(c >= 0)):
+    # One reduction per test; an empty array has no minimum and passes. min
+    # propagates NaN, which then fails ">= 0", while fmin skips NaN, as the
+    # comparison "w < 0" does, so a NaN weight alone is not negative.
+    if c.size and not (c.min() >= 0 and c.max() < np.inf):
         raise ValueError("costs must be finite and non-negative")
-    if np.any(s < 0) or np.any(d < 0):
+    if (s.size and np.fmin.reduce(s) < 0) or (d.size and np.fmin.reduce(d) < 0):
         raise InfeasibleMarginalsError("negative weights are not transportable")
     s_total, d_total = float(s.sum()), float(d.sum())
     if abs(s_total - d_total) > _MARGINAL_TOL:
@@ -360,7 +369,7 @@ def solve_transport(supply, demand, costs, *, max_pivots: int | None = None)\
             flow, tree = _perturbation_fallback(s, d, c, cost_rows, max_pivots)
         plan = np.array(flow, dtype=np.float64)
         u, v = np.array(tree.u, dtype=np.float64), np.array(tree.v, dtype=np.float64)
-    objective = float(np.sum(plan * c))
+    objective = float((plan * c).sum())
     return TransportPlan(flow=plan, objective=max(0.0, objective), u=u, v=v)
 
 
@@ -426,17 +435,53 @@ def wmd_pair(truth_bag: Sequence[Hashable], predicted_bag: Sequence[Hashable],
     return solve_transport(a.weights, b.weights, costs).objective
 
 
+def prefix_wmd(truth: NBow, prefixes: Sequence[Sequence[Hashable]],
+               store: EmbeddingStore | Vocabulary) -> list[float | None]:
+    """Distance from one truth nBOW to each of several prefixes of one bag.
+
+    Each bag of ``prefixes`` must be a prefix of the longest. The cost block
+    is built once, against the longest; each prefix solves on its leading
+    columns, which are that prefix's own costs, because first-appearance
+    order is stable under prefixes. Each value equals ``wmd_pair`` of the
+    truth bag and that prefix. An empty prefix gets None, as ``dataset_wmd``
+    skips it; bags whose keys are not a prefix of the longest's raise
+    ValueError.
+    """
+    nbows = [build_nbow(bag) if bag else None for bag in prefixes]
+    longest = max((b for b in nbows if b is not None),
+                  key=lambda b: len(b.tokens), default=None)
+    if longest is None:
+        return [None] * len(nbows)
+    if any(b is not None and b.tokens != longest.tokens[:len(b.tokens)]
+           for b in nbows):
+        raise ValueError("every bag must be a prefix of the longest")
+    block = cost_matrix(truth, longest, store)
+    return [None if b is None else
+            solve_transport(truth.weights, b.weights,
+                            block[:, :len(b.tokens)]).objective
+            for b in nbows]
+
+
 def dataset_wmd(pairs: Iterable[tuple[Sequence[Hashable], Sequence[Hashable]]],
-                store: EmbeddingStore | Vocabulary) -> DatasetWmd:
-    """Mean pair distance in input order; pairs with an empty side are skipped."""
+                store: EmbeddingStore | Vocabulary, *,
+                distances: Iterable[float | None] | None = None) -> DatasetWmd:
+    """Mean pair distance in input order; pairs with an empty side are skipped.
+
+    ``distances``, when given, holds each pair's distance in pair order, as
+    ``prefix_wmd`` computed it, and no pair is solved here.
+    """
     total = 0.0
     used = 0
     skipped = 0
-    for truth_bag, predicted_bag in pairs:
+    solved = repeat(None) if distances is None else distances
+    for (truth_bag, predicted_bag), distance in zip(
+            pairs, solved, strict=distances is not None):
         if not truth_bag or not predicted_bag:
             skipped += 1
             continue
-        total += wmd_pair(truth_bag, predicted_bag, store)
+        if distances is None:
+            distance = wmd_pair(truth_bag, predicted_bag, store)
+        total += distance
         used += 1
     if used == 0:
         raise EmptyDatasetError("no evaluable bag pairs")

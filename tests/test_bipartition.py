@@ -152,6 +152,27 @@ class TestConfusionLedger:
             assert ledger.tp[j] + ledger.fp[j] + ledger.fn[j] + ledger.tn(j) \
                 == ledger.images
 
+    def test_fresh_ledger_counts_as_a_new_one(self, monkeypatch):
+        rng = random.Random(9)
+        space = ["Car!", "car", "w1", "w 2", "???", "w3"]
+        words = space + ["boat", "W1"]
+        images = [(rng.sample(words, rng.randint(0, 5)),
+                   objects_of(*rng.sample(words, rng.randint(0, 5))))
+                  for _ in range(40)]
+        template = ConfusionLedger(space)
+        template.accumulate(*images[0])  # a used template still gives empty ledgers
+        monkeypatch.setattr("labeleval.bipartition.clean_label", None)
+        fresh = template.fresh()
+        monkeypatch.undo()
+        built = ConfusionLedger(space)
+        assert fresh.label_space == built.label_space == ("car", "w1", "w 2", "w3")
+        for image in images:
+            fresh.accumulate(*image)
+            built.accumulate(*image)
+        assert vars(fresh) == vars(built)
+        assert label_based_scores(fresh) == label_based_scores(built)
+        assert template.images == 1
+
     def test_tp_plus_fn_covers_truth(self):
         ledger = ConfusionLedger(["a", "b", "c"])
         ledger.accumulate(["a", "b"], objects_of("a", "x"))

@@ -279,6 +279,19 @@ class TestRunEvaluation:
         for row_a, row_b in zip(reports[0].rows, reports[1].rows):
             assert row_a == row_b
 
+    def test_ledger_space_is_cleaned_once_per_api(self, monkeypatch, fixture_files,
+                                                  fixture_model_file):
+        from labeleval.bipartition import ConfusionLedger
+
+        spaces = []
+        build = ConfusionLedger.__init__
+        monkeypatch.setattr(ConfusionLedger, "__init__", lambda ledger, space:
+                            spaces.append(space) or build(ledger, space))
+        config = self.make_config(fixture_files, fixture_model_file)
+        report = run_evaluation(config)
+        assert len(spaces) == len(street_scene.PREDICTIONS)
+        assert len(report.rows) == len(spaces) * len(config.top_ks)
+
     def test_model_is_read_once_keeping_the_run_rows(self, monkeypatch,
                                                       fixture_files,
                                                       fixture_model_file):

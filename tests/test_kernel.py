@@ -14,10 +14,10 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import street_scene
-from labeleval import wmd
+from labeleval import harness, wmd
 from labeleval.bipartition import ConfusionLedger, dedup_normalized, exact_intersection
 from labeleval.embeddings import (
     UNKNOWN_TOKEN,
@@ -215,12 +215,82 @@ class TestPrefixRule:
             for side, raw in zip(sides, (truth, record.objects)):
                 assert rendered(side) == rendered(raw)
             raw = similarity_matrix(truth, record.objects, fixture_store)
-            interned = similarity_matrix(*sides, fixture_store)
+            interned = similarity_matrix(*sides)  # the sides carry their vocabulary
             assert np.array_equal(raw.values, interned.values)
             space = dedup_normalized(SPELLINGS)
             given_match = ConfusionLedger(space).accumulate(*sides, match)
             own_match = ConfusionLedger(space).accumulate(truth, record.objects)
             assert vars(given_match) == vars(own_match)
+
+
+@st.composite
+def kernel_images(draw):
+    """One (api, image) for the kernel: a store, truth labels, a ranked
+    record and its ks. Labels repeat, miss the store or clean to nothing;
+    the record may have no objects, so every prefix is empty."""
+    store, truth, objects = draw(scored_units())
+    assume(any(map(clean_label, truth)))  # the run skips truth that cleans away
+    confidences = st.sampled_from([None, 0.2, 0.5, 0.5, 0.9])
+    record = PredictionRecord(image_id="1", api_id="a", objects=tuple(
+        PredictedObject(synonyms=obj.synonyms, confidence=draw(confidences))
+        for obj in objects))
+    ks = draw(st.lists(st.integers(1, 7), min_size=1, max_size=4, unique=True))
+    return store, truth, record, ks
+
+
+class TestWmdKernel:
+    @settings(deadline=None, max_examples=150)
+    @given(kernel_images())
+    def test_each_k_equals_wmd_pair(self, image):
+        store, truth, record, ks = image
+        vocab = Vocabulary(store, clean_labels(list(truth) + [
+            s for o in record.objects for s in o.synonyms]))
+        interned = intern_truth(truth, vocab)
+        config = RunConfig(ground_truth_path="", prediction_paths=(),
+                           embeddings_path="", top_ks=tuple(ks))
+        scored = harness._score_image(interned, build_nbow(interned.bag), record,
+                                      ks, config)
+        for k, unit in zip(ks, scored):
+            rows = intern_objects(top_k(record, k).objects, vocab).rows
+            assert unit.objects.rows == rows
+            if rows:
+                assert unit.wmd == wmd_pair(interned.bag, rows, vocab)
+            else:
+                assert unit.wmd is None
+
+    def test_wmd_off_solves_nothing(self, fixture_store, monkeypatch):
+        monkeypatch.setattr(wmd, "solve_transport", _simplex_must_not_run)
+        truth = intern_truth(street_scene.TRUTH_LABELS, Vocabulary(
+            fixture_store, clean_labels(street_scene.TRUTH_LABELS + ["city"])))
+        record = PredictionRecord(image_id="1", api_id="a", objects=(
+            PredictedObject(synonyms=("city",)),))
+        config = RunConfig(ground_truth_path="", prediction_paths=(),
+                           embeddings_path="", include_wmd=False)
+        assert [unit.wmd for unit in harness._score_image(
+            truth, None, record, (1, 3), config)] == [None, None]
+
+    def test_one_cost_block_per_api_image(self, fixture_files, fixture_model_file,
+                                          monkeypatch):
+        """cost_matrix runs once per (api, image) with two non-empty sides, and
+        dataset_wmd once per (api, k), counting every image of its API."""
+        blocks, cells = [], []
+        cost_matrix_of, dataset_wmd_of = wmd.cost_matrix, harness.dataset_wmd
+        monkeypatch.setattr(wmd, "cost_matrix", lambda *args: blocks.append(args)
+                            or cost_matrix_of(*args))
+        monkeypatch.setattr(harness, "dataset_wmd",
+                            lambda *args, **kwargs: cells.append(
+                                dataset_wmd_of(*args, **kwargs)) or cells[-1])
+        ks = (1, 3, 5)
+        run_evaluation(RunConfig(
+            ground_truth_path=str(fixture_files["truth"]),
+            prediction_paths=tuple(str(p) for p in fixture_files["predictions"]),
+            embeddings_path=str(fixture_model_file), top_ks=ks))
+        apis = sorted(street_scene.PREDICTIONS)
+        # one image per API, and every API predicts at least one object
+        assert all(street_scene.PREDICTIONS[api] for api in apis)
+        assert len(blocks) == len(apis)
+        assert len(cells) == len(apis) * len(ks)
+        assert all(cell.used + cell.skipped == 1 for cell in cells)
 
 
 def rendered(bag):
@@ -251,6 +321,8 @@ def test_unit_sides_are_interned_together(fixture_store):
     other = Vocabulary(fixture_store, clean_labels(["car", "tree", "Car!"]))
     with pytest.raises(TypeError):
         exact_intersection(intern_truth(truth, vocab), objects)
+    with pytest.raises(TypeError):
+        similarity_matrix(truth, objects)  # raw sides resolve through a store
     with pytest.raises(ValueError):
         similarity_matrix(intern_truth(truth, vocab), intern_objects(objects, other),
                           fixture_store)

@@ -17,6 +17,7 @@ from labeleval.wmd import (
     build_nbow,
     cost_matrix,
     dataset_wmd,
+    prefix_wmd,
     solve_transport,
     wmd_pair,
 )
@@ -256,6 +257,121 @@ class TestDegenerateInstances:
                          costs, 1e-12)
 
 
+#: Every entry check's outcome class: a plain weight, zeros of both signs,
+#: a negative, NaN and both infinities.
+ENTRY_VALUES = (0.0, -0.0, 0.25, 1.0, -0.5, math.nan, math.inf, -math.inf)
+
+
+#: The messages of the errors the entry checks raise.
+ENTRY_MESSAGES = ("costs must be shaped (len(supply), len(demand))",
+                  "costs must be finite and non-negative",
+                  "negative weights are not transportable")
+
+
+def elementwise_entry_error(supply, demand, costs):
+    """The entry checks as elementwise predicates: the error they raise, or None.
+
+    This is how ``solve_transport`` checked its input before each check
+    became one reduction; the reductions must reject exactly these inputs.
+    """
+    s = np.asarray(supply, dtype=np.float64)
+    d = np.asarray(demand, dtype=np.float64)
+    c = np.asarray(costs, dtype=np.float64)
+    if s.ndim != 1 or d.ndim != 1 or c.shape != (len(s), len(d)):
+        return ValueError(ENTRY_MESSAGES[0])
+    if not (np.all(np.isfinite(c)) and np.all(c >= 0)):
+        return ValueError(ENTRY_MESSAGES[1])
+    if np.any(s < 0) or np.any(d < 0):
+        return InfeasibleMarginalsError(ENTRY_MESSAGES[2])
+    return None
+
+
+@st.composite
+def entry_inputs(draw):
+    """Small inputs of any shape, empty ones included, over ENTRY_VALUES."""
+    values = st.sampled_from(ENTRY_VALUES)
+    m, n = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    supply = draw(st.lists(values, min_size=m, max_size=m))
+    demand = draw(st.lists(values, min_size=n, max_size=n))
+    rows = draw(st.sampled_from([m, m, m + 1]))
+    cols = draw(st.sampled_from([n, n, n + 1]))
+    costs = np.array(draw(st.lists(values, min_size=rows * cols,
+                                   max_size=rows * cols))).reshape(rows, cols)
+    if draw(st.integers(0, 9)) == 0:
+        costs = costs.ravel()
+    if draw(st.integers(0, 9)) == 0:
+        supply = [supply]
+    return supply, demand, costs
+
+
+def entry_error(supply, demand, costs):
+    """The error ``solve_transport`` raises at its entry checks, or None.
+
+    An input the checks pass may still fail later: an imbalance, NaN
+    weights inside the simplex, or an empty supply facing two or more
+    demand columns. Only the entry's own errors are returned.
+    """
+    try:
+        solve_transport(supply, demand, costs)
+    except Exception as exc:  # noqa: BLE001 - sorted by message below
+        if type(exc) in (ValueError, InfeasibleMarginalsError) \
+                and str(exc) in ENTRY_MESSAGES:
+            return exc
+    return None
+
+
+class TestSolverEntry:
+    @settings(max_examples=400, deadline=None)
+    @given(entry_inputs())
+    def test_rejects_what_the_elementwise_checks_rejected(self, inputs):
+        expected = elementwise_entry_error(*inputs)
+        got = entry_error(*inputs)
+        assert type(got) is type(expected)
+        assert str(got) == str(expected)
+
+    @pytest.mark.parametrize("supply,demand,costs,error", [
+        ([1.0], [1.0], [[math.nan]], ValueError),
+        ([1.0], [1.0], [[math.inf]], ValueError),
+        ([1.0], [1.0], [[-math.inf]], ValueError),
+        ([0.5, 0.5], [1.0], [[1.0], [-1e-300]], ValueError),
+        ([1.0, 0.0], [1.0], [[math.nan], [-1.0]], ValueError),
+        ([1.0], [1.0], [[-0.0]], None),
+        ([1.5, -0.5], [1.0], [[1.0], [1.0]], InfeasibleMarginalsError),
+        ([math.nan, -0.5], [1.0], [[1.0], [1.0]], InfeasibleMarginalsError),
+        ([-0.0, 1.0], [1.0], [[1.0], [1.0]], None),
+        ([], [], np.zeros((0, 0)), None),
+        ([], [0.0], np.zeros((0, 1)), None),
+        ([0.0], [], np.zeros((1, 0)), None),
+        ([1.0], [1.0], [1.0], ValueError),
+        ([[1.0]], [1.0], [[1.0]], ValueError),
+        (1.0, [1.0], [[1.0]], ValueError),
+        ([1.0], [1.0], np.zeros((0, 0)), ValueError),
+    ])
+    def test_hand_made_inputs(self, supply, demand, costs, error):
+        expected = elementwise_entry_error(supply, demand, costs)
+        got = entry_error(supply, demand, costs)
+        assert type(expected) is type(got) is (type(None) if error is None else error)
+        assert str(got) == str(expected)
+
+    def test_empty_instance_costs_nothing(self):
+        plan = solve_transport([], [], np.zeros((0, 0)))
+        assert plan.objective == 0.0 and plan.flow.shape == (0, 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(
+        degenerate_instances(),
+        st.integers(0, 2**32).map(lambda seed: random_instance(random.Random(seed), 6))))
+    def test_objective_is_the_summed_flow_cost(self, instance):
+        supply, demand, costs = instance
+        plan = solve_transport(supply, demand, costs)
+        assert plan.objective == max(0.0, float(np.sum(plan.flow * costs)))
+        # leading columns of a wider block, as the per-image kernel passes them
+        wide = np.hstack([costs, np.ones((len(supply), 2))])
+        view = solve_transport(supply, demand, wide[:, :len(demand)])
+        assert view.objective == plan.objective
+        assert np.array_equal(view.flow, plan.flow)
+
+
 class TestWmdPair:
     def test_identical_bags(self):
         rng = random.Random(41)
@@ -296,6 +412,21 @@ class TestWmdPair:
                 assert forward <= float((plan * costs).sum()) + 1e-9
 
 
+class TestPrefixWmd:
+    def test_each_prefix_against_wmd_pair(self, tiny_store):
+        bag = ["north", "east", "north", "diagonal", UNKNOWN_TOKEN]
+        truth = ["east", "diagonal", "diagonal"]
+        prefixes = [bag[:3], [], bag, bag[:1]]
+        assert prefix_wmd(build_nbow(truth), prefixes, tiny_store) == [
+            wmd_pair(truth, prefix, tiny_store) if prefix else None
+            for prefix in prefixes]
+        assert prefix_wmd(build_nbow(truth), [[], ()], tiny_store) == [None, None]
+
+    def test_bags_must_share_one_prefix_order(self, tiny_store):
+        with pytest.raises(ValueError):
+            prefix_wmd(build_nbow(["east"]), [["north"], ["east", "north"]], tiny_store)
+
+
 class TestDatasetWmd:
     def test_single_pair(self, tiny_store):
         result = dataset_wmd([(["east"], ["north"])], tiny_store)
@@ -310,6 +441,15 @@ class TestDatasetWmd:
         assert result.used == 2
         expected_mean = (0.0 + math.sqrt(20.0)) / 2
         assert result.value == pytest.approx(expected_mean, abs=1e-6)
+
+    def test_given_distances_are_averaged_not_solved(self, tiny_store, monkeypatch):
+        pairs = [(["east"], ["east"]), (["east"], []), ((), ["north"]),
+                 (["east"], ["diagonal"])]
+        monkeypatch.setattr(wmd, "solve_transport", None)
+        result = dataset_wmd(pairs, tiny_store, distances=[0.5, None, None, 1.5])
+        assert (result.value, result.used, result.skipped) == (1.0, 2, 2)
+        with pytest.raises(ValueError):
+            dataset_wmd(pairs, tiny_store, distances=[0.5, None, None])
 
     def test_all_skipped(self, tiny_store):
         with pytest.raises(EmptyDatasetError):
