@@ -23,7 +23,7 @@ from .harness import (
     fetch_predictions,
     run_evaluation,
 )
-from .labelset import metadata_stats, read_predictions, write_predictions
+from .labelset import metadata_stats, read_predictions, record_lines, write_predictions
 from .semantic import DEFAULT_THRESHOLD
 from .sentence import ENDPOINT_ENV_VAR, ProviderConfig
 from .wmd import wmd_pair
@@ -129,17 +129,33 @@ def _run_config(config_path, ground_truth, predictions, embeddings, top_k_text,
 @click.option("--out", "out_path", required=True)
 def fetch(spec_path, images_path, cache_dir, out_path):
     """Fetch predictions through the rate-limited, cached client."""
-    spec = ApiClientSpec.from_json(
-        json.loads(Path(spec_path).read_text(encoding="utf-8")))
-    refs = []
-    for line in Path(images_path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        payload = json.loads(line)
-        refs.append(ImageRef(image_id=payload["image_id"], path=payload["path"]))
-    records = fetch_predictions(spec, refs, cache_dir)
+    try:
+        spec = ApiClientSpec.from_json(
+            json.loads(Path(spec_path).read_text(encoding="utf-8")))
+    except KeyError as exc:
+        raise click.ClickException(f"spec lacks required key {exc}") from None
+    except (ValueError, TypeError) as exc:
+        raise click.ClickException(f"invalid client spec: {exc}") from None
+    records = fetch_predictions(spec, _image_refs(images_path), cache_dir)
     write_predictions(records, out_path)
     click.echo(f"wrote {len(records)} records to {out_path}")
+
+
+def _image_refs(images_path: str) -> list[ImageRef]:
+    """The {image_id, path} lines of an images file; a bad line is a DataError."""
+    refs = []
+    for line_no, line in record_lines(images_path):
+        try:
+            payload = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            raise DataError(f"{images_path} line {line_no}: invalid JSON: "
+                            f"{getattr(exc, 'msg', exc)}") from None
+        if not (isinstance(payload, dict) and isinstance(payload.get("image_id"), str)
+                and isinstance(payload.get("path"), str)):
+            raise DataError(f"{images_path} line {line_no}: "
+                            "expected an object with string image_id and path")
+        refs.append(ImageRef(image_id=payload["image_id"], path=payload["path"]))
+    return refs
 
 
 @cli.command("wmd")

@@ -112,10 +112,18 @@ class ApiClientSpec:
     confidence_path: str | None = "confidence"
 
     def __post_init__(self):
+        if not (all(isinstance(value, str) for value in (
+                self.api_id, self.endpoint, self.auth_env_var, self.objects_path,
+                self.labels_path)) and isinstance(self.confidence_path, (str, type(None)))):
+            raise ValueError("api_id, endpoint, auth_env_var and the *_path fields "
+                             "must be strings")
         if self.requests_per_period < 1:
             raise ValueError("requests_per_period must be >= 1")
         if self.period_seconds <= 0:
             raise ValueError("period_seconds must be positive")
+        if self.max_total is not None and not (
+                isinstance(self.max_total, int) and self.max_total >= 0):
+            raise ValueError("max_total must be a non-negative integer")
 
     @classmethod
     def from_json(cls, payload: Mapping) -> "ApiClientSpec":
@@ -464,9 +472,7 @@ def run_evaluation(config: RunConfig) -> reporting.MetricReport:
                      "empty_truth": skip_empty_truth}
             if config.include_wmd:
                 try:
-                    wmd_result = dataset_wmd(
-                        ((r.truth.bag, r.objects.rows) for r in results), vocab,
-                        distances=[r.wmd for r in results])
+                    wmd_result = dataset_wmd([r.wmd for r in results])
                 except EvaluationError as exc:
                     _annotate(exc, api_id, "<dataset>")
                     raise

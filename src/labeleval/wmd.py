@@ -10,19 +10,20 @@ solved exactly, not by an entropic approximation, with the network simplex
 of Ahuja-Magnanti-Orlin (*Network Flows*, ch. 11) as Bonneel et al. 2011
 use it: a least-cost (matrix-minimum) start, dual-variable pricing, and a
 basis tree kept across pivots, of which each pivot re-hangs only the
-subtree the leaving cell cuts off.
+subtree the leaving cell cuts off. Pivots take the most negative price up
+to a cap; past it, Bland's rule (Bland 1977) continues from the same basis,
+so the solve terminates on any degenerate instance.
 
 A run's kernel measures one (api, image) at every k with ``prefix_wmd``:
 the truth nBOW is built once per image, and one cost block, built against
 the object side at the largest k, serves every k through its leading
-columns. ``dataset_wmd`` then averages each (api, k)'s distances.
+columns. ``dataset_wmd`` only averages each (api, k)'s distances.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Hashable, Iterable, Sequence
 
 import numpy as np
@@ -242,19 +243,36 @@ def _entering(basic: set[tuple[int, int]], costs: list[list[float]],
     return entering
 
 
-def _pivot_loop(flow: list[list[float]], tree: _BasisTree, max_pivots: int) -> bool:
+def _first_entering(basic: set[tuple[int, int]], costs: list[list[float]],
+                    u: list[float], v: list[float]) -> tuple[int, int] | None:
+    """Bland's entering rule: the first non-basic cell, row-major, whose
+    price (c - u) - v falls below -_PRICE_TOL; None when the basis is optimal.
+    """
+    for i, row in enumerate(costs):
+        ui = u[i]
+        for j, cost in enumerate(row):
+            if (cost - ui) - v[j] < -_PRICE_TOL and (i, j) not in basic:
+                return i, j
+    return None
+
+
+def _pivot_loop(flow: list[list[float]], tree: _BasisTree, max_pivots: int,
+                entering_rule=_entering) -> bool:
     """Pivot to optimality, updating ``flow`` and ``tree`` in place.
 
-    The entering cell closes one cycle: the tree paths from its row and its
-    column up to their common ancestor. Walking that cycle from the column,
-    cells alternate between losing and gaining flow; a path cell loses when
-    its lower node is a row on the row's path, or a column on the column's
-    path. Returns False when the cap hits first.
+    ``entering_rule`` picks each entering cell. The entering cell closes one
+    cycle: the tree paths from its row and its column up to their common
+    ancestor. Walking that cycle from the column, cells alternate between
+    losing and gaining flow; a path cell loses when its lower node is a row
+    on the row's path, or a column on the column's path. The leaving cell is
+    the lowest (i, j) among the givers that drop to zero, which with
+    ``_first_entering`` is Bland's rule, so those pivots cannot cycle.
+    Returns False when the cap hits first.
     """
     m = tree.m
     parent, depth = tree.parent, tree.depth
     for _ in range(max_pivots):
-        entering = _entering(tree.basic, tree.costs, tree.u, tree.v)
+        entering = entering_rule(tree.basic, tree.costs, tree.u, tree.v)
         if entering is None:
             return True
         i, j = entering
@@ -287,22 +305,6 @@ def _pivot_loop(flow: list[list[float]], tree: _BasisTree, max_pivots: int) -> b
     return False
 
 
-def _tree_flows(tree: _BasisTree, supply: Sequence[float],
-                demand: Sequence[float]) -> list[list[float]]:
-    """Flows a basis tree implies for given marginals, deepest nodes first.
-
-    A node's parent cell carries whatever the node's subtree has left over.
-    """
-    m, n = len(supply), len(demand)
-    flow = [[0.0] * n for _ in range(m)]
-    residual = list(supply) + list(demand)
-    for node in sorted(range(1, m + n), key=tree.depth.__getitem__, reverse=True):
-        i, j = tree.cell(node)
-        flow[i][j] = residual[node]
-        residual[tree.parent[node]] -= residual[node]
-    return flow
-
-
 def solve_transport(supply, demand, costs, *, max_pivots: int | None = None)\
         -> TransportPlan:
     """Exactly solve the balanced transportation problem.
@@ -312,7 +314,10 @@ def solve_transport(supply, demand, costs, *, max_pivots: int | None = None)\
             within 1e-9.
         demand: sink weights.
         costs: non-negative finite cost matrix, shape (len(supply), len(demand)).
-        max_pivots: pivot cap before the anti-cycling fallback engages.
+        max_pivots: Dantzig pivots (most negative price) before Bland's
+            rule takes over from the same basis; default 1000 + 10·m·n.
+            Bland's rule then has max(4 * max_pivots, 1000 + 10·m·n) pivots,
+            past which NumericalFailureError is raised.
 
     Returns:
         TransportPlan whose flow satisfies both marginals within 1e-9, whose
@@ -320,15 +325,19 @@ def solve_transport(supply, demand, costs, *, max_pivots: int | None = None)\
         (u, v) certify it: c_ij - u_i - v_j >= 0 on every cell, and
         sum(supply * u) + sum(demand * v) equals the objective.
 
-    Two shapes need no pivot. When one side has a single node, its only
-    feasible flow is optimal: the WMD of a one-token bag is sum_j w_j c_0j.
-    When each supply weight meets an equal demand weight at zero cost, as
-    for identical bags, that matching is optimal at exactly 0.
+    Weights must be non-negative and their totals finite and balanced, else
+    InfeasibleMarginalsError. Two shapes need no pivot: an empty side gives
+    the zero plan with zero duals, and when one side has a single node, its
+    only feasible flow is optimal: the WMD of a one-token bag is
+    sum_j w_j c_0j. Identical or reordered bags cost exactly 0 without a
+    closed form: the start fills their zero-cost cells first and every later
+    pivot moves no flow.
 
     Determinism: the start allocates cells in (cost, i, j) order, so equal
     costs go row-major; entering cells take the most negative price with
-    row-major index tie-breaks, leaving cells the lowest index among minimum
-    givers. Identical inputs always produce the identical plan.
+    row-major index tie-breaks (past the cap, the first negative price in
+    row-major order), leaving cells the lowest index among minimum givers.
+    Identical inputs always produce the identical plan.
     """
     s = np.asarray(supply, dtype=np.float64)
     d = np.array(demand, dtype=np.float64)  # a copy: it is rescaled below
@@ -343,18 +352,14 @@ def solve_transport(supply, demand, costs, *, max_pivots: int | None = None)\
     if (s.size and np.fmin.reduce(s) < 0) or (d.size and np.fmin.reduce(d) < 0):
         raise InfeasibleMarginalsError("negative weights are not transportable")
     s_total, d_total = float(s.sum()), float(d.sum())
-    if abs(s_total - d_total) > _MARGINAL_TOL:
+    if not abs(s_total - d_total) <= _MARGINAL_TOL:  # NaN fails too
         raise InfeasibleMarginalsError(
             f"supply sums to {s_total!r}, demand to {d_total!r}")
-    cost_rows = c.tolist()
-    matching = _free_matching(s.tolist(), d.tolist(), cost_rows)
     if d_total > 0:
         d *= s_total / d_total  # absorb sub-tolerance imbalance exactly
     m, n = len(s), len(d)
-    if matching is not None:
-        plan = np.zeros((m, n))
-        plan[np.arange(m), matching] = s
-        u, v = np.zeros(m), np.zeros(n)
+    if m == 0 or n == 0:
+        plan, u, v = np.zeros((m, n)), np.zeros(m), np.zeros(n)
     elif m == 1:
         # a single source: all of each sink's demand comes from it
         plan, u, v = d[None, :].copy(), np.zeros(1), c[0].copy()
@@ -364,66 +369,16 @@ def solve_transport(supply, demand, costs, *, max_pivots: int | None = None)\
         if max_pivots is None:
             max_pivots = 1000 + 10 * m * n
         flow, basis = _least_cost_start(s.tolist(), d.tolist(), c)
-        tree = _BasisTree(basis, cost_rows)
-        if not _pivot_loop(flow, tree, max_pivots):
-            flow, tree = _perturbation_fallback(s, d, c, cost_rows, max_pivots)
+        tree = _BasisTree(basis, c.tolist())
+        # past the cap, Bland's rule finishes from the same basis
+        if not (_pivot_loop(flow, tree, max_pivots)
+                or _pivot_loop(flow, tree, max(4 * max_pivots, 1000 + 10 * m * n),
+                               _first_entering)):
+            raise NumericalFailureError("transport solver failed to converge")
         plan = np.array(flow, dtype=np.float64)
         u, v = np.array(tree.u, dtype=np.float64), np.array(tree.v, dtype=np.float64)
     objective = float((plan * c).sum())
     return TransportPlan(flow=plan, objective=max(0.0, objective), u=u, v=v)
-
-
-def _free_matching(supply: list[float], demand: list[float],
-                   costs: list[list[float]]) -> list[int] | None:
-    """Columns of a zero-cost matching that moves each weight whole, if found.
-
-    Each row takes the first free column of zero cost and equal weight; the
-    matching then moves all mass for nothing, which no plan can beat as costs
-    are non-negative. Identical bags always match this way. None when the
-    greedy pass misses; the simplex then decides.
-    """
-    if len(supply) != len(demand):
-        return None
-    free = list(range(len(demand)))
-    matching: list[int] = []
-    for weight, row in zip(supply, costs):
-        j = next((j for j in free if row[j] == 0.0 and demand[j] == weight), None)
-        if j is None:
-            return None
-        free.remove(j)
-        matching.append(j)
-    return matching
-
-
-def _perturbation_fallback(s: np.ndarray, d: np.ndarray, c: np.ndarray,
-                           costs: list[list[float]], max_pivots: int):
-    """Break suspected cycling by solving a slightly perturbed twin.
-
-    The perturbed instance is non-degenerate, so its pivots terminate; its
-    final basis is then re-priced against the original marginals. Returns
-    the flow and the basis tree, whose duals do not depend on the marginals.
-    """
-    m, n = len(s), len(d)
-    eps = 1e-9 / (m + 1)
-    bumped_s = s + eps * np.arange(1, m + 1)
-    bumped_d = d.copy()
-    bumped_d[-1] += eps * (m * (m + 1) / 2)
-    flow, basis = _least_cost_start(bumped_s.tolist(), bumped_d.tolist(), c)
-    tree = _BasisTree(basis, costs)
-    # the perturbed twin is non-degenerate; give it a size-based budget even
-    # when the caller capped the first attempt aggressively
-    budget = max(4 * max_pivots, 1000 + 10 * m * n)
-    if not _pivot_loop(flow, tree, budget):
-        raise NumericalFailureError("transport solver failed to converge")
-    flow = _tree_flows(tree, s.tolist(), d.tolist())
-    if min(min(row) for row in flow) < -_MARGINAL_TOL:
-        raise NumericalFailureError("perturbed basis infeasible for original marginals")
-    flow = [[value if value > 0.0 else 0.0 for value in row] for row in flow]
-    u, v = tree.u, tree.v
-    if any((cost - u[i]) - v[j] < -1e-8
-           for i, row in enumerate(costs) for j, cost in enumerate(row)):
-        raise NumericalFailureError("perturbed basis is not optimal for original costs")
-    return flow, tree
 
 
 def wmd_pair(truth_bag: Sequence[Hashable], predicted_bag: Sequence[Hashable],
@@ -462,25 +417,17 @@ def prefix_wmd(truth: NBow, prefixes: Sequence[Sequence[Hashable]],
             for b in nbows]
 
 
-def dataset_wmd(pairs: Iterable[tuple[Sequence[Hashable], Sequence[Hashable]]],
-                store: EmbeddingStore | Vocabulary, *,
-                distances: Iterable[float | None] | None = None) -> DatasetWmd:
-    """Mean pair distance in input order; pairs with an empty side are skipped.
-
-    ``distances``, when given, holds each pair's distance in pair order, as
-    ``prefix_wmd`` computed it, and no pair is solved here.
+def dataset_wmd(distances: Iterable[float | None]) -> DatasetWmd:
+    """Mean of the pair distances in input order, as ``prefix_wmd`` gives
+    them; None marks a pair skipped for an empty side.
     """
     total = 0.0
     used = 0
     skipped = 0
-    solved = repeat(None) if distances is None else distances
-    for (truth_bag, predicted_bag), distance in zip(
-            pairs, solved, strict=distances is not None):
-        if not truth_bag or not predicted_bag:
+    for distance in distances:
+        if distance is None:
             skipped += 1
             continue
-        if distances is None:
-            distance = wmd_pair(truth_bag, predicted_bag, store)
         total += distance
         used += 1
     if used == 0:

@@ -485,3 +485,43 @@ class TestFetchCommand:
                                "--out", str(tmp_path / "preds.jsonl"))
         assert code == 3
         assert "upstream error" in err
+
+    def fetch(self, capsys, tmp_path, spec_path, images_path):
+        return run_cli(capsys, "fetch", "--spec", str(spec_path),
+                       "--images", str(images_path),
+                       "--cache-dir", str(tmp_path / "cache"),
+                       "--out", str(tmp_path / "preds.jsonl"))
+
+    @pytest.mark.parametrize("spec,message", [
+        ("{not json", "Error: invalid client spec: Expecting property name enclosed "
+                      "in double quotes: line 1 column 2 (char 1)"),
+        (json.dumps({"api_id": "vendor"}), "Error: spec lacks required key 'endpoint'"),
+        (json.dumps({"api_id": "vendor", "endpoint": "http://127.0.0.1:9/x",
+                     "requests_per_period": 0}),
+         "Error: invalid client spec: requests_per_period must be >= 1"),
+        (json.dumps({"api_id": "vendor", "endpoint": "http://127.0.0.1:9/x",
+                     "max_total": "3"}),
+         "Error: invalid client spec: max_total must be a non-negative integer"),
+        (json.dumps({"api_id": 5, "endpoint": "http://127.0.0.1:9/x"}),
+         "Error: invalid client spec: api_id, endpoint, auth_env_var and the "
+         "*_path fields must be strings"),
+    ])
+    def test_bad_spec_is_a_usage_error(self, capsys, tmp_path, spec, message):
+        spec_path, images_path = self.write_inputs(tmp_path, "http://127.0.0.1:9/x")
+        spec_path.write_text(spec, encoding="utf-8")
+        code, _, err = self.fetch(capsys, tmp_path, spec_path, images_path)
+        assert code == 1
+        assert err.splitlines() == [message]
+
+    @pytest.mark.parametrize("line,message", [
+        (json.dumps({"image_id": "2.jpg"}),
+         "expected an object with string image_id and path"),
+        ("[1, 2", "invalid JSON: Expecting ',' delimiter"),
+    ])
+    def test_bad_images_line_is_a_data_error(self, capsys, tmp_path, line, message):
+        spec_path, images_path = self.write_inputs(tmp_path, "http://127.0.0.1:9/x")
+        with images_path.open("a", encoding="utf-8") as handle:
+            handle.write("\n" + line + "\n")
+        code, _, err = self.fetch(capsys, tmp_path, spec_path, images_path)
+        assert code == 2
+        assert err.splitlines() == [f"data error: {images_path} line 3: {message}"]

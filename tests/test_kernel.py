@@ -359,17 +359,37 @@ class TestClosedForms:
         expected = float(build_nbow(bag).weights @ costs)
         assert wmd_pair(["east", "east"], bag, tiny_store) == pytest.approx(expected)
         assert wmd_pair(bag, ["east"], tiny_store) == pytest.approx(expected)
-        result = dataset_wmd([(["east"], bag), (bag, ["east"])], tiny_store)
+        result = dataset_wmd([wmd_pair(["east"], bag, tiny_store),
+                              wmd_pair(bag, ["east"], tiny_store)])
         assert result.value == pytest.approx(expected) and result.used == 2
 
-    def test_identical_bags_cost_exactly_zero(self, tiny_store, monkeypatch):
-        monkeypatch.setattr(wmd, "_pivot_loop", _simplex_must_not_run)
+    def test_identical_bags_cost_exactly_zero(self, tiny_store):
         assert wmd_pair(["east", "north"], ["north", "east"], tiny_store) == 0.0
         assert wmd_pair(["east", "north"], ["east", "north", "east", "north"],
                         tiny_store) == 0.0
         assert wmd_pair([UNKNOWN_TOKEN], [UNKNOWN_TOKEN], tiny_store) == 0.0
         thirds = ["east", "north", "north", "east", "diagonal", "diagonal"]
         assert wmd_pair(thirds, thirds[::-1], tiny_store) == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(bag=st.lists(st.integers(0, 9), min_size=1, max_size=30),
+           order=st.randoms(use_true_random=False))
+    def test_reordered_bags_cost_exactly_zero(self, bag, order):
+        """No closed form: the simplex itself lands on exactly 0, for store
+        tokens and for vocabulary rows (row 0, the origin, included)."""
+        rng = random.Random(7)
+        words = [f"w{i}" for i in range(9)]
+        store = EmbeddingStore(
+            [(word, np.array([rng.gauss(0, 1) for _ in range(5)], dtype=np.float32))
+             for word in words], dim=5)
+        vocab = Vocabulary(store, clean_labels(words + ["zzqx"]))
+        tokens = [UNKNOWN_TOKEN if key == 9 else words[key] for key in bag]
+        rows = [vocab.row(label) for label in
+                ["zzqx" if key == 9 else words[key] for key in bag]]
+        shuffled = list(range(len(bag)))
+        order.shuffle(shuffled)
+        assert wmd_pair(tokens, [tokens[i] for i in shuffled], store) == 0.0
+        assert wmd_pair(rows, [rows[i] for i in shuffled], vocab) == 0.0
 
 
 def certificate_instance(rng):
@@ -395,7 +415,7 @@ class TestDualCertificate:
         rng = random.Random(2011)
         for index in range(200):
             supply, demand, costs = certificate_instance(rng)
-            cap = 0 if index % 20 == 0 else None  # some via the fallback
+            cap = 0 if index % 20 == 0 else None  # some by Bland's rule alone
             plan = solve_transport(supply, demand, costs, max_pivots=cap)
             assert plan.u.shape == supply.shape and plan.v.shape == demand.shape
             reduced = costs - plan.u[:, None] - plan.v[None, :]

@@ -169,7 +169,7 @@ class TestSolveTransport:
         assert plan.objective == pytest.approx(1.0, abs=1e-9)
 
     def test_anti_cycling_fallback_agrees_with_oracle(self):
-        # an artificially tiny pivot cap forces the perturbed re-solve
+        # a pivot cap of 0 hands the whole solve to Bland's rule
         rng = random.Random(21)
         for _ in range(20):
             supply, demand, costs = random_instance(rng)
@@ -181,14 +181,14 @@ class TestSolveTransport:
 
 
 @st.composite
-def degenerate_instances(draw, max_cells=25):
-    """Up to 5x5, with tied and zero costs and repeated weights.
+def degenerate_instances(draw, max_side=5, max_cells=25):
+    """Up to 5x5 by default, with tied and zero costs and repeated weights.
 
     The enumeration oracle checks m^(n-1) n^(m-1) bases (4,096 at 4x4,
     390,625 at 5x5), so oracle tests pass a smaller ``max_cells``.
     """
-    m = draw(st.integers(1, 5))
-    n = draw(st.integers(1, min(5, max_cells // m)))
+    m = draw(st.integers(1, max_side))
+    n = draw(st.integers(1, min(max_side, max_cells // m)))
     supply = np.array(draw(st.lists(st.integers(1, 3), min_size=m, max_size=m)), float)
     demand = np.array(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)), float)
     costs = np.array([draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
@@ -250,6 +250,17 @@ class TestDegenerateInstances:
         assert np.max(np.abs(flow.sum(axis=0) - demand)) <= 1e-9
 
     @settings(max_examples=100, deadline=None)
+    @given(instance=degenerate_instances(max_side=8, max_cells=64),
+           cap=st.sampled_from([0, 1, 3]))
+    def test_capped_solves_certified_up_to_eight_by_eight(self, instance, cap):
+        """Past the cap, Bland's rule reaches the uncapped optimum."""
+        supply, demand, costs = instance
+        plan = solve_transport(supply, demand, costs, max_pivots=cap)
+        assert_certified(plan, supply, demand, costs, 1e-12)
+        assert abs(plan.objective
+                   - solve_transport(supply, demand, costs).objective) <= 1e-12
+
+    @settings(max_examples=100, deadline=None)
     @given(instance=degenerate_instances())
     def test_certified_up_to_five_by_five(self, instance):
         supply, demand, costs = instance
@@ -307,9 +318,9 @@ def entry_inputs(draw):
 def entry_error(supply, demand, costs):
     """The error ``solve_transport`` raises at its entry checks, or None.
 
-    An input the checks pass may still fail later: an imbalance, NaN
-    weights inside the simplex, or an empty supply facing two or more
-    demand columns. Only the entry's own errors are returned.
+    An input the checks pass may still fail later, at the balance test:
+    totals that differ, or a NaN or infinite total. Only the entry's own
+    errors are returned.
     """
     try:
         solve_transport(supply, demand, costs)
@@ -356,6 +367,21 @@ class TestSolverEntry:
     def test_empty_instance_costs_nothing(self):
         plan = solve_transport([], [], np.zeros((0, 0)))
         assert plan.objective == 0.0 and plan.flow.shape == (0, 0)
+
+    @pytest.mark.parametrize("m,n", [(0, 0), (0, 2), (0, 3), (2, 0), (3, 0)])
+    def test_empty_side_gives_the_zero_plan(self, m, n):
+        plan = solve_transport([0.0] * m, [0.0] * n, np.zeros((m, n)))
+        assert plan.objective == 0.0 and plan.flow.shape == (m, n)
+        assert plan.u.tolist() == [0.0] * m and plan.v.tolist() == [0.0] * n
+
+    @pytest.mark.parametrize("supply,demand,costs", [
+        ([math.nan], [1.0], [[1.0]]),
+        ([math.inf], [math.inf], [[1.0]]),
+        ([math.inf, 1.0], [1.0, math.inf], np.ones((2, 2))),
+    ])
+    def test_non_finite_totals_are_infeasible(self, supply, demand, costs):
+        with pytest.raises(InfeasibleMarginalsError, match="^supply sums to "):
+            solve_transport(supply, demand, costs)
 
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(
@@ -429,28 +455,24 @@ class TestPrefixWmd:
 
 class TestDatasetWmd:
     def test_single_pair(self, tiny_store):
-        result = dataset_wmd([(["east"], ["north"])], tiny_store)
+        result = dataset_wmd([wmd_pair(["east"], ["north"], tiny_store)])
         assert result.value == pytest.approx(math.sqrt(2.0), abs=1e-7)
         assert result.used == 1
 
     def test_mean_and_skip(self, tiny_store):
-        pairs = [(["east"], ["east"]), (["east"], []), ((), ["north"]),
-                 (["east"], ["diagonal"])]
-        result = dataset_wmd(pairs, tiny_store)
+        distances = [wmd_pair(["east"], ["east"], tiny_store), None, None,
+                     wmd_pair(["east"], ["diagonal"], tiny_store)]
+        result = dataset_wmd(distances)
         assert result.skipped == 2
         assert result.used == 2
         expected_mean = (0.0 + math.sqrt(20.0)) / 2
         assert result.value == pytest.approx(expected_mean, abs=1e-6)
 
-    def test_given_distances_are_averaged_not_solved(self, tiny_store, monkeypatch):
-        pairs = [(["east"], ["east"]), (["east"], []), ((), ["north"]),
-                 (["east"], ["diagonal"])]
+    def test_given_distances_are_averaged_not_solved(self, monkeypatch):
         monkeypatch.setattr(wmd, "solve_transport", None)
-        result = dataset_wmd(pairs, tiny_store, distances=[0.5, None, None, 1.5])
+        result = dataset_wmd(iter([0.5, None, None, 1.5]))
         assert (result.value, result.used, result.skipped) == (1.0, 2, 2)
-        with pytest.raises(ValueError):
-            dataset_wmd(pairs, tiny_store, distances=[0.5, None, None])
 
-    def test_all_skipped(self, tiny_store):
+    def test_all_skipped(self):
         with pytest.raises(EmptyDatasetError):
-            dataset_wmd([(["east"], []), ([], ["east"])], tiny_store)
+            dataset_wmd([None, None])
