@@ -69,7 +69,6 @@ from .sentence import (
     ProviderConfig,
     fetch_embeddings,
     render_bow_text,
-    sentence_score,
     text_digest,
 )
 from .wmd import (

@@ -550,9 +550,10 @@ def spellings(cleaned: str) -> tuple[tuple[str, Permutation], ...]:
 def wanted_tokens(cleaned_labels: Iterable[str]) -> set[str]:
     """Every token the cleaned labels may resolve to: the rows a load keeps.
 
-    A store restricted to them resolves these labels as the whole model does.
+    Each distinct cleaned label is spelled once. A store restricted to these
+    tokens resolves the labels as the whole model does.
     """
-    return {token for cleaned in cleaned_labels for token, _ in spellings(cleaned)}
+    return {token for cleaned in set(cleaned_labels) for token, _ in spellings(cleaned)}
 
 
 def resolve_label(store: EmbeddingStore, raw: str) -> LabelResolution:
@@ -575,8 +576,9 @@ class Vocabulary:
     with float64 norms beside them. Row 0 is the origin: every label that
     does not resolve sits there, as ``UNKNOWN_TOKEN``, so it has norm 0 and
     lies at each word's norm from that word. Resolution depends only on the
-    cleaned text, so labels that clean alike are resolved once. Lookups are
-    for the labels it was built from.
+    cleaned text, so each distinct cleaned text is resolved once, by its
+    ``spellings``, and no label is cleaned again. Lookups are for the labels
+    it was built from.
     """
 
     __slots__ = ("tokens", "vectors", "norms", "_cleaned", "_row")
@@ -590,7 +592,9 @@ class Vocabulary:
         for raw, cleaned in cleaned_of.items():
             row = row_of_cleaned.get(cleaned)
             if row is None:
-                token = resolve_label(store, cleaned).token if cleaned else None
+                # the first spelling present wins, as in resolve_label
+                token = next((spelling for spelling, _ in spellings(cleaned)
+                              if spelling in store), None)
                 if token is None:
                     row = 0
                 else:

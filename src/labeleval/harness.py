@@ -331,8 +331,12 @@ class RunConfig:
     output_format: str = "json_lines"
 
     def __post_init__(self):
-        if not self.top_ks or any(k < 1 for k in self.top_ks):
-            raise ValueError("top_ks must be non-empty with every k >= 1")
+        if not self.top_ks or any(isinstance(k, bool) or not isinstance(k, int) or k < 1
+                                  for k in self.top_ks):
+            raise ValueError(f"top_ks must be non-empty integers, each >= 1, "
+                             f"got {list(self.top_ks)!r}")
+        if len(set(self.top_ks)) != len(self.top_ks):
+            raise ValueError(f"top_ks must be distinct, got {list(self.top_ks)!r}")
         if not (0.0 < self.threshold <= 1.0):
             raise ValueError("threshold must lie in (0, 1]")
         if self.workers < 1:
@@ -389,17 +393,12 @@ def run_evaluation(config: RunConfig) -> reporting.MetricReport:
 
     Output is deterministic: images are reduced in natural ascending
     image_id order, and the provenance block echoes only evaluation-relevant
-    settings. A truth record none of whose labels survives cleaning is
-    skipped and counted as empty truth. The records are read before the
-    model, which keeps only the rows the run's labels may resolve to.
+    settings. The records are read before the model, which keeps only the
+    rows the run's labels may resolve to. Every truth record is interned
+    once; one none of whose labels survives cleaning is skipped and counted
+    as empty truth.
     """
     truth_records = read_ground_truth(config.ground_truth_path)
-    usable_truth = {r.image_id: r for r in truth_records if r.usable}
-    unusable_ids = {r.image_id for r in truth_records if r.image_id not in usable_truth}
-    if unusable_ids:
-        logger.warning("skipping %d ground-truth records with no usable labels",
-                       len(unusable_ids))
-
     by_api: dict[str, dict[str, PredictionRecord]] = {}
     for path in config.prediction_paths:
         for record in read_predictions(path):
@@ -411,7 +410,7 @@ def run_evaluation(config: RunConfig) -> reporting.MetricReport:
     if not by_api:
         raise EmptyDatasetError("no prediction records found")
 
-    cleaned = clean_labels(_run_labels(usable_truth.values(), by_api.values()))
+    cleaned = clean_labels(_run_labels(truth_records, by_api.values()))
     store = load_model(config.embeddings_path, config.embeddings_format,
                        wanted=wanted_tokens(cleaned.values()))
     provenance = {
@@ -430,9 +429,18 @@ def run_evaluation(config: RunConfig) -> reporting.MetricReport:
     }
 
     vocab = Vocabulary(store, cleaned)
-    truths = {image_id: intern_truth(record.labels, vocab)
-              for image_id, record in usable_truth.items()}
-    eval_ids = {api_id: sorted((i for i in per_image if i in usable_truth),
+    truths: dict[str, InternedTruth] = {}
+    empty_truth: set[str] = set()
+    for record in truth_records:
+        truth = intern_truth(record.labels, vocab)
+        if truth.labels:
+            truths[record.image_id] = truth
+        else:
+            empty_truth.add(record.image_id)
+    if empty_truth:
+        logger.warning("skipping %d ground-truth records with no usable labels",
+                       len(empty_truth))
+    eval_ids = {api_id: sorted((i for i in per_image if i in truths),
                                key=natural_key)
                 for api_id, per_image in by_api.items()}
     for api_id in sorted(by_api):
@@ -449,8 +457,8 @@ def run_evaluation(config: RunConfig) -> reporting.MetricReport:
     for api_id in sorted(by_api):
         per_image = by_api[api_id]
         skip_missing_truth = sum(1 for i in per_image
-                                 if i not in usable_truth and i not in unusable_ids)
-        skip_empty_truth = sum(1 for i in per_image if i in unusable_ids)
+                                 if i not in truths and i not in empty_truth)
+        skip_empty_truth = sum(1 for i in per_image if i in empty_truth)
         # the label space is cleaned once per API; each k's ledger starts empty
         blank_ledger = (ConfusionLedger(sorted({label for image_id in eval_ids[api_id]
                                                 for label in truths[image_id].labels}))

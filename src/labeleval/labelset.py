@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .embeddings import EmbeddingStore, Vocabulary, clean_label, clean_labels
+from .embeddings import EmbeddingStore, Vocabulary, clean_labels
 from .errors import (
     BadConfidenceError,
     DataError,
@@ -38,11 +38,6 @@ TEXT_ONLY = EmbeddingStore((), dim=0)
 class GroundTruthRecord:
     image_id: str
     labels: tuple[str, ...]
-
-    @property
-    def usable(self) -> bool:
-        """Whether any label survives cleaning; scores need one that does."""
-        return any(clean_label(label) for label in self.labels)
 
 
 @dataclass(frozen=True)

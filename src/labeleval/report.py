@@ -65,10 +65,6 @@ class MetricReport:
     rows: list[ReportRow]
     provenance: dict = field(default_factory=dict)
 
-    @property
-    def annotated(self) -> bool:
-        return bool(self.rows) and all(row.ranks for row in self.rows)
-
 
 def columns_for(names: Sequence[str]) -> list[MetricColumn]:
     """Columns in canonical order, restricted to the given names."""
@@ -134,11 +130,6 @@ def emit_json_lines(report: MetricReport, path: str | Path) -> Path:
         for row in report.rows:
             handle.write(json.dumps(_row_record(report, row)) + "\n")
     return path
-
-
-def parse_json_lines(path: str | Path) -> list[dict]:
-    with Path(path).open("r", encoding="utf-8") as handle:
-        return [json.loads(line) for line in handle if line.strip()]
 
 
 def _ks(report: MetricReport) -> list[int]:

@@ -6,7 +6,8 @@ Vocabulary, and embedded out-of-process, either by lookup in a
 precomputed vector file or over HTTP. The wire format is a POST of
 {"model": ..., "texts": [...]} answered by {"vectors": [[...], ...]};
 precomputed files are newline-delimited {"digest", "model", "vector"}
-records keyed by the sha256 hex digest of the text.
+records keyed by the sha256 hex digest of the text. Every vector a run
+uses must be a 1-D array of finite numbers.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .embeddings import cosine
 from .errors import (
     CacheCorruptError,
     DimensionInconsistentError,
@@ -85,6 +85,16 @@ def render_bow_text(bag: Sequence[str | PredictedObject] | InternedTruth
     return " ".join(words)
 
 
+def _vector(value) -> np.ndarray | None:
+    """``value`` as a sentence vector, a 1-D float64 array of finite numbers;
+    None when it is not one."""
+    try:
+        vector = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        return None
+    return vector if vector.ndim == 1 and np.isfinite(vector).all() else None
+
+
 def _load_precomputed(path: str, model: str) -> dict[str, np.ndarray]:
     vectors: dict[str, np.ndarray] = {}
     for line_no, line in record_lines(path):
@@ -112,10 +122,12 @@ class _DiskCache:
         if not path.exists():
             return None
         try:
-            record = json.loads(path.read_text(encoding="utf-8"))
-            return np.asarray(record["vector"], dtype=np.float64)
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-            raise CacheCorruptError(f"unreadable cache entry: {path}") from None
+            vector = _vector(json.loads(path.read_text(encoding="utf-8"))["vector"])
+        except (KeyError, TypeError, ValueError, RecursionError):
+            vector = None
+        if vector is None:
+            raise CacheCorruptError(f"unreadable cache entry: {path}")
+        return vector
 
     def put(self, digest: str, vector: np.ndarray) -> None:
         path = self._dir / f"{digest}.json"
@@ -167,7 +179,11 @@ def _fetch_remote(config: ProviderConfig, wanted: dict[str, str],
                 f"provider returned {0 if not isinstance(vectors, list) else len(vectors)}"
                 f" vectors for {len(batch)} texts")
         for (digest, _), vector in zip(batch, vectors):
-            arr = np.asarray(vector, dtype=np.float64)
+            arr = _vector(vector)
+            if arr is None:
+                raise ProviderUnavailableError(
+                    f"provider at {endpoint} returned a vector that is not a 1-D "
+                    f"array of finite numbers")
             resolved[digest] = arr
             if cache:
                 cache.put(digest, arr)
@@ -191,16 +207,16 @@ def fetch_embeddings(config: ProviderConfig, texts: Sequence[str], *,
             raise ProviderUnavailableError(
                 f"precomputed file {config.path} lacks digest {digest}"
                 f" for model {config.model!r}")
-        out.append(table[digest])
+        # only a precomputed file's vectors get here unchecked: remote replies
+        # and cache entries are checked as they are read
+        vector = _vector(table[digest])
+        if vector is None:
+            raise CacheCorruptError(
+                f"{config.path}: vector for digest {digest} is not a 1-D array "
+                f"of finite numbers")
+        out.append(vector)
     dims = {v.shape for v in out}
     if len(dims) > 1:
         raise DimensionInconsistentError(
             f"{config.mode} provider vector lengths differ: {sorted(dims)}")
     return out
-
-
-def sentence_score(truth_text: str, predicted_text: str,
-                   config: ProviderConfig, **fetch_kwargs) -> float:
-    """Cosine similarity of the two texts' provider embeddings."""
-    vectors = fetch_embeddings(config, [truth_text, predicted_text], **fetch_kwargs)
-    return cosine(vectors[0], vectors[1])

@@ -5,8 +5,8 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 import street_scene
+from helpers import parse_json_lines
 from labeleval.cli import main
-from labeleval.report import parse_json_lines
 
 
 def run_cli(capsys, *argv):
@@ -187,6 +187,31 @@ class TestBadRunSettings:
                                                    tmp_path), "--workers", workers)
         assert code == 0, err
 
+    def test_repeated_top_k(self, capsys, tmp_path, fixture_files, fixture_model_file):
+        code, _, err = run_cli(capsys, *self.flags(fixture_files, fixture_model_file,
+                                                   tmp_path), "--top-k", "3,3")
+        assert code == 1
+        assert err.splitlines() == [
+            "Error: invalid run settings: top_ks must be distinct, got [3, 3]"]
+        assert not (tmp_path / "report.jsonl").exists()
+
+    @pytest.mark.parametrize("top_ks,message", [
+        ([1.5], "top_ks must be non-empty integers, each >= 1, got [1.5]"),
+        ([True, 3], "top_ks must be non-empty integers, each >= 1, got [True, 3]"),
+        ([3, 3], "top_ks must be distinct, got [3, 3]"),
+    ])
+    def test_bad_top_ks_in_config(self, capsys, tmp_path, fixture_files,
+                                  fixture_model_file, top_ks, message):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "ground_truth": str(fixture_files["truth"]),
+            "predictions": [str(fixture_files["predictions"][0])],
+            "embeddings": str(fixture_model_file), "top_ks": top_ks,
+            "output": {"path": str(tmp_path / "report")}}), encoding="utf-8")
+        code, _, err = run_cli(capsys, "evaluate", "--config", str(config))
+        assert code == 1
+        assert err.splitlines() == [f"Error: invalid run settings: {message}"]
+
     def test_config_without_predictions(self, capsys, tmp_path, fixture_files,
                                         fixture_model_file):
         config = tmp_path / "run.json"
@@ -240,6 +265,81 @@ class TestUndecodableInputs:
                                      "--sentence-model", "m")
         assert code == 2
         assert err.splitlines() == [f"data error: {vectors} line 1: not valid UTF-8 text"]
+
+
+class _SentenceHandler(BaseHTTPRequestHandler):
+    """A sentence provider whose every vector is the server's ``vector`` text."""
+
+    def do_POST(self):
+        payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        body = ('{"vectors": [' + ", ".join([self.server.vector] * len(payload["texts"]))
+                + "]}").encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture()
+def sentence_server():
+    server = HTTPServer(("127.0.0.1", 0), _SentenceHandler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+
+
+class TestBadSentenceVectors:
+    """A sentence vector that is not 1-D and finite ends the run with one
+    line: exit 2 for a precomputed file, exit 3 for a remote reply."""
+
+    def evaluate(self, capsys, tmp_path, fixture_files, fixture_model_file, provider):
+        return run_cli(capsys, "evaluate",
+                       "--ground-truth", str(fixture_files["truth"]),
+                       "--predictions", str(fixture_files["predictions"][0]),
+                       "--embeddings", str(fixture_model_file), "--top-k", "1",
+                       "--out", str(tmp_path / "report"),
+                       "--sentence-provider", provider, "--sentence-model", "m")
+
+    @pytest.mark.parametrize("vector", [[float("nan"), 1.0], [1.0, float("inf")],
+                                        [[1.0, 2.0]]])
+    def test_precomputed_file(self, capsys, tmp_path, fixture_files,
+                              fixture_model_file, vector):
+        from labeleval.sentence import render_bow_text, text_digest
+
+        # the run asks for the truth text's vector first
+        digest = text_digest(render_bow_text(street_scene.TRUTH_LABELS))
+        vectors = tmp_path / "vectors.jsonl"
+        vectors.write_text(json.dumps({"digest": digest, "model": "m",
+                                       "vector": vector}) + "\n", encoding="utf-8")
+        code, _, err = self.evaluate(capsys, tmp_path, fixture_files,
+                                     fixture_model_file, str(vectors))
+        assert code == 2
+        assert err.splitlines() == [
+            f"data error: {vectors}: vector for digest {digest} "
+            "is not a 1-D array of finite numbers"]
+        assert not (tmp_path / "report.jsonl").exists()
+
+    @pytest.mark.parametrize("vector", ['["x", 1]', '{"a": 1}', "null", "[[1.0, 2.0]]",
+                                        "[NaN, 1.0]"])
+    def test_remote_reply(self, capsys, tmp_path, fixture_files, fixture_model_file,
+                          sentence_server, vector, monkeypatch):
+        from labeleval.sentence import ENDPOINT_ENV_VAR
+
+        monkeypatch.delenv(ENDPOINT_ENV_VAR, raising=False)
+        sentence_server.vector = vector
+        endpoint = f"http://127.0.0.1:{sentence_server.server_port}/embed"
+        code, _, err = self.evaluate(capsys, tmp_path, fixture_files,
+                                     fixture_model_file, endpoint)
+        assert code == 3
+        assert err.splitlines() == [
+            f"upstream error: provider at {endpoint} returned a vector that is not "
+            "a 1-D array of finite numbers"]
 
 
 class TestProviderFlags:

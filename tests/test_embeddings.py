@@ -8,9 +8,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from labeleval import embeddings
 from labeleval.embeddings import (
+    UNKNOWN_TOKEN,
     EmbeddingStore,
     Permutation,
+    Vocabulary,
     clean_label,
+    clean_labels,
     cosine,
     euclidean,
     load_binary_model,
@@ -203,6 +206,23 @@ class TestResolution:
         for token in fixture_store.tokens():
             if clean_label(token) == token:  # already in canonical spelling
                 assert resolve_label(fixture_store, token).token == token
+
+    SPELLED = EmbeddingStore(
+        [(token, np.full(2, index + 1, dtype=np.float32)) for index, token in enumerate(
+            ["tree", "lamppost", "lamp_post", "Parking_Meter", "red car", "Big_Red_Car"])],
+        dim=2)
+
+    @given(st.lists(st.sampled_from(["Tree", "lamp post", "Lamp  Post!", "lamppost",
+                                     "parking meter", "Red Car", "big red car",
+                                     "zzqx", "***", ""])
+                    | st.text(alphabet="aeLT _!", max_size=8), max_size=12))
+    def test_vocabulary_resolves_as_resolve_label(self, labels):
+        """A Vocabulary walks the spellings of each cleaned text itself; it
+        must land where resolve_label does on the raw label."""
+        vocab = Vocabulary(self.SPELLED, clean_labels(labels))
+        for raw in labels:
+            expected = resolve_label(self.SPELLED, raw).token
+            assert vocab.token(raw) == (UNKNOWN_TOKEN if expected is None else expected)
 
 
 class TestVectorMath:
@@ -412,6 +432,16 @@ class TestRestrictedLoad:
         assert len(store) < len(full)
         for raw in labels:
             assert resolve_label(store, raw) == resolve_label(full, raw)
+
+    def test_each_distinct_cleaned_label_is_spelled_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(embeddings, "spellings",
+                            lambda cleaned, spell=spellings: calls.append(cleaned)
+                            or spell(cleaned))
+        labels = ["car", "lamp post", "car", "", "lamp post", "car", ""]
+        assert wanted_tokens(labels) == {"car", "Car", "lamp post", "lamppost",
+                                         "lamp_post", "Lamp_Post"}
+        assert sorted(calls) == ["", "car", "lamp post"]
 
     def test_spellings_are_the_order_resolution_tries(self):
         assert spellings("parking meter") == (

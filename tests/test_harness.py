@@ -1,10 +1,12 @@
 import hashlib
 import json
+import logging
 import re
 
 import pytest
 
 import street_scene
+from helpers import sentence_score
 from labeleval.errors import (
     AuthMissingError,
     CacheCorruptError,
@@ -378,6 +380,61 @@ class TestRunEvaluation:
         assert report.rows[0].skips["empty_truth"] == 1
         assert report.rows[0].cells["precision"] == 1.0
 
+    def test_empty_truth_is_counted_after_interning(self, tmp_path, fixture_model_file,
+                                                    caplog):
+        """A record is empty truth when its interned labels are: no label
+        survives cleaning, or it has none. One warning counts every such
+        record, predicted or not."""
+        truth = [GroundTruthRecord(image_id="1.jpg", labels=("car",)),
+                 GroundTruthRecord(image_id="2.jpg", labels=("!!!", "", "**")),
+                 GroundTruthRecord(image_id="3.jpg", labels=())]
+        predictions = [
+            PredictionRecord(image_id=i, api_id="a",
+                             objects=(PredictedObject(synonyms=("car",),
+                                                      confidence=0.9),))
+            for i in ("1.jpg", "2.jpg", "4.jpg")]
+        gt_path = tmp_path / "gt.jsonl"
+        pred_path = tmp_path / "pred.jsonl"
+        write_ground_truth(truth, gt_path)
+        write_predictions(predictions, pred_path)
+        with caplog.at_level(logging.WARNING, logger="labeleval.harness"):
+            report = run_evaluation(RunConfig(
+                ground_truth_path=str(gt_path), prediction_paths=(str(pred_path),),
+                embeddings_path=str(fixture_model_file), top_ks=(1,)))
+        assert [record.getMessage() for record in caplog.records] == [
+            "skipping 2 ground-truth records with no usable labels"]
+        assert report.rows[0].skips == {"missing_truth": 1, "empty_truth": 1,
+                                        "wmd_empty_prediction": 0}
+
+    def test_run_never_resolves_through_resolve_label(self, fixture_files,
+                                                      fixture_model_file, monkeypatch):
+        """The Vocabulary resolves each distinct cleaned text by its
+        spellings; resolve_label, which cleans again, is for single labels."""
+        from labeleval import embeddings
+
+        config = self.make_config(fixture_files, fixture_model_file)
+        expected = run_evaluation(config)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a run resolved a label through resolve_label")
+
+        monkeypatch.setattr(embeddings, "resolve_label", refuse)
+        assert run_evaluation(config) == expected
+
+    @pytest.mark.parametrize("top_ks,message", [
+        ((), "non-empty integers"),
+        ((0, 1), "each >= 1"),
+        ((1.5,), r"integers, each >= 1, got \[1.5\]"),
+        ((True, 3), r"integers, each >= 1, got \[True, 3\]"),
+        (("3",), "integers"),
+        ((3, 3), r"distinct, got \[3, 3\]"),
+        ((1, 5, 1), "distinct"),
+    ])
+    def test_bad_top_ks_rejected(self, top_ks, message):
+        with pytest.raises(ValueError, match=message):
+            RunConfig(ground_truth_path="", prediction_paths=(), embeddings_path="",
+                      top_ks=top_ks)
+
     def test_no_overlap_raises(self, tmp_path, fixture_model_file):
         truth = [GroundTruthRecord(image_id="1.jpg", labels=("car",))]
         predictions = [PredictionRecord(
@@ -507,8 +564,6 @@ class TestSentencePass:
 
     def test_one_call_for_every_distinct_text(self, tmp_path, fixture_model_file,
                                               monkeypatch):
-        from labeleval.sentence import sentence_score
-
         texts = self.texts_in_parent_order()
         calls, provider, config = self.run(tmp_path, fixture_model_file, texts,
                                            monkeypatch)

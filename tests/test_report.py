@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from helpers import parse_json_lines
 from labeleval.errors import EmptyReportError
 from labeleval.report import (
     MetricColumn,
@@ -10,7 +11,6 @@ from labeleval.report import (
     ReportRow,
     columns_for,
     emit,
-    parse_json_lines,
     rank_and_colorize,
 )
 

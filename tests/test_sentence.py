@@ -5,6 +5,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import numpy as np
 import pytest
 
+from helpers import sentence_score
 from labeleval.errors import (
     CacheCorruptError,
     DimensionInconsistentError,
@@ -16,7 +17,6 @@ from labeleval.sentence import (
     ProviderConfig,
     fetch_embeddings,
     render_bow_text,
-    sentence_score,
     text_digest,
 )
 
@@ -89,6 +89,24 @@ class TestPrecomputedProvider:
         config = ProviderConfig(mode="file", path=str(path), model="m")
         with pytest.raises(DimensionInconsistentError):
             fetch_embeddings(config, ["alpha", "beta"])
+
+    @pytest.mark.parametrize("vector", [
+        [float("nan"), 1.0], [1.0, float("inf")], [-float("inf"), 0.0], [[1.0, 2.0]],
+        [[1.0], [2.0]], 1.0])
+    def test_vector_must_be_flat_and_finite(self, tmp_path, vector):
+        path = tmp_path / "vectors.jsonl"
+        write_precomputed(path, "m", {"alpha": [1.0, 0.0], "beta": vector})
+        config = ProviderConfig(mode="file", path=str(path), model="m")
+        with pytest.raises(CacheCorruptError) as info:
+            fetch_embeddings(config, ["alpha", "beta"])
+        assert str(info.value) == (f"{path}: vector for digest {text_digest('beta')} "
+                                   "is not a 1-D array of finite numbers")
+
+    def test_unrequested_bad_vector_is_not_read(self, tmp_path):
+        path = tmp_path / "vectors.jsonl"
+        write_precomputed(path, "m", {"alpha": [1.0, 0.0], "beta": [float("nan")]})
+        config = ProviderConfig(mode="file", path=str(path), model="m")
+        assert fetch_embeddings(config, ["alpha"])[0].tolist() == [1.0, 0.0]
 
     def test_orthogonal_vectors_score_zero(self, tmp_path):
         path = tmp_path / "vectors.jsonl"
@@ -177,6 +195,29 @@ class TestRemoteProvider:
         config = self.config()
         with pytest.raises(ProviderUnavailableError):
             fetch_embeddings(config, ["a", "b"], post=post)
+
+    @pytest.mark.parametrize("vector", [
+        ["x", 1], {"a": 1}, None, [[1.0, 2.0]], [float("nan"), 1.0], 2.0])
+    def test_bad_reply_vector_is_unavailable_and_not_cached(self, tmp_path, vector):
+        def post(endpoint, payload, timeout):
+            return {"vectors": [[1.0, 2.0], vector]}
+
+        with pytest.raises(ProviderUnavailableError,
+                           match="not a 1-D array of finite numbers"):
+            fetch_embeddings(self.config(tmp_path), ["a", "b"], post=post)
+        assert not list(tmp_path.rglob(f"{text_digest('b')}.json"))
+
+    @pytest.mark.parametrize("entry", ['{"vector": [NaN]}', '{"vector": [[1.0]]}',
+                                       '{"vector": null}', '{"vector": ["x"]}',
+                                       pytest.param("[" * 100_000, id="deeply-nested")])
+    def test_bad_cache_entry_vector(self, tmp_path, entry):
+        post = FakePost()
+        config = self.config(tmp_path)
+        fetch_embeddings(config, ["abc"], post=post, sleep=post.sleep)
+        path = next(tmp_path.rglob("*.json"))
+        path.write_text(entry, encoding="utf-8")
+        with pytest.raises(CacheCorruptError, match=f"unreadable cache entry: {path}"):
+            fetch_embeddings(config, ["abc"], post=post, sleep=post.sleep)
 
     def test_cache_serves_warm_requests(self, tmp_path):
         post = FakePost()
