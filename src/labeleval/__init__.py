@@ -78,7 +78,6 @@ from .wmd import (
     build_nbow,
     cost_matrix,
     dataset_wmd,
-    prefix_wmd,
     solve_transport,
     wmd_pair,
 )

@@ -13,6 +13,7 @@ The matching functions take raw labels or the interned sides of
 from __future__ import annotations
 
 import copy
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -45,12 +46,19 @@ class MatchResult:
     """One-to-one matching between deduplicated truth labels and objects.
 
     Indices refer to the deduplicated, cleaned truth sequence and to the
-    object sequence as given.
+    object sequence as given. Pairs come in object order.
     """
 
     matched: int
     truth_indices: tuple[int, ...]
     object_indices: tuple[int, ...]
+
+    def prefix(self, k: int) -> "MatchResult":
+        """The exact match of the first k objects: an object's match depends
+        only on the objects before it, so it is this match's pairs below k."""
+        n = bisect_left(self.object_indices, k)
+        return MatchResult(matched=n, truth_indices=self.truth_indices[:n],
+                           object_indices=self.object_indices[:n])
 
 
 def dedup_normalized(labels: Iterable[str]) -> list[str]:

@@ -201,6 +201,8 @@ def inspect_embeddings(model_path, tokens):
 @click.option("--json", "as_json", is_flag=True, default=False)
 def stats(predictions, embeddings, k, as_json):
     """Per-API unknown-object rate and mean labels per object."""
+    if k < 1:
+        raise click.ClickException(f"-k must be >= 1, got {k}")
     by_api: dict[str, list] = {}
     for path in predictions:
         for record in read_predictions(path):

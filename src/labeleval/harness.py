@@ -9,8 +9,9 @@ one at a time.
 Scoring interns every label of the run once, into a Vocabulary, before any
 image is scored; each image's truth side, and its WMD nBOW, is then built
 once and shared by every API, and each (api, image) is scored at every k by
-one kernel call. The kernel builds that image's objects, similarity grid
-and WMD cost block once, at the largest k, and each k reads their prefix.
+one kernel call. The kernel builds that image's objects, exact match,
+similarity grid and WMD cost block once, at the largest k, and each k reads
+their prefix.
 Every metric family, WMD and the sentence text included, reads those
 interned sides; the per-(api, k) reductions (means, the confusion ledger,
 ``dataset_wmd``) run after the kernel.
@@ -75,7 +76,7 @@ from .labelset import (
 )
 from .semantic import DEFAULT_THRESHOLD, semantic_intersection, similarity_matrix
 from .sentence import ProviderConfig, fetch_embeddings, render_bow_text
-from .wmd import NBow, build_nbow, dataset_wmd, prefix_wmd
+from .wmd import NBow, build_nbow, cost_matrix, dataset_wmd, solve_transport
 
 logger = logging.getLogger(__name__)
 
@@ -337,8 +338,13 @@ class RunConfig:
                              f"got {list(self.top_ks)!r}")
         if len(set(self.top_ks)) != len(self.top_ks):
             raise ValueError(f"top_ks must be distinct, got {list(self.top_ks)!r}")
+        if isinstance(self.threshold, bool) or not isinstance(self.threshold,
+                                                              (int, float)):
+            raise ValueError(f"threshold must be a number, got {self.threshold!r}")
         if not (0.0 < self.threshold <= 1.0):
             raise ValueError("threshold must lie in (0, 1]")
+        if isinstance(self.workers, bool) or not isinstance(self.workers, int):
+            raise ValueError(f"workers must be an integer, got {self.workers!r}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -518,26 +524,32 @@ def _score_image(truth: InternedTruth, truth_nbow: NBow | None,
                  config: RunConfig) -> list[_Scored]:
     """The per-image kernel: one (api, image) at each k of ``ks``, in order.
 
-    The objects are interned, and the similarity grid and the WMD cost
-    block built, once, at the largest k; each k reads their prefix, since
-    ``top_k`` is a stable sort. ``truth_nbow`` is the truth side's WMD bag,
-    built once per image; None turns WMD off.
+    The objects are interned and matched exactly, and the similarity grid
+    and the WMD cost block built, once, at the largest k; each k reads their
+    prefix, since ``top_k`` is a stable sort and an object's exact match
+    depends only on the objects before it. ``truth_nbow`` is the truth
+    side's WMD bag, built once per image; None turns WMD off.
     """
     objects = intern_objects(top_k(record, max(ks)).objects, truth.vocab)
     grid = similarity_matrix(truth, objects) if config.include_semantic else None
+    match = exact_intersection(truth, objects) if grid is None else grid.match
     prefixes = [objects.prefix(k) for k in ks]
-    distances = ([None] * len(ks) if truth_nbow is None else
-                 prefix_wmd(truth_nbow, [side.rows for side in prefixes], truth.vocab))
+    nbows = [None if truth_nbow is None or not side.rows else build_nbow(side.rows)
+             for side in prefixes]
+    longest = nbows[ks.index(max(ks))]
+    block = None if longest is None else cost_matrix(truth_nbow, longest, truth.vocab)
     scored: list[_Scored] = []
-    for k, objects_k, distance in zip(ks, prefixes, distances):
+    for k, objects_k, nbow in zip(ks, prefixes, nbows):
         n_truth, n_objects = len(truth.labels), len(objects_k)
-        match = exact_intersection(truth, objects_k)
+        match_k = match.prefix(k)
         semantic = None
         if grid is not None:
             semantic_match = semantic_intersection(grid.prefix(k), config.threshold)
             semantic = scores_from_counts(semantic_match.matched, n_truth, n_objects)
-        scored.append(_Scored(truth=truth, objects=objects_k, match=match,
-                              exact=scores_from_counts(match.matched, n_truth,
+        distance = None if nbow is None else solve_transport(
+            truth_nbow.weights, nbow.weights, block[:, :len(nbow.tokens)]).objective
+        scored.append(_Scored(truth=truth, objects=objects_k, match=match_k,
+                              exact=scores_from_counts(match_k.matched, n_truth,
                                                        n_objects),
                               semantic=semantic, wmd=distance))
     return scored
@@ -550,21 +562,20 @@ def _score_units(units: Sequence[tuple[str, int, str]],
     """Score (api_id, k, image_id) units, keyed by unit.
 
     The units of one (api, image) go to the per-image kernel together, so
-    it interns, grids and costs that image's objects once for all their ks.
-    Each image's truth nBOW is built once and shared by every API.
+    it interns, matches, grids and costs that image's objects once for all
+    their ks. Each image's truth nBOW is built once and shared by every API.
     """
     ks_of: dict[tuple[str, str], list[int]] = {}
     for api_id, k, image_id in units:
         ks_of.setdefault((api_id, image_id), []).append(k)
-    truth_nbows: dict[str, NBow | None] = {}
+    truth_nbows: dict[str, NBow] = {}
     scored: dict[tuple[str, int, str], _Scored] = {}
     for (api_id, image_id), ks in ks_of.items():
         truth = truths[image_id]
-        if image_id not in truth_nbows:
-            truth_nbows[image_id] = (build_nbow(truth.bag)
-                                     if config.include_wmd and truth.bag else None)
+        if config.include_wmd and image_id not in truth_nbows:
+            truth_nbows[image_id] = build_nbow(truth.bag)  # kept truths are never empty
         try:
-            results = _score_image(truth, truth_nbows[image_id],
+            results = _score_image(truth, truth_nbows.get(image_id),
                                    by_api[api_id][image_id], ks, config)
         except EvaluationError as exc:
             _annotate(exc, api_id, image_id)

@@ -2,9 +2,9 @@
 
 A predicted object counts as a semantic true positive when the cosine
 similarity between its embedding and a ground-truth label's embedding reaches
-the threshold (default 0.4). Cells where the object's synonyms textually
-equal the truth label are pinned to 1.0 and always count, so semantic scores
-can never fall below the exact ones.
+the threshold (default 0.4). Semantic matching extends the exact match the
+grid carries, so semantic scores never fall below the exact ones. Cells
+where the object's synonyms textually equal the truth label are pinned to 1.0.
 
 The grid is one matmul of the two sides' gathered vectors divided by the
 outer product of their norms, then a per-object maximum over its synonyms.
@@ -17,7 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .bipartition import ExampleScores, scores_from_counts
+from .bipartition import (ExampleScores, MatchResult, exact_intersection,
+                          scores_from_counts)
 from .embeddings import EmbeddingStore
 from .labelset import InternedObjects, InternedTruth, PredictedObject, intern_unit
 
@@ -30,12 +31,14 @@ class SimilarityMatrix:
     """Truth (rows, deduplicated) x objects (columns) similarity grid.
 
     values holds -1.0 where either side is unresolvable, so such cells never
-    reach a positive threshold; exact marks text-equality cells pinned at 1.0.
+    reach a positive threshold; exact marks text-equality cells pinned at 1.0,
+    and match is the exact match of the two sides.
     """
 
     truth_labels: tuple[str, ...]
     values: np.ndarray
     exact: np.ndarray
+    match: MatchResult
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -44,7 +47,8 @@ class SimilarityMatrix:
     def prefix(self, k: int) -> "SimilarityMatrix":
         """The grid of the first k objects: each column is one object's."""
         return SimilarityMatrix(truth_labels=self.truth_labels,
-                                values=self.values[:, :k], exact=self.exact[:, :k])
+                                values=self.values[:, :k], exact=self.exact[:, :k],
+                                match=self.match.prefix(k))
 
 
 @dataclass(frozen=True)
@@ -62,7 +66,7 @@ class SemanticMatch:
 def similarity_matrix(truth: Sequence[str] | InternedTruth,
                       objects: Sequence[PredictedObject] | InternedObjects,
                       store: EmbeddingStore | None = None) -> SimilarityMatrix:
-    """Cosine grid of deduplicated truth labels against objects.
+    """Cosine grid of deduplicated truth labels against objects, and their match.
 
     A cell is the best cosine over the object's synonyms, upcast to float64
     and clamped to [-1, 1]. Zero-norm vectors, unresolved labels among them,
@@ -87,41 +91,36 @@ def similarity_matrix(truth: Sequence[str] | InternedTruth,
     exact = np.array([[label in synonyms for synonyms in objects.synonyms]
                       for label in truth.labels], dtype=bool).reshape(values.shape)
     values[exact] = 1.0
-    return SimilarityMatrix(truth_labels=truth.labels, values=values, exact=exact)
+    return SimilarityMatrix(truth_labels=truth.labels, values=values, exact=exact,
+                            match=exact_intersection(truth, objects))
 
 
 def semantic_intersection(matrix: SimilarityMatrix, threshold: float) -> SemanticMatch:
     """Greedy one-to-one matching of cells at or above the threshold.
 
-    Exact cells are matched first, replicating the exact matcher's object
-    order, and count at any threshold; the remaining cells are then taken
-    highest-similarity first, ties broken by lower truth index then lower
-    object index. This keeps the semantic match a superset of the exact one.
+    The grid's exact match comes first and counts at any threshold; the
+    remaining cells then extend it, highest similarity first, ties broken
+    by lower truth index then lower object index. So the semantic match is a
+    superset of the exact one.
     """
-    n_truth, n_objects = matrix.shape
     values = matrix.values.tolist()
     exact = matrix.exact.tolist()
-    truth_used = [False] * n_truth
-    object_used = [False] * n_objects
-    pairs: list[tuple[int, int, float]] = []
-    for oj in range(n_objects):
-        for ti in range(n_truth):
-            if not truth_used[ti] and not object_used[oj] and exact[ti][oj]:
-                truth_used[ti] = True
-                object_used[oj] = True
-                pairs.append((ti, oj, values[ti][oj]))
-                break
+    match = matrix.match
+    truth_used = set(match.truth_indices)
+    object_used = set(match.object_indices)
+    pairs = [(ti, oj, values[ti][oj])
+             for ti, oj in zip(match.truth_indices, match.object_indices)]
     candidates = [
-        (ti, oj, values[ti][oj])
-        for ti in range(n_truth)
-        for oj in range(n_objects)
-        if not exact[ti][oj] and values[ti][oj] >= threshold
+        (ti, oj, similarity)
+        for ti, row in enumerate(values)
+        for oj, similarity in enumerate(row)
+        if not exact[ti][oj] and similarity >= threshold
     ]
     candidates.sort(key=lambda cell: (-cell[2], cell[0], cell[1]))
     for ti, oj, similarity in candidates:
-        if not truth_used[ti] and not object_used[oj]:
-            truth_used[ti] = True
-            object_used[oj] = True
+        if ti not in truth_used and oj not in object_used:
+            truth_used.add(ti)
+            object_used.add(oj)
             pairs.append((ti, oj, similarity))
     return SemanticMatch(pairs=tuple(pairs), threshold=threshold)
 

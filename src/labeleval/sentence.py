@@ -59,10 +59,13 @@ class ProviderConfig:
             raise ValueError("file provider requires a path")
         if self.mode == "remote" and not self.endpoint:
             raise ValueError("remote provider requires an endpoint")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
+        for name, least in (("batch_size", 1), ("max_retries", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}")
+        if isinstance(self.timeout, bool) or not isinstance(self.timeout, (int, float)) \
+                or not self.timeout > 0:
+            raise ValueError("timeout must be a positive number")
 
 
 def text_digest(text: str) -> str:

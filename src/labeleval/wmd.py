@@ -14,10 +14,10 @@ subtree the leaving cell cuts off. Pivots take the most negative price up
 to a cap; past it, Bland's rule (Bland 1977) continues from the same basis,
 so the solve terminates on any degenerate instance.
 
-A run's kernel measures one (api, image) at every k with ``prefix_wmd``:
-the truth nBOW is built once per image, and one cost block, built against
-the object side at the largest k, serves every k through its leading
-columns. ``dataset_wmd`` only averages each (api, k)'s distances.
+A run's per-image kernel (``harness``) builds one cost block per (api,
+image), against the object side at the largest k, and each k solves on its
+leading columns: first-appearance order is stable under prefixes.
+``dataset_wmd`` only averages each (api, k)'s distances.
 """
 
 from __future__ import annotations
@@ -390,36 +390,9 @@ def wmd_pair(truth_bag: Sequence[Hashable], predicted_bag: Sequence[Hashable],
     return solve_transport(a.weights, b.weights, costs).objective
 
 
-def prefix_wmd(truth: NBow, prefixes: Sequence[Sequence[Hashable]],
-               store: EmbeddingStore | Vocabulary) -> list[float | None]:
-    """Distance from one truth nBOW to each of several prefixes of one bag.
-
-    Each bag of ``prefixes`` must be a prefix of the longest. The cost block
-    is built once, against the longest; each prefix solves on its leading
-    columns, which are that prefix's own costs, because first-appearance
-    order is stable under prefixes. Each value equals ``wmd_pair`` of the
-    truth bag and that prefix. An empty prefix gets None, as ``dataset_wmd``
-    skips it; bags whose keys are not a prefix of the longest's raise
-    ValueError.
-    """
-    nbows = [build_nbow(bag) if bag else None for bag in prefixes]
-    longest = max((b for b in nbows if b is not None),
-                  key=lambda b: len(b.tokens), default=None)
-    if longest is None:
-        return [None] * len(nbows)
-    if any(b is not None and b.tokens != longest.tokens[:len(b.tokens)]
-           for b in nbows):
-        raise ValueError("every bag must be a prefix of the longest")
-    block = cost_matrix(truth, longest, store)
-    return [None if b is None else
-            solve_transport(truth.weights, b.weights,
-                            block[:, :len(b.tokens)]).objective
-            for b in nbows]
-
-
 def dataset_wmd(distances: Iterable[float | None]) -> DatasetWmd:
-    """Mean of the pair distances in input order, as ``prefix_wmd`` gives
-    them; None marks a pair skipped for an empty side.
+    """Mean of the pair distances in input order, as the kernel gives them;
+    None marks a pair skipped for an empty side.
     """
     total = 0.0
     used = 0

@@ -84,13 +84,13 @@ class TestEvaluateCommand:
 
     def test_solver_failure_is_data_error(self, capsys, monkeypatch, tmp_path,
                                           fixture_files, fixture_model_file):
-        from labeleval import wmd
+        from labeleval import harness
         from labeleval.errors import NumericalFailureError
 
         def failing_solver(*args, **kwargs):
             raise NumericalFailureError("transport solver failed to converge")
 
-        monkeypatch.setattr(wmd, "solve_transport", failing_solver)
+        monkeypatch.setattr(harness, "solve_transport", failing_solver)
         code, _, err = run_cli(
             capsys, "evaluate",
             "--ground-truth", str(fixture_files["truth"]),
@@ -156,6 +156,10 @@ class TestEvaluateCommand:
         assert code == 1
 
 
+#: A remote sentence provider; a bad setting stops the run before any request.
+REMOTE = {"mode": "remote", "endpoint": "http://127.0.0.1:9/embed", "model": "m"}
+
+
 class TestBadRunSettings:
     """A bad setting ends in exit 1 and one line naming it, never a traceback."""
 
@@ -195,6 +199,18 @@ class TestBadRunSettings:
             "Error: invalid run settings: top_ks must be distinct, got [3, 3]"]
         assert not (tmp_path / "report.jsonl").exists()
 
+    def evaluate_config(self, capsys, tmp_path, fixture_files, fixture_model_file,
+                        **settings):
+        """Run ``evaluate --config`` on the fixture with ``settings`` added."""
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "ground_truth": str(fixture_files["truth"]),
+            "predictions": [str(fixture_files["predictions"][0])],
+            "embeddings": str(fixture_model_file), "top_ks": [1],
+            "output": {"path": str(tmp_path / "report")}, **settings}),
+            encoding="utf-8")
+        return run_cli(capsys, "evaluate", "--config", str(config))
+
     @pytest.mark.parametrize("top_ks,message", [
         ([1.5], "top_ks must be non-empty integers, each >= 1, got [1.5]"),
         ([True, 3], "top_ks must be non-empty integers, each >= 1, got [True, 3]"),
@@ -202,15 +218,33 @@ class TestBadRunSettings:
     ])
     def test_bad_top_ks_in_config(self, capsys, tmp_path, fixture_files,
                                   fixture_model_file, top_ks, message):
-        config = tmp_path / "run.json"
-        config.write_text(json.dumps({
-            "ground_truth": str(fixture_files["truth"]),
-            "predictions": [str(fixture_files["predictions"][0])],
-            "embeddings": str(fixture_model_file), "top_ks": top_ks,
-            "output": {"path": str(tmp_path / "report")}}), encoding="utf-8")
-        code, _, err = run_cli(capsys, "evaluate", "--config", str(config))
+        code, _, err = self.evaluate_config(capsys, tmp_path, fixture_files,
+                                            fixture_model_file, top_ks=top_ks)
         assert code == 1
         assert err.splitlines() == [f"Error: invalid run settings: {message}"]
+
+    @pytest.mark.parametrize("settings,message", [
+        ({"threshold": True}, "threshold must be a number, got True"),
+        ({"workers": True}, "workers must be an integer, got True"),
+        ({"workers": 1.5}, "workers must be an integer, got 1.5"),
+        ({"sentence": {**REMOTE, "max_retries": "3"}},
+         "max_retries must be an integer >= 0"),
+        ({"sentence": {**REMOTE, "max_retries": -1}},
+         "max_retries must be an integer >= 0"),
+        ({"sentence": {**REMOTE, "max_retries": True}},
+         "max_retries must be an integer >= 0"),
+        ({"sentence": {**REMOTE, "batch_size": True}},
+         "batch_size must be an integer >= 1"),
+        ({"sentence": {**REMOTE, "timeout": True}}, "timeout must be a positive number"),
+    ], ids=["bool-threshold", "bool-workers", "fractional-workers", "string-retries",
+            "negative-retries", "bool-retries", "bool-batch-size", "bool-timeout"])
+    def test_bad_numbers_in_config(self, capsys, tmp_path, fixture_files,
+                                   fixture_model_file, settings, message):
+        code, _, err = self.evaluate_config(capsys, tmp_path, fixture_files,
+                                            fixture_model_file, **settings)
+        assert code == 1
+        assert err.splitlines() == [f"Error: invalid run settings: {message}"]
+        assert not (tmp_path / "report.jsonl").exists()
 
     def test_config_without_predictions(self, capsys, tmp_path, fixture_files,
                                         fixture_model_file):
@@ -511,6 +545,16 @@ class TestStatsCommand:
         assert code == 0
         assert "clarifai" in stdout
         assert "unknown_objects_%" in stdout
+
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    def test_k_below_one_is_a_usage_error(self, capsys, fixture_files,
+                                          fixture_model_file, k):
+        code, stdout, err = run_cli(
+            capsys, "stats", "--embeddings", str(fixture_model_file),
+            "--predictions", str(fixture_files["predictions"][0]), "-k", k)
+        assert code == 1
+        assert stdout == ""
+        assert err.splitlines() == [f"Error: -k must be >= 1, got {k}"]
 
     def test_json_output(self, capsys, fixture_files, fixture_model_file):
         argv = ["stats", "--embeddings", str(fixture_model_file), "--json"]

@@ -119,7 +119,8 @@ class TestDifferential:
         assert kernel.values.shape == values.shape
         if values.size:
             assert np.max(np.abs(kernel.values - values)) <= 1e-12
-        reference = type(kernel)(kernel.truth_labels, values, exact)
+        reference = type(kernel)(kernel.truth_labels, values, exact,
+                                 exact_intersection(truth, objects))
         assert semantic_intersection(kernel, 0.4).matched \
             == semantic_intersection(reference, 0.4).matched
 
@@ -192,8 +193,25 @@ class TestPrefixRule:
                 direct = intern_objects(top_k(record, k).objects, vocab)
                 assert ranked.prefix(k) == direct
                 at_k = similarity_matrix(interned_truth, direct, fixture_store)
-                assert np.array_equal(grid.prefix(k).values, at_k.values)
-                assert np.array_equal(grid.prefix(k).exact, at_k.exact)
+                cut = grid.prefix(k)
+                assert np.array_equal(cut.values, at_k.values)
+                assert np.array_equal(cut.exact, at_k.exact)
+                assert cut.match == at_k.match
+                for threshold in (0.4, 0.7, 1.5):
+                    assert semantic_intersection(cut, threshold) \
+                        == semantic_intersection(at_k, threshold)
+
+    @settings(deadline=None)
+    @given(scored_units())
+    def test_exact_match_prefix_is_match_of_prefix(self, unit):
+        """An object's exact match depends only on the objects before it."""
+        store, truth, objects = unit
+        vocab = Vocabulary(store, clean_labels(list(truth) + [
+            s for o in objects for s in o.synonyms]))
+        sides = intern_truth(truth, vocab), intern_objects(objects, vocab)
+        match = exact_intersection(*sides)
+        for k in range(len(objects) + 3):  # past the last object too
+            assert match.prefix(k) == exact_intersection(sides[0], sides[1].prefix(k))
 
     def test_interned_and_raw_paths_agree(self, fixture_store):
         rng = random.Random(8)
@@ -259,7 +277,7 @@ class TestWmdKernel:
                 assert unit.wmd is None
 
     def test_wmd_off_solves_nothing(self, fixture_store, monkeypatch):
-        monkeypatch.setattr(wmd, "solve_transport", _simplex_must_not_run)
+        monkeypatch.setattr(harness, "solve_transport", _simplex_must_not_run)
         truth = intern_truth(street_scene.TRUTH_LABELS, Vocabulary(
             fixture_store, clean_labels(street_scene.TRUTH_LABELS + ["city"])))
         record = PredictionRecord(image_id="1", api_id="a", objects=(
@@ -274,8 +292,8 @@ class TestWmdKernel:
         """cost_matrix runs once per (api, image) with two non-empty sides, and
         dataset_wmd once per (api, k), counting every image of its API."""
         blocks, cells = [], []
-        cost_matrix_of, dataset_wmd_of = wmd.cost_matrix, harness.dataset_wmd
-        monkeypatch.setattr(wmd, "cost_matrix", lambda *args: blocks.append(args)
+        cost_matrix_of, dataset_wmd_of = harness.cost_matrix, harness.dataset_wmd
+        monkeypatch.setattr(harness, "cost_matrix", lambda *args: blocks.append(args)
                             or cost_matrix_of(*args))
         monkeypatch.setattr(harness, "dataset_wmd",
                             lambda *args, **kwargs: cells.append(

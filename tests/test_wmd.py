@@ -17,7 +17,6 @@ from labeleval.wmd import (
     build_nbow,
     cost_matrix,
     dataset_wmd,
-    prefix_wmd,
     solve_transport,
     wmd_pair,
 )
@@ -436,21 +435,6 @@ class TestWmdPair:
             for _ in range(20):
                 plan = random_feasible_plan(rng, a.weights, b.weights)
                 assert forward <= float((plan * costs).sum()) + 1e-9
-
-
-class TestPrefixWmd:
-    def test_each_prefix_against_wmd_pair(self, tiny_store):
-        bag = ["north", "east", "north", "diagonal", UNKNOWN_TOKEN]
-        truth = ["east", "diagonal", "diagonal"]
-        prefixes = [bag[:3], [], bag, bag[:1]]
-        assert prefix_wmd(build_nbow(truth), prefixes, tiny_store) == [
-            wmd_pair(truth, prefix, tiny_store) if prefix else None
-            for prefix in prefixes]
-        assert prefix_wmd(build_nbow(truth), [[], ()], tiny_store) == [None, None]
-
-    def test_bags_must_share_one_prefix_order(self, tiny_store):
-        with pytest.raises(ValueError):
-            prefix_wmd(build_nbow(["east"]), [["north"], ["east", "north"]], tiny_store)
 
 
 class TestDatasetWmd:
