@@ -46,18 +46,21 @@ class MatchResult:
     """One-to-one matching between deduplicated truth labels and objects.
 
     Indices refer to the deduplicated, cleaned truth sequence and to the
-    object sequence as given. Pairs come in object order.
+    object sequence as given. Pairs come in object order; ``matched`` counts them.
     """
 
-    matched: int
     truth_indices: tuple[int, ...]
     object_indices: tuple[int, ...]
+
+    @property
+    def matched(self) -> int:
+        return len(self.truth_indices)
 
     def prefix(self, k: int) -> "MatchResult":
         """The exact match of the first k objects: an object's match depends
         only on the objects before it, so it is this match's pairs below k."""
         n = bisect_left(self.object_indices, k)
-        return MatchResult(matched=n, truth_indices=self.truth_indices[:n],
+        return MatchResult(truth_indices=self.truth_indices[:n],
                            object_indices=self.object_indices[:n])
 
 
@@ -92,8 +95,7 @@ def exact_intersection(truth: Sequence[str] | InternedTruth,
                 matched_truth.append(ti)
                 matched_objects.append(oi)
                 break
-    return MatchResult(matched=len(matched_truth),
-                       truth_indices=tuple(matched_truth),
+    return MatchResult(truth_indices=tuple(matched_truth),
                        object_indices=tuple(matched_objects))
 
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -46,14 +47,13 @@ def _parse_top_ks(text: str) -> tuple[int, ...]:
 
 def _provider_from_flags(provider: str | None, model: str | None,
                          env: dict | None = None) -> ProviderConfig | None:
+    """The --sentence-provider: an http(s) endpoint, which ``ENDPOINT_ENV_VAR``
+    replaces when set, or a precomputed vector file, which it leaves alone."""
     if provider is None:
         return None
-    import os
-
-    endpoint_override = (env or os.environ).get(ENDPOINT_ENV_VAR)
-    if provider.startswith(("http://", "https://")) or endpoint_override:
-        return ProviderConfig(mode="remote",
-                              endpoint=endpoint_override or provider,
+    if provider.startswith(("http://", "https://")):
+        endpoint = (os.environ if env is None else env).get(ENDPOINT_ENV_VAR)
+        return ProviderConfig(mode="remote", endpoint=endpoint or provider,
                               model=model or "default")
     return ProviderConfig(mode="file", path=provider, model=model or "default")
 
@@ -72,7 +72,7 @@ def _provider_from_flags(provider: str | None, model: str | None,
               help="Accepted for compatibility; has no effect.")
 @click.option("--out", "out_path", default=None)
 @click.option("--format", "out_format",
-              type=click.Choice(["csv", "json_lines", "html"]), default=None)
+              type=click.Choice(reporting.REPORT_FORMATS), default=None)
 @click.option("--sentence-provider", default=None,
               help="Precomputed vector file or http(s) endpoint.")
 @click.option("--sentence-model", default=None)

@@ -5,10 +5,10 @@ rows of "token c1 ... cD". Binary: the same ascii header, then V records of
 token bytes, a single 0x20, and D little-endian float32 values with an
 optional trailing newline. Every component must be finite.
 
-A load reads the file once, in blocks: the same bytes feed the store's
-SHA-256 digest, and every row is checked. Given ``wanted`` tokens, a load
-keeps only their rows, so a run holds the few thousand rows its labels can
-resolve to, not the whole model.
+A load reads the file once, 4 MB (binary) or 8 KB (text) at a time: the
+same bytes feed the store's SHA-256 digest, and every row is checked. Given
+``wanted`` tokens, a load keeps only their rows, so a run holds the few
+thousand rows its labels can resolve to, not the whole model.
 
 A run resolves its labels once, into a ``Vocabulary``; the scalar ``cosine``
 and ``euclidean`` stay as the reference the vectorised scoring is checked
@@ -44,7 +44,7 @@ from .errors import (
 #: Distinguished token standing in for every label the store cannot resolve.
 UNKNOWN_TOKEN = "<unk>"
 
-#: Bytes a model load reads at a time, and records a binary load checks at a time.
+#: Binary bytes read, or text parsed, at a time; binary records checked at a time.
 _READ_BYTES = 1 << 22
 _BLOCK_ROWS = 4096
 
@@ -220,7 +220,8 @@ class _HashingFile(io.RawIOBase):
 
 
 def _open_hashed(path: Path) -> io.BufferedReader:
-    """The file, read ``_READ_BYTES`` at a time through its ``raw.sha256``."""
+    """The file through its ``raw.sha256``, behind a ``_READ_BYTES`` buffer that
+    ``read`` fills; a ``TextIOWrapper`` pulls 8 KB per ``read1``, past it."""
     return io.BufferedReader(_HashingFile(path), _READ_BYTES)
 
 
@@ -486,19 +487,21 @@ def load_binary_model(path: str | Path, *,
     return sink.store(path, source.raw.sha256.hexdigest())
 
 
+#: The formats ``load_model`` takes; "auto" picks by the file suffix.
+MODEL_FORMATS = ("auto", "text", "binary")
+
+
 def load_model(path: str | Path, fmt: str = "auto", *,
                wanted: AbstractSet[str] | None = None) -> EmbeddingStore:
     """Dispatch on format; 'auto' treats a .bin suffix as binary.
 
     With ``wanted``, the store keeps only the rows of those tokens.
     """
+    if fmt not in MODEL_FORMATS:
+        raise ValueError(f"unknown model format: {fmt!r}")
     if fmt == "auto":
         fmt = "binary" if Path(path).suffix == ".bin" else "text"
-    if fmt == "text":
-        return load_text_model(path, wanted=wanted)
-    if fmt == "binary":
-        return load_binary_model(path, wanted=wanted)
-    raise ValueError(f"unknown model format: {fmt!r}")
+    return (load_binary_model if fmt == "binary" else load_text_model)(path, wanted=wanted)
 
 
 def _checked_token(token: str) -> str:
@@ -556,16 +559,21 @@ def wanted_tokens(cleaned_labels: Iterable[str]) -> set[str]:
     return {token for cleaned in set(cleaned_labels) for token, _ in spellings(cleaned)}
 
 
-def resolve_label(store: EmbeddingStore, raw: str) -> LabelResolution:
-    """Resolve a raw label by trying its ``spellings`` in order.
+def _first_spelling(store: EmbeddingStore,
+                    cleaned: str) -> tuple[str | None, Permutation | None]:
+    """The first of a cleaned label's ``spellings`` present in the store, and
+    its permutation; (None, None) when none is."""
+    for spelling, permutation in spellings(cleaned):
+        if spelling in store:
+            return spelling, permutation
+    return None, None
 
-    The first token present in the store wins.
-    """
-    for candidate, permutation in spellings(clean_label(raw)):
-        if candidate in store:
-            return LabelResolution(raw_label=raw, token=candidate,
-                                   permutation=permutation)
-    return LabelResolution(raw_label=raw, token=None, permutation=None)
+
+def resolve_label(store: EmbeddingStore, raw: str) -> LabelResolution:
+    """Resolve a raw label, cleaned, by the first of its ``spellings`` present
+    in the store."""
+    token, permutation = _first_spelling(store, clean_label(raw))
+    return LabelResolution(raw_label=raw, token=token, permutation=permutation)
 
 
 class Vocabulary:
@@ -592,9 +600,7 @@ class Vocabulary:
         for raw, cleaned in cleaned_of.items():
             row = row_of_cleaned.get(cleaned)
             if row is None:
-                # the first spelling present wins, as in resolve_label
-                token = next((spelling for spelling, _ in spellings(cleaned)
-                              if spelling in store), None)
+                token, _ = _first_spelling(store, cleaned)
                 if token is None:
                     row = 0
                 else:

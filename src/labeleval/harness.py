@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import re
 import time
@@ -41,6 +42,7 @@ from .bipartition import (
     scores_from_counts,
 )
 from .embeddings import (
+    MODEL_FORMATS,
     Vocabulary,
     clean_labels,
     cosine,
@@ -83,6 +85,15 @@ logger = logging.getLogger(__name__)
 _NATURAL_CHUNKS = re.compile(r"(\d+)")
 
 
+def _is_int(value) -> bool:
+    """An int that is not a bool: JSON's true must not pass for 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def natural_key(value: str):
     """Sort key ordering embedded integers numerically: '2.jpg' < '10.jpg'."""
     return tuple(
@@ -118,27 +129,22 @@ class ApiClientSpec:
                 self.labels_path)) and isinstance(self.confidence_path, (str, type(None)))):
             raise ValueError("api_id, endpoint, auth_env_var and the *_path fields "
                              "must be strings")
-        if self.requests_per_period < 1:
+        if not (_is_int(self.requests_per_period) and self.requests_per_period >= 1):
             raise ValueError("requests_per_period must be >= 1")
-        if self.period_seconds <= 0:
-            raise ValueError("period_seconds must be positive")
+        # an infinite period would make the limiter sleep forever, which sleep refuses
+        if not (_is_number(self.period_seconds) and 0 < self.period_seconds < math.inf):
+            raise ValueError("period_seconds must be a finite positive number")
         if self.max_total is not None and not (
-                isinstance(self.max_total, int) and self.max_total >= 0):
+                _is_int(self.max_total) and self.max_total >= 0):
             raise ValueError("max_total must be a non-negative integer")
 
     @classmethod
     def from_json(cls, payload: Mapping) -> "ApiClientSpec":
-        return cls(
-            api_id=payload["api_id"],
-            endpoint=payload["endpoint"],
-            auth_env_var=payload.get("auth_env_var", ""),
-            requests_per_period=payload.get("requests_per_period", 60),
-            period_seconds=payload.get("period_seconds", 60.0),
-            max_total=payload.get("max_total"),
-            objects_path=payload.get("objects_path", "objects"),
-            labels_path=payload.get("labels_path", "labels"),
-            confidence_path=payload.get("confidence_path", "confidence"),
-        )
+        """A spec from its JSON object; an absent key keeps its field's default."""
+        return cls(api_id=payload["api_id"], endpoint=payload["endpoint"],
+                   **{key: value for key, value in payload.items()
+                      if key in cls.__dataclass_fields__
+                      and key not in ("api_id", "endpoint")})
 
 
 @dataclass(frozen=True)
@@ -315,6 +321,13 @@ def _fetch_one(spec, ref, body, headers, transport, limiter, sleep) -> Predictio
 
 # -- evaluation --------------------------------------------------------------
 
+#: The optional keys of a config file, and the RunConfig fields they set.
+_CONFIG_FIELDS = {"embeddings_format": "embeddings_format", "top_ks": "top_ks",
+                  "threshold": "threshold", "workers": "workers",
+                  "semantic": "include_semantic", "label_based": "include_label_based",
+                  "wmd": "include_wmd", "sentence": "sentence"}
+
+
 @dataclass
 class RunConfig:
     ground_truth_path: str
@@ -332,41 +345,63 @@ class RunConfig:
     output_format: str = "json_lines"
 
     def __post_init__(self):
-        if not self.top_ks or any(isinstance(k, bool) or not isinstance(k, int) or k < 1
-                                  for k in self.top_ks):
+        """Check every setting where it enters, before any file is read.
+
+        A list of ``top_ks`` or ``prediction_paths`` becomes a tuple.
+        """
+        for name in ("ground_truth_path", "embeddings_path", "output_path"):
+            if not isinstance(getattr(self, name), (str, os.PathLike)):
+                raise ValueError(f"{name} must be a path, got {getattr(self, name)!r}")
+        if not (isinstance(self.prediction_paths, (list, tuple)) and all(
+                isinstance(path, (str, os.PathLike)) for path in self.prediction_paths)):
+            raise ValueError(f"prediction_paths must be a list of paths, "
+                             f"got {self.prediction_paths!r}")
+        self.prediction_paths = tuple(self.prediction_paths)
+        if not isinstance(self.top_ks, (list, tuple)):
+            raise ValueError(f"top_ks must be a list of integers, got {self.top_ks!r}")
+        self.top_ks = tuple(self.top_ks)
+        if not self.top_ks or not all(_is_int(k) and k >= 1 for k in self.top_ks):
             raise ValueError(f"top_ks must be non-empty integers, each >= 1, "
                              f"got {list(self.top_ks)!r}")
         if len(set(self.top_ks)) != len(self.top_ks):
             raise ValueError(f"top_ks must be distinct, got {list(self.top_ks)!r}")
-        if isinstance(self.threshold, bool) or not isinstance(self.threshold,
-                                                              (int, float)):
+        if not _is_number(self.threshold):
             raise ValueError(f"threshold must be a number, got {self.threshold!r}")
         if not (0.0 < self.threshold <= 1.0):
             raise ValueError("threshold must lie in (0, 1]")
-        if isinstance(self.workers, bool) or not isinstance(self.workers, int):
+        if not _is_int(self.workers):
             raise ValueError(f"workers must be an integer, got {self.workers!r}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        for name in ("include_semantic", "include_label_based", "include_wmd"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be true or false, "
+                                 f"got {getattr(self, name)!r}")
+        for name, known in (("embeddings_format", MODEL_FORMATS),
+                            ("output_format", reporting.REPORT_FORMATS)):
+            if getattr(self, name) not in known:
+                raise ValueError(f"{name} must be one of {list(known)}, "
+                                 f"got {getattr(self, name)!r}")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
+        """A config from its JSON file; an absent key keeps its field's default."""
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        sentence = payload.get("sentence")
-        return cls(
-            ground_truth_path=payload["ground_truth"],
-            prediction_paths=tuple(payload["predictions"]),
-            embeddings_path=payload["embeddings"],
-            embeddings_format=payload.get("embeddings_format", "auto"),
-            top_ks=tuple(payload.get("top_ks", (1, 3, 5))),
-            threshold=payload.get("threshold", DEFAULT_THRESHOLD),
-            workers=payload.get("workers", 1),
-            include_semantic=payload.get("semantic", True),
-            include_label_based=payload.get("label_based", True),
-            include_wmd=payload.get("wmd", True),
-            sentence=ProviderConfig(**sentence) if sentence else None,
-            output_path=payload.get("output", {}).get("path", "report"),
-            output_format=payload.get("output", {}).get("format", "json_lines"),
-        )
+        if not isinstance(payload, dict):
+            raise ValueError("a config file must hold a JSON object")
+        settings = {field: payload[key] for key, field in _CONFIG_FIELDS.items()
+                    if key in payload}
+        if "sentence" in settings:
+            sentence = settings["sentence"]
+            settings["sentence"] = ProviderConfig(**sentence) if sentence else None
+        output = payload.get("output", {})
+        if not isinstance(output, dict):
+            raise ValueError(f"output must be an object, got {output!r}")
+        settings.update((f"output_{key}", output[key]) for key in ("path", "format")
+                        if key in output)
+        return cls(ground_truth_path=payload["ground_truth"],
+                   prediction_paths=payload["predictions"],
+                   embeddings_path=payload["embeddings"], **settings)
 
 
 @dataclass(frozen=True)

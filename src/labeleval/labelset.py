@@ -7,9 +7,10 @@ ground truth {"image_id": ..., "labels": [...]}, predictions
 
 Every metric family reads the two sides of a unit through a Vocabulary:
 an ``InternedTruth`` per image and an ``InternedObjects`` per (api, image)
-at the largest k, whose prefixes serve the smaller ks. The sides hold
-cleaned labels and vocabulary rows, never store tokens; their raw labels
-give the sentence text through ``Vocabulary.cleaned``.
+at the largest k, whose prefixes serve the smaller ks. A side keeps its
+cleaned labels, and one flat tuple of raw labels beside their vocabulary
+rows, never store tokens; the raw labels give the sentence text through
+``Vocabulary.cleaned``.
 """
 
 from __future__ import annotations
@@ -212,35 +213,31 @@ class InternedTruth:
 class InternedObjects:
     """Ranked predicted objects through a Vocabulary.
 
-    ``synonyms`` holds each object's non-empty cleaned synonyms. ``rows``
-    lists the vocabulary row of every synonym, object by object in listed
-    order: the side's WMD bag. Object ``i`` owns ``ends[i-1]:ends[i]`` of
-    them. Interned once at the largest k, ``prefix(k)`` is the side at k,
-    because ``top_k`` is a stable sort.
+    ``raw`` holds every synonym as read, object by object in listed order:
+    the side's sentence text. ``rows`` holds the vocabulary row of each: the
+    side's WMD bag. Object ``i`` owns ``ends[i-1]:ends[i]`` of both, and
+    ``synonyms[i]`` holds its non-empty cleaned synonyms. Interned once at
+    the largest k, ``prefix(k)`` is the side at k, because ``top_k`` is a
+    stable sort.
     """
 
     vocab: Vocabulary
-    objects: tuple[PredictedObject, ...]
+    raw: tuple[str, ...]
     synonyms: tuple[frozenset[str], ...]
     ends: tuple[int, ...]
     rows: tuple[int, ...]
 
     def __len__(self) -> int:
-        return len(self.objects)
+        return len(self.ends)
 
     def prefix(self, k: int) -> "InternedObjects":
         """The first k objects, as ``top_k`` at k would rank them."""
-        if k >= len(self.objects):
+        if k >= len(self.ends):
             return self
         end = self.ends[k - 1] if k > 0 else 0
-        return InternedObjects(vocab=self.vocab, objects=self.objects[:k],
+        return InternedObjects(vocab=self.vocab, raw=self.raw[:end],
                                synonyms=self.synonyms[:k], ends=self.ends[:k],
                                rows=self.rows[:end])
-
-    @property
-    def raw(self) -> tuple[str, ...]:
-        """Every synonym as read, object by object in listed order."""
-        return tuple(raw for obj in self.objects for raw in obj.synonyms)
 
 
 def _raw_labels(side) -> Iterator[str]:
@@ -267,18 +264,17 @@ def intern_truth(labels: Sequence[str], vocab: Vocabulary) -> InternedTruth:
 def intern_objects(objects: Sequence[PredictedObject],
                    vocab: Vocabulary) -> InternedObjects:
     """Intern ranked objects through a Vocabulary built over their synonyms."""
-    objects = tuple(objects)
+    raw: list[str] = []
     synonyms: list[frozenset[str]] = []
     ends: list[int] = []
-    rows: list[int] = []
     for obj in objects:
-        cleaned = {vocab.cleaned(raw) for raw in obj.synonyms}
+        cleaned = {vocab.cleaned(label) for label in obj.synonyms}
         cleaned.discard("")
         synonyms.append(frozenset(cleaned))
-        rows.extend(vocab.row(raw) for raw in obj.synonyms)
-        ends.append(len(rows))
-    return InternedObjects(vocab=vocab, objects=objects, synonyms=tuple(synonyms),
-                           ends=tuple(ends), rows=tuple(rows))
+        raw.extend(obj.synonyms)
+        ends.append(len(raw))
+    return InternedObjects(vocab=vocab, raw=tuple(raw), synonyms=tuple(synonyms),
+                           ends=tuple(ends), rows=tuple(map(vocab.row, raw)))
 
 
 def intern_unit(truth: Sequence[str] | InternedTruth,

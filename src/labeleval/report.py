@@ -189,6 +189,10 @@ def emit_html(report: MetricReport, path: str | Path) -> Path:
     return path
 
 
+#: The formats ``emit`` writes.
+REPORT_FORMATS = ("csv", "json_lines", "html")
+
+
 def emit(report: MetricReport, out: str | Path, fmt: str) -> list[Path]:
     """Write the report in the requested format; returns the created paths."""
     out = Path(out)

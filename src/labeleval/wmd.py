@@ -22,7 +22,6 @@ leading columns: first-appearance order is stable under prefixes.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
@@ -73,15 +72,12 @@ class DatasetWmd:
 def build_nbow(bag: Sequence[Hashable]) -> NBow:
     if not bag:
         raise EmptyBagError("cannot build a normalized bag-of-words from an empty bag")
-    counts = Counter()
-    order: list[str] = []
+    counts: dict[Hashable, int] = {}  # insertion order is first appearance
     for token in bag:
-        if token not in counts:
-            order.append(token)
-        counts[token] += 1
+        counts[token] = counts.get(token, 0) + 1
     total = len(bag)
-    weights = np.array([counts[t] / total for t in order], dtype=np.float64)
-    return NBow(tokens=tuple(order), weights=weights)
+    weights = np.array([count / total for count in counts.values()], dtype=np.float64)
+    return NBow(tokens=tuple(counts), weights=weights)
 
 
 def _vectors(keys: Sequence[Hashable],
@@ -154,15 +150,14 @@ class _BasisTree:
     """The basis as a tree rooted at row 0, with its duals.
 
     ``parent`` and ``depth`` locate every node; a non-root node's parent edge
-    is its basic cell. ``u`` prices rows and ``v`` columns so that
-    u_i + v_j = c_ij on every basic cell, with u_0 = 0.
+    is its basic cell, and no other cell is (``joins``). ``u`` prices rows and
+    ``v`` columns so that u_i + v_j = c_ij on every basic cell, with u_0 = 0.
     """
 
     def __init__(self, basis: Sequence[tuple[int, int]], costs: list[list[float]]):
         m, n = len(costs), len(costs[0])
         self.m = m
         self.costs = costs
-        self.basic = set(basis)
         self.adjacency: list[list[int]] = [[] for _ in range(m + n)]
         for i, j in basis:
             self.adjacency[i].append(m + j)
@@ -197,6 +192,10 @@ class _BasisTree:
                     parent[other] = node
                     stack.append(other)
 
+    def joins(self, i: int, j: int) -> bool:
+        """Whether cell (i, j) is basic: row i hangs below column j, or j below i."""
+        return self.parent[i] == self.m + j or self.parent[self.m + j] == i
+
     def cell(self, node: int) -> tuple[int, int]:
         """The basic cell joining a non-root node to its parent."""
         up = self.parent[node]
@@ -212,8 +211,6 @@ class _BasisTree:
         """
         i, j = entering
         up = self.parent[leaving_node]
-        self.basic.remove(self.cell(leaving_node))
-        self.basic.add(entering)
         self.adjacency[leaving_node].remove(up)
         self.adjacency[up].remove(leaving_node)
         column = self.m + j
@@ -225,33 +222,31 @@ class _BasisTree:
             self.hang(column, i)
 
 
-def _entering(basic: set[tuple[int, int]], costs: list[list[float]],
-              u: list[float], v: list[float]) -> tuple[int, int] | None:
+def _entering(tree: _BasisTree) -> tuple[int, int] | None:
     """Non-basic cell of most negative price (c - u) - v, row-major first.
 
     None when no price falls below -_PRICE_TOL: the basis is optimal.
     """
+    v = tree.v
     best = -_PRICE_TOL
     entering = None
-    for i, row in enumerate(costs):
-        ui = u[i]
+    for i, (row, ui) in enumerate(zip(tree.costs, tree.u)):
         for j, cost in enumerate(row):
             price = (cost - ui) - v[j]
-            if price < best and (i, j) not in basic:
+            if price < best and not tree.joins(i, j):
                 best = price
                 entering = (i, j)
     return entering
 
 
-def _first_entering(basic: set[tuple[int, int]], costs: list[list[float]],
-                    u: list[float], v: list[float]) -> tuple[int, int] | None:
+def _first_entering(tree: _BasisTree) -> tuple[int, int] | None:
     """Bland's entering rule: the first non-basic cell, row-major, whose
     price (c - u) - v falls below -_PRICE_TOL; None when the basis is optimal.
     """
-    for i, row in enumerate(costs):
-        ui = u[i]
+    v = tree.v
+    for i, (row, ui) in enumerate(zip(tree.costs, tree.u)):
         for j, cost in enumerate(row):
-            if (cost - ui) - v[j] < -_PRICE_TOL and (i, j) not in basic:
+            if (cost - ui) - v[j] < -_PRICE_TOL and not tree.joins(i, j):
                 return i, j
     return None
 
@@ -272,7 +267,7 @@ def _pivot_loop(flow: list[list[float]], tree: _BasisTree, max_pivots: int,
     m = tree.m
     parent, depth = tree.parent, tree.depth
     for _ in range(max_pivots):
-        entering = entering_rule(tree.basic, tree.costs, tree.u, tree.v)
+        entering = entering_rule(tree)
         if entering is None:
             return True
         i, j = entering

@@ -246,6 +246,46 @@ class TestBadRunSettings:
         assert err.splitlines() == [f"Error: invalid run settings: {message}"]
         assert not (tmp_path / "report.jsonl").exists()
 
+    @pytest.mark.parametrize("settings,message", [
+        ({"semantic": "false"}, "include_semantic must be true or false, got 'false'"),
+        ({"label_based": 0}, "include_label_based must be true or false, got 0"),
+        ({"wmd": None}, "include_wmd must be true or false, got None"),
+        ({"embeddings_format": "xml"},
+         "embeddings_format must be one of ['auto', 'text', 'binary'], got 'xml'"),
+        ({"output": {"format": "xml"}},
+         "output_format must be one of ['csv', 'json_lines', 'html'], got 'xml'"),
+        ({"output": "x"}, "output must be an object, got 'x'"),
+        ({"ground_truth": 7}, "ground_truth_path must be a path, got 7"),
+        ({"predictions": "preds_alpha.jsonl"},
+         "prediction_paths must be a list of paths, got 'preds_alpha.jsonl'"),
+        ({"sentence": {"mode": "file", "path": 7, "model": "m"}},
+         "path must be a string, got 7"),
+    ], ids=["string-semantic", "int-label-based", "null-wmd", "embeddings-format",
+            "output-format", "output-not-object", "int-ground-truth",
+            "string-predictions", "int-sentence-path"])
+    def test_bad_settings_stop_before_any_file_is_read(
+            self, monkeypatch, capsys, tmp_path, fixture_files, fixture_model_file,
+            settings, message):
+        from labeleval import harness
+
+        def unread(*args, **kwargs):
+            raise AssertionError("an input file was read")
+
+        for name in ("read_ground_truth", "read_predictions", "load_model"):
+            monkeypatch.setattr(harness, name, unread)
+        code, _, err = self.evaluate_config(capsys, tmp_path, fixture_files,
+                                            fixture_model_file, **settings)
+        assert code == 1
+        assert err.splitlines() == [f"Error: invalid run settings: {message}"]
+
+    def test_config_that_is_not_an_object(self, capsys, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text("[1]", encoding="utf-8")
+        code, _, err = run_cli(capsys, "evaluate", "--config", str(config))
+        assert code == 1
+        assert err.splitlines() == [
+            "Error: invalid run settings: a config file must hold a JSON object"]
+
     def test_config_without_predictions(self, capsys, tmp_path, fixture_files,
                                         fixture_model_file):
         config = tmp_path / "run.json"
@@ -399,6 +439,17 @@ class TestProviderFlags:
         config = _provider_from_flags("https://embed.test/v1", "m", env=env)
         assert config.mode == "remote"
         assert config.endpoint == "http://override.test/embed"
+
+    def test_env_var_leaves_a_file_provider_alone(self):
+        """The variable replaces only an http(s) endpoint: a precomputed file
+        stays a file, so its texts are never sent over the network."""
+        from labeleval.cli import _provider_from_flags
+        from labeleval.sentence import ENDPOINT_ENV_VAR
+
+        env = {ENDPOINT_ENV_VAR: "http://override.test/embed"}
+        config = _provider_from_flags("vectors.jsonl", "m", env=env)
+        assert (config.mode, config.path, config.endpoint) == (
+            "file", "vectors.jsonl", None)
 
     def test_no_flag_disables_sentence_scoring(self):
         from labeleval.cli import _provider_from_flags
@@ -656,6 +707,28 @@ class TestFetchCommand:
         code, _, err = self.fetch(capsys, tmp_path, spec_path, images_path)
         assert code == 1
         assert err.splitlines() == [message]
+
+    @pytest.mark.parametrize("setting,message", [
+        ({"requests_per_period": True}, "requests_per_period must be >= 1"),
+        ({"requests_per_period": 2.5}, "requests_per_period must be >= 1"),
+        ({"max_total": True}, "max_total must be a non-negative integer"),
+        ({"period_seconds": True}, "period_seconds must be a finite positive number"),
+        ({"period_seconds": "60"}, "period_seconds must be a finite positive number"),
+        ({"period_seconds": float("inf")},
+         "period_seconds must be a finite positive number"),
+    ], ids=["bool-rate", "fractional-rate", "bool-max-total", "bool-period",
+            "string-period", "infinite-period"])
+    def test_quota_that_is_not_a_number_is_a_usage_error(self, capsys, tmp_path,
+                                                         setting, message):
+        """JSON's true is not the integer 1: a spec holding it would run with
+        a quota of one request."""
+        spec_path, images_path = self.write_inputs(tmp_path, "http://127.0.0.1:9/x")
+        spec_path.write_text(json.dumps(
+            {"api_id": "vendor", "endpoint": "http://127.0.0.1:9/x", **setting}),
+            encoding="utf-8")
+        code, _, err = self.fetch(capsys, tmp_path, spec_path, images_path)
+        assert code == 1
+        assert err.splitlines() == [f"Error: invalid client spec: {message}"]
 
     @pytest.mark.parametrize("line,message", [
         (json.dumps({"image_id": "2.jpg"}),

@@ -217,8 +217,8 @@ class TestResolution:
                                      "zzqx", "***", ""])
                     | st.text(alphabet="aeLT _!", max_size=8), max_size=12))
     def test_vocabulary_resolves_as_resolve_label(self, labels):
-        """A Vocabulary walks the spellings of each cleaned text itself; it
-        must land where resolve_label does on the raw label."""
+        """A Vocabulary resolves each cleaned text once, without cleaning it
+        again; it must land where resolve_label does on the raw label."""
         vocab = Vocabulary(self.SPELLED, clean_labels(labels))
         for raw in labels:
             expected = resolve_label(self.SPELLED, raw).token
