@@ -24,7 +24,8 @@ from .harness import (
     fetch_predictions,
     run_evaluation,
 )
-from .labelset import metadata_stats, read_predictions, record_lines, write_predictions
+from .labelset import (_parse_json, _require, metadata_stats, read_lines,
+                       read_predictions, write_predictions)
 from .semantic import DEFAULT_THRESHOLD
 from .sentence import ENDPOINT_ENV_VAR, ProviderConfig
 from .wmd import wmd_pair
@@ -136,26 +137,18 @@ def fetch(spec_path, images_path, cache_dir, out_path):
         raise click.ClickException(f"spec lacks required key {exc}") from None
     except (ValueError, TypeError) as exc:
         raise click.ClickException(f"invalid client spec: {exc}") from None
-    records = fetch_predictions(spec, _image_refs(images_path), cache_dir)
+    records = fetch_predictions(spec, read_lines(images_path, _image_ref), cache_dir)
     write_predictions(records, out_path)
     click.echo(f"wrote {len(records)} records to {out_path}")
 
 
-def _image_refs(images_path: str) -> list[ImageRef]:
-    """The {image_id, path} lines of an images file; a bad line is a DataError."""
-    refs = []
-    for line_no, line in record_lines(images_path):
-        try:
-            payload = json.loads(line)
-        except (ValueError, RecursionError) as exc:
-            raise DataError(f"{images_path} line {line_no}: invalid JSON: "
-                            f"{getattr(exc, 'msg', exc)}") from None
-        if not (isinstance(payload, dict) and isinstance(payload.get("image_id"), str)
-                and isinstance(payload.get("path"), str)):
-            raise DataError(f"{images_path} line {line_no}: "
-                            "expected an object with string image_id and path")
-        refs.append(ImageRef(image_id=payload["image_id"], path=payload["path"]))
-    return refs
+def _image_ref(line: str) -> ImageRef:
+    """One {image_id, path} line of an images file."""
+    payload = _parse_json(line)
+    _require(isinstance(payload, dict) and isinstance(payload.get("image_id"), str)
+             and isinstance(payload.get("path"), str),
+             "expected an object with string image_id and path")
+    return ImageRef(image_id=payload["image_id"], path=payload["path"])
 
 
 @cli.command("wmd")

@@ -57,11 +57,10 @@ class ZeroVectorError(DataError):
 # -- label ingestion ---------------------------------------------------------
 
 class ParseError(DataError):
-    def __init__(self, message: str, line_no: int | None = None):
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
-        self.line_no = line_no
+    """A record breaks its format. ``line_no`` is set where the record was
+    read from a file, and stays None for a fetch-cache entry."""
+
+    line_no: int | None = None
 
 
 class DuplicateImageError(DataError):

@@ -51,13 +51,13 @@ from .embeddings import (
 )
 from .errors import (
     AuthMissingError,
-    BadConfidenceError,
     CacheCorruptError,
     DataError,
     DuplicateImageError,
     EmptyBagError,
     EmptyDatasetError,
     EvaluationError,
+    ParseError,
     QuotaExhaustedError,
     UpstreamError,
 )
@@ -65,8 +65,10 @@ from .labelset import (
     GroundTruthRecord,
     InternedObjects,
     InternedTruth,
-    PredictedObject,
     PredictionRecord,
+    _is_int,
+    _is_number,
+    _parse_object,
     intern_objects,
     intern_truth,
     object_stats,
@@ -83,15 +85,6 @@ from .wmd import NBow, build_nbow, cost_matrix, dataset_wmd, solve_transport
 logger = logging.getLogger(__name__)
 
 _NATURAL_CHUNKS = re.compile(r"(\d+)")
-
-
-def _is_int(value) -> bool:
-    """An int that is not a bool: JSON's true must not pass for 1."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def natural_key(value: str):
@@ -194,33 +187,25 @@ def _dig(payload, dotted: str):
 
 def normalize_response(spec: ApiClientSpec, image_id: str,
                        payload: Mapping) -> PredictionRecord:
-    """Map a raw endpoint response onto a PredictionRecord via field paths."""
+    """Map a raw endpoint response onto a PredictionRecord via field paths;
+    an object that breaks the predictions-file object rule is an UpstreamError."""
     raw_objects = _dig(payload, spec.objects_path)
     if not isinstance(raw_objects, list):
         raise UpstreamError(f"field {spec.objects_path!r} is not an array")
     objects = []
     for entry in raw_objects:
         labels = _dig(entry, spec.labels_path)
-        if isinstance(labels, str):
-            labels = [labels]
-        if not isinstance(labels, list) or not labels:
-            raise UpstreamError(f"field {spec.labels_path!r} is not a label list")
-        confidence = None
+        mapped = {"labels": [labels] if isinstance(labels, str) else labels}
         if spec.confidence_path is not None:
             try:
-                raw_confidence = _dig(entry, spec.confidence_path)
+                mapped["confidence"] = _dig(entry, spec.confidence_path)
             except UpstreamError:
-                raw_confidence = None  # absent confidence ranks below present ones
-            if raw_confidence is not None:
-                try:
-                    confidence = float(raw_confidence)
-                except (TypeError, ValueError):
-                    raise UpstreamError(
-                        f"confidence field is not numeric: {raw_confidence!r}") \
-                        from None
-                if not (0.0 <= confidence <= 1.0):
-                    raise BadConfidenceError(confidence)
-        objects.append(PredictedObject(synonyms=tuple(labels), confidence=confidence))
+                pass  # an absent confidence ranks below present ones
+        try:
+            objects.append(_parse_object(mapped))
+        except ParseError as exc:
+            raise UpstreamError(f"{spec.api_id}: bad object for {image_id}: {exc}") \
+                from None
     return PredictionRecord(image_id=image_id, api_id=spec.api_id,
                             objects=tuple(objects))
 

@@ -19,7 +19,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .embeddings import EmbeddingStore, Vocabulary, clean_labels
 from .errors import (
@@ -56,70 +56,88 @@ class PredictionRecord:
     objects: tuple[PredictedObject, ...]
 
 
-def _require(condition: bool, message: str, line_no: int | None) -> None:
+def _is_int(value) -> bool:
+    """An int that is not a bool: JSON's true must not pass for 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _require(condition: bool, message: str) -> None:
     if not condition:
-        raise ParseError(message, line_no=line_no)
+        raise ParseError(message)
 
 
-def _string_list(value, field: str, line_no: int | None) -> tuple[str, ...]:
-    _require(isinstance(value, list), f"{field} must be an array", line_no)
+def _string_list(value, field: str) -> tuple[str, ...]:
+    _require(isinstance(value, list), f"{field} must be an array")
     for item in value:
-        _require(isinstance(item, str), f"{field} entries must be strings", line_no)
+        _require(isinstance(item, str), f"{field} entries must be strings")
     return tuple(value)
 
 
-def record_lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    """Numbered non-blank lines of a UTF-8 record file, read as text.
+def read_lines(path: str | Path, parse: Callable[[str], object]) -> list:
+    """``parse`` of each non-blank line of a UTF-8 JSON-lines file.
 
-    A line that is not valid UTF-8 is a DataError naming the path and the
-    line: undecodable bytes are read as escaped surrogates, which no valid
-    UTF-8 decodes to, so such a line fails to encode again.
+    A DataError raised for a line, a line that is not valid UTF-8 included,
+    is prefixed with ``<path> line <n>: `` and carries ``line_no``.
+    Undecodable bytes are read as escaped surrogates, which fail to encode.
     """
+    parsed = []
     with Path(path).open("r", encoding="utf-8", errors="surrogateescape") as handle:
         for line_no, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
             try:
-                line.encode("utf-8")
-            except UnicodeEncodeError:
-                raise DataError(f"{path} line {line_no}: not valid UTF-8 text") from None
-            if line.strip():
-                yield line_no, line
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ParseError("not valid UTF-8 text") from None
+                parsed.append(parse(line))
+            except DataError as exc:
+                exc.args = (f"{path} line {line_no}: {exc}",)
+                exc.line_no = line_no
+                raise
+    return parsed
 
 
-def _parse_json(text: str, line_no: int | None):
+def _parse_json(text: str):
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", line_no=line_no) from None
+        raise ParseError(f"invalid JSON: {exc.msg}") from None
     except (ValueError, RecursionError) as exc:
         # an integer past the digit limit, or arrays nested past the stack
-        raise ParseError(f"invalid JSON: {exc}", line_no=line_no) from None
+        raise ParseError(f"invalid JSON: {exc}") from None
 
 
 def read_ground_truth(path: str | Path) -> list[GroundTruthRecord]:
-    records: list[GroundTruthRecord] = []
     seen: set[str] = set()
-    for line_no, line in record_lines(path):
-        payload = _parse_json(line, line_no)
-        _require(isinstance(payload, dict), "record must be an object", line_no)
+
+    def parse(line: str) -> GroundTruthRecord:
+        payload = _parse_json(line)
+        _require(isinstance(payload, dict), "record must be an object")
         image_id = payload.get("image_id")
         _require(isinstance(image_id, str) and image_id != "",
-                 "image_id must be a non-empty string", line_no)
-        labels = _string_list(payload.get("labels"), "labels", line_no)
+                 "image_id must be a non-empty string")
+        labels = _string_list(payload.get("labels"), "labels")
         if image_id in seen:
             raise DuplicateImageError(image_id)
         seen.add(image_id)
-        records.append(GroundTruthRecord(image_id=image_id, labels=labels))
-    return records
+        return GroundTruthRecord(image_id=image_id, labels=labels)
+
+    return read_lines(path, parse)
 
 
-def _parse_object(payload, line_no: int | None) -> PredictedObject:
-    _require(isinstance(payload, dict), "object entries must be objects", line_no)
-    synonyms = _string_list(payload.get("labels"), "labels", line_no)
-    _require(len(synonyms) > 0, "object labels must be non-empty", line_no)
+def _parse_object(payload) -> PredictedObject:
+    """The predicted-object rule, for files, the fetch cache and vendor replies."""
+    _require(isinstance(payload, dict), "object entries must be objects")
+    synonyms = _string_list(payload.get("labels"), "labels")
+    _require(len(synonyms) > 0, "object labels must be non-empty")
     confidence = payload.get("confidence")
     if confidence is not None:
-        _require(isinstance(confidence, (int, float)) and not isinstance(confidence, bool),
-                 "confidence must be a number", line_no)
+        _require(_is_number(confidence), "confidence must be a number")
         try:
             confidence = float(confidence)
         except OverflowError:  # an integer too large for a float
@@ -129,25 +147,25 @@ def _parse_object(payload, line_no: int | None) -> PredictedObject:
     return PredictedObject(synonyms=synonyms, confidence=confidence)
 
 
-def prediction_from_json(text: str, line_no: int | None = None) -> PredictionRecord:
+def prediction_from_json(text: str) -> PredictionRecord:
     """Read one record as ``prediction_to_json`` writes it; a bad one raises
-    ParseError, naming ``line_no`` when given, or BadConfidenceError."""
-    payload = _parse_json(text, line_no)
-    _require(isinstance(payload, dict), "record must be an object", line_no)
+    ParseError or BadConfidenceError."""
+    payload = _parse_json(text)
+    _require(isinstance(payload, dict), "record must be an object")
     image_id = payload.get("image_id")
     api_id = payload.get("api_id")
     _require(isinstance(image_id, str) and image_id != "",
-             "image_id must be a non-empty string", line_no)
+             "image_id must be a non-empty string")
     _require(isinstance(api_id, str) and api_id != "",
-             "api_id must be a non-empty string", line_no)
+             "api_id must be a non-empty string")
     objects_payload = payload.get("objects")
-    _require(isinstance(objects_payload, list), "objects must be an array", line_no)
-    objects = tuple(_parse_object(o, line_no) for o in objects_payload)
+    _require(isinstance(objects_payload, list), "objects must be an array")
+    objects = tuple(map(_parse_object, objects_payload))
     return PredictionRecord(image_id=image_id, api_id=api_id, objects=objects)
 
 
 def read_predictions(path: str | Path) -> list[PredictionRecord]:
-    return [prediction_from_json(line, line_no) for line_no, line in record_lines(path)]
+    return read_lines(path, prediction_from_json)
 
 
 def ground_truth_to_json(record: GroundTruthRecord) -> str:

@@ -101,10 +101,10 @@ def semantic_intersection(matrix: SimilarityMatrix, threshold: float) -> Semanti
     The grid's exact match comes first and counts at any threshold; the
     remaining cells then extend it, highest similarity first, ties broken
     by lower truth index then lower object index. So the semantic match is a
-    superset of the exact one.
+    superset of the exact one. Every exact cell shares its truth row or its
+    object with that exact match, so none is picked again.
     """
     values = matrix.values.tolist()
-    exact = matrix.exact.tolist()
     match = matrix.match
     truth_used = set(match.truth_indices)
     object_used = set(match.object_indices)
@@ -114,7 +114,7 @@ def semantic_intersection(matrix: SimilarityMatrix, threshold: float) -> Semanti
         (ti, oj, similarity)
         for ti, row in enumerate(values)
         for oj, similarity in enumerate(row)
-        if not exact[ti][oj] and similarity >= threshold
+        if similarity >= threshold
     ]
     candidates.sort(key=lambda cell: (-cell[2], cell[0], cell[1]))
     for ti, oj, similarity in candidates:

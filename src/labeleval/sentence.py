@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,7 +29,7 @@ from .errors import (
     ProviderUnavailableError,
 )
 from .labelset import (TEXT_ONLY, InternedObjects, InternedTruth, PredictedObject,
-                       intern_bag, record_lines)
+                       _is_int, _is_number, intern_bag, read_lines)
 
 #: Environment variable that overrides the remote provider endpoint.
 ENDPOINT_ENV_VAR = "LABELEVAL_SENTENCE_ENDPOINT"
@@ -64,11 +65,11 @@ class ProviderConfig:
             raise ValueError("remote provider requires an endpoint")
         for name, least in (("batch_size", 1), ("max_retries", 0)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+            if not (_is_int(value) and value >= least):
                 raise ValueError(f"{name} must be an integer >= {least}")
-        if isinstance(self.timeout, bool) or not isinstance(self.timeout, (int, float)) \
-                or not self.timeout > 0:
-            raise ValueError("timeout must be a positive number")
+        # requests cannot schedule an infinite timeout, and fails every POST
+        if not (_is_number(self.timeout) and 0 < self.timeout < math.inf):
+            raise ValueError("timeout must be a finite positive number")
 
 
 def text_digest(text: str) -> str:
@@ -102,18 +103,18 @@ def _vector(value) -> np.ndarray | None:
 
 
 def _load_precomputed(path: str, model: str) -> dict[str, np.ndarray]:
-    vectors: dict[str, np.ndarray] = {}
-    for line_no, line in record_lines(path):
+    def parse(line: str) -> tuple[str, np.ndarray] | None:
         try:
             record = json.loads(line)
-            digest = record["digest"]
-            vector = np.asarray(record["vector"], dtype=np.float64)
+            digest, vector = record["digest"], np.asarray(record["vector"],
+                                                          dtype=np.float64)
         except (KeyError, TypeError, ValueError, RecursionError):
-            raise CacheCorruptError(
-                f"{path} line {line_no}: unreadable vector record") from None
-        if record.get("model") == model:
-            vectors[digest] = vector
-    return vectors
+            digest = None
+        if not isinstance(digest, str):  # a table key, so never a list
+            raise CacheCorruptError("unreadable vector record")
+        return (digest, vector) if record.get("model") == model else None
+
+    return dict(entry for entry in read_lines(path, parse) if entry)
 
 
 class _DiskCache:

@@ -235,7 +235,8 @@ class TestBadRunSettings:
          "max_retries must be an integer >= 0"),
         ({"sentence": {**REMOTE, "batch_size": True}},
          "batch_size must be an integer >= 1"),
-        ({"sentence": {**REMOTE, "timeout": True}}, "timeout must be a positive number"),
+        ({"sentence": {**REMOTE, "timeout": True}},
+         "timeout must be a finite positive number"),
     ], ids=["bool-threshold", "bool-workers", "fractional-workers", "string-retries",
             "negative-retries", "bool-retries", "bool-batch-size", "bool-timeout"])
     def test_bad_numbers_in_config(self, capsys, tmp_path, fixture_files,
@@ -260,9 +261,12 @@ class TestBadRunSettings:
          "prediction_paths must be a list of paths, got 'preds_alpha.jsonl'"),
         ({"sentence": {"mode": "file", "path": 7, "model": "m"}},
          "path must be a string, got 7"),
+        # JSON's Infinity: requests cannot schedule it and fails every POST
+        ({"sentence": {**REMOTE, "timeout": float("inf")}},
+         "timeout must be a finite positive number"),
     ], ids=["string-semantic", "int-label-based", "null-wmd", "embeddings-format",
             "output-format", "output-not-object", "int-ground-truth",
-            "string-predictions", "int-sentence-path"])
+            "string-predictions", "int-sentence-path", "infinite-timeout"])
     def test_bad_settings_stop_before_any_file_is_read(
             self, monkeypatch, capsys, tmp_path, fixture_files, fixture_model_file,
             settings, message):
@@ -339,6 +343,68 @@ class TestUndecodableInputs:
                                      "--sentence-model", "m")
         assert code == 2
         assert err.splitlines() == [f"data error: {vectors} line 1: not valid UTF-8 text"]
+
+
+class TestLocatedLineErrors:
+    """A bad line of a JSON-lines input ends the run with exit 2 and one line,
+    ``<file> line <n>: <what>``; blank lines count. The images file's cases
+    are ``TestFetchCommand::test_bad_images_line_is_a_data_error``."""
+
+    TRUTH = '{"image_id": "1.jpg", "labels": ["car"]}\n\n'
+    PREDICTION = '{"image_id": "1.jpg", "api_id": "a", "objects": []}\n\n'
+
+    def evaluate(self, capsys, tmp_path, truth, predictions, model, *extra):
+        return run_cli(capsys, "evaluate", "--ground-truth", str(truth),
+                       "--predictions", str(predictions), "--embeddings", str(model),
+                       "--top-k", "1", "--out", str(tmp_path / "report"), *extra)
+
+    @pytest.mark.parametrize("line,what", [
+        ("{oops", "invalid JSON: Expecting property name enclosed in double quotes"),
+        ('{"image_id": "2.jpg", "labels": "car"}', "labels must be an array"),
+        ('{"image_id": "1.jpg", "labels": ["tree"]}', "duplicate image_id: '1.jpg'"),
+    ], ids=["json", "field", "duplicate-image"])
+    def test_ground_truth(self, capsys, tmp_path, fixture_files, fixture_model_file,
+                          line, what):
+        truth = tmp_path / "truth.jsonl"
+        truth.write_text(self.TRUTH + line + "\n", encoding="utf-8")
+        code, _, err = self.evaluate(capsys, tmp_path, truth,
+                                     fixture_files["predictions"][0], fixture_model_file)
+        assert code == 2
+        assert err.splitlines() == [f"data error: {truth} line 3: {what}"]
+
+    @pytest.mark.parametrize("line,what", [
+        ("[1,", "invalid JSON: Expecting value"),
+        ('{"image_id": "2.jpg", "api_id": "a", "objects": [{"labels": [1]}]}',
+         "labels entries must be strings"),
+        ('{"image_id": "2.jpg", "api_id": "a", '
+         '"objects": [{"labels": ["car"], "confidence": 7.5}]}',
+         "confidence outside [0, 1]: 7.5"),
+    ], ids=["json", "field", "confidence"])
+    def test_predictions(self, capsys, tmp_path, fixture_files, fixture_model_file,
+                         line, what):
+        predictions = tmp_path / "a.jsonl"
+        predictions.write_text(self.PREDICTION + line + "\n", encoding="utf-8")
+        code, _, err = self.evaluate(capsys, tmp_path, fixture_files["truth"],
+                                     predictions, fixture_model_file)
+        assert code == 2
+        assert err.splitlines() == [f"data error: {predictions} line 3: {what}"]
+
+    @pytest.mark.parametrize("line", [
+        "{oops", '{"model": "m", "vector": [1.0]}',
+        '{"digest": ["x"], "model": "m", "vector": [1.0]}',
+    ], ids=["json", "no-digest", "list-digest"])
+    def test_precomputed_sentence_vectors(self, capsys, tmp_path, fixture_files,
+                                          fixture_model_file, line):
+        vectors = tmp_path / "vectors.jsonl"
+        vectors.write_text('{"digest": "0", "model": "m", "vector": [1.0]}\n\n'
+                           + line + "\n", encoding="utf-8")
+        code, _, err = self.evaluate(capsys, tmp_path, fixture_files["truth"],
+                                     fixture_files["predictions"][0], fixture_model_file,
+                                     "--sentence-provider", str(vectors),
+                                     "--sentence-model", "m")
+        assert code == 2
+        assert err.splitlines() == [
+            f"data error: {vectors} line 3: unreadable vector record"]
 
 
 class _SentenceHandler(BaseHTTPRequestHandler):
@@ -620,10 +686,10 @@ class TestStatsCommand:
 
 
 class _VendorHandler(BaseHTTPRequestHandler):
+    """A vendor endpoint that answers every image with the server's ``reply``."""
+
     def do_POST(self):
-        body = json.dumps(
-            {"objects": [{"labels": ["car"], "confidence": 0.9},
-                         {"labels": ["tree"], "confidence": 0.4}]}).encode()
+        body = json.dumps(self.server.reply).encode()
         self.send_response(200)
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
@@ -634,12 +700,20 @@ class _VendorHandler(BaseHTTPRequestHandler):
 
 
 @pytest.fixture()
-def vendor_endpoint():
+def vendor_server():
     server = HTTPServer(("127.0.0.1", 0), _VendorHandler)
+    server.reply = {"objects": [{"labels": ["car"], "confidence": 0.9},
+                                {"labels": ["tree"], "confidence": 0.4}]}
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    yield f"http://127.0.0.1:{server.server_port}/classify"
+    yield server
     server.shutdown()
+    server.server_close()
+
+
+@pytest.fixture()
+def vendor_endpoint(vendor_server):
+    return f"http://127.0.0.1:{vendor_server.server_port}/classify"
 
 
 class TestFetchCommand:
@@ -742,3 +816,21 @@ class TestFetchCommand:
         code, _, err = self.fetch(capsys, tmp_path, spec_path, images_path)
         assert code == 2
         assert err.splitlines() == [f"data error: {images_path} line 3: {message}"]
+
+    @pytest.mark.parametrize("entry,what", [
+        ({"labels": [1], "confidence": 0.9}, "labels entries must be strings"),
+        ({"labels": ["car"], "confidence": True}, "confidence must be a number"),
+        ({"labels": ["car"], "confidence": "0.5"}, "confidence must be a number"),
+    ], ids=["int-label", "bool-confidence", "string-confidence"])
+    def test_vendor_object_meets_the_file_rule(self, capsys, tmp_path, vendor_server,
+                                               vendor_endpoint, entry, what):
+        """An object the predictions reader would reject is neither cached nor
+        written: exit 3 and one line naming the API and the image."""
+        vendor_server.reply = {"objects": [entry]}
+        spec_path, images_path = self.write_inputs(tmp_path, vendor_endpoint)
+        code, _, err = self.fetch(capsys, tmp_path, spec_path, images_path)
+        assert code == 3
+        assert err.splitlines() == [
+            f"upstream error: vendor: bad object for 1.jpg: {what}"]
+        assert not (tmp_path / "preds.jsonl").exists()
+        assert not [path for path in (tmp_path / "cache").rglob("*") if path.is_file()]

@@ -213,6 +213,20 @@ class TestPrefixRule:
         for k in range(len(objects) + 3):  # past the last object too
             assert match.prefix(k) == exact_intersection(sides[0], sides[1].prefix(k))
 
+    @settings(deadline=None)
+    @given(scored_units())
+    def test_every_exact_cell_meets_the_exact_match(self, unit):
+        """At every k, each exact cell shares its truth row or its object with
+        the grid's exact match, so the semantic matcher need not skip it."""
+        store, truth, objects = unit
+        grid = similarity_matrix(truth, objects, store)
+        for k in range(len(objects) + 2):
+            cut = grid.prefix(k)
+            matched_truth = set(cut.match.truth_indices)
+            matched_objects = set(cut.match.object_indices)
+            for ti, oj in zip(*np.nonzero(cut.exact)):
+                assert ti in matched_truth or oj in matched_objects
+
     def test_interned_and_raw_paths_agree(self, fixture_store):
         rng = random.Random(8)
         for _ in range(100):
@@ -462,9 +476,8 @@ class TestDualCertificate:
 
 
 def test_pool_threads_only_read_shared_state(tmp_path, fixture_model_file):
-    """More workers than cores and a thread switch every microsecond report
-    exactly what one worker does: the vocabulary and the interned truth
-    sides are complete before the pool starts and only read inside it."""
+    """``workers`` 8 under a 1 µs thread switch interval reports exactly what
+    ``workers`` 1 does: the setting is accepted and changes nothing."""
     rng = random.Random(5)
     words = street_scene.TRUTH_LABELS + street_scene.PLAIN_PREDICTED_TOKENS + ["zzqx"]
     truth = [GroundTruthRecord(image_id=f"{i}.jpg", labels=tuple(rng.sample(words, 6)))
