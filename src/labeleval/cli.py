@@ -16,7 +16,7 @@ import click
 from . import report as reporting
 from .embeddings import (Vocabulary, clean_label, clean_labels, load_model, resolve_label,
                          wanted_tokens)
-from .errors import DataError, UpstreamError
+from .errors import DataError, ParseError, UpstreamError
 from .harness import (
     ApiClientSpec,
     ImageRef,
@@ -31,7 +31,7 @@ from .sentence import ENDPOINT_ENV_VAR, ProviderConfig
 from .wmd import wmd_pair
 
 
-@click.group()
+@click.group(no_args_is_help=False)  # no command: a one-line usage error
 def cli():
     """Multi-label prediction scoring with semantic metrics."""
 
@@ -83,7 +83,7 @@ def evaluate(**flags):
         config = _run_config(**flags)
     except KeyError as exc:
         raise click.ClickException(f"config lacks required key {exc}") from None
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, ParseError) as exc:
         raise click.ClickException(f"invalid run settings: {exc}") from None
     result = run_evaluation(config)
     reporting.rank_and_colorize(result)
@@ -131,11 +131,10 @@ def _run_config(config_path, ground_truth, predictions, embeddings, top_k_text,
 def fetch(spec_path, images_path, cache_dir, out_path):
     """Fetch predictions through the rate-limited, cached client."""
     try:
-        spec = ApiClientSpec.from_json(
-            json.loads(Path(spec_path).read_text(encoding="utf-8")))
+        spec = ApiClientSpec.from_json(_parse_json(Path(spec_path).read_bytes()))
     except KeyError as exc:
         raise click.ClickException(f"spec lacks required key {exc}") from None
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, ParseError) as exc:
         raise click.ClickException(f"invalid client spec: {exc}") from None
     records = fetch_predictions(spec, read_lines(images_path, _image_ref), cache_dir)
     write_predictions(records, out_path)
@@ -197,8 +196,9 @@ def stats(predictions, embeddings, k, as_json):
     if k < 1:
         raise click.ClickException(f"-k must be >= 1, got {k}")
     by_api: dict[str, list] = {}
+    first_file: dict[tuple[str, str], str] = {}
     for path in predictions:
-        for record in read_predictions(path):
+        for record in read_predictions(path, first_file):
             by_api.setdefault(record.api_id, []).append(record)
     store = load_model(embeddings, wanted=wanted_tokens(
         clean_label(label) for records in by_api.values() for record in records
@@ -227,7 +227,8 @@ def main(argv: list[str] | None = None) -> int:
         click.echo("aborted", err=True)
         return 1
     except click.ClickException as exc:
-        exc.show()
+        # a usage error too prints one line, without click's usage banner
+        click.echo(f"Error: {exc.format_message()}", err=True)
         return 1
     except UpstreamError as exc:
         click.echo(f"upstream error: {exc}", err=True)

@@ -64,8 +64,14 @@ class ParseError(DataError):
 
 
 class DuplicateImageError(DataError):
-    def __init__(self, image_id: str):
-        super().__init__(f"duplicate image_id: {image_id!r}")
+    """A repeated truth image_id, or a repeated (api_id, image_id) prediction,
+    whose message names the file of the first record."""
+
+    def __init__(self, image_id: str, api_id: str | None = None,
+                 first: str | None = None):
+        super().__init__(f"duplicate image_id: {image_id!r}" if api_id is None else
+                         f"{api_id}/{image_id}: duplicate prediction, "
+                         f"first read from {first}")
         self.image_id = image_id
 
 

@@ -20,7 +20,6 @@ interned sides; the per-(api, k) reductions (means, the confusion ledger,
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import math
 import os
@@ -53,7 +52,6 @@ from .errors import (
     AuthMissingError,
     CacheCorruptError,
     DataError,
-    DuplicateImageError,
     EmptyBagError,
     EmptyDatasetError,
     EvaluationError,
@@ -68,6 +66,7 @@ from .labelset import (
     PredictionRecord,
     _is_int,
     _is_number,
+    _parse_json,
     _parse_object,
     intern_objects,
     intern_truth,
@@ -134,6 +133,8 @@ class ApiClientSpec:
     @classmethod
     def from_json(cls, payload: Mapping) -> "ApiClientSpec":
         """A spec from its JSON object; an absent key keeps its field's default."""
+        if not isinstance(payload, Mapping):
+            raise ValueError("a spec file must hold a JSON object")
         return cls(api_id=payload["api_id"], endpoint=payload["endpoint"],
                    **{key: value for key, value in payload.items()
                       if key in cls.__dataclass_fields__
@@ -233,7 +234,10 @@ def fetch_predictions(spec: ApiClientSpec, refs: Sequence[ImageRef],
     The cache holds one normalized record per (api_id, image digest); cached
     images cost zero upstream requests and do not count against max_total.
     Transient failures (connection errors, 429, 5xx) are retried up to three
-    attempts with exponential backoff.
+    attempts with exponential backoff. A 200 body that is not JSON, or whose
+    objects break the predictions-file object rule, is an UpstreamError and is
+    not cached; a cache entry that fails the predictions-file codec is a
+    CacheCorruptError naming it.
     """
     env = os.environ if env is None else env
     if spec.auth_env_var and not env.get(spec.auth_env_var):
@@ -255,8 +259,8 @@ def fetch_predictions(spec: ApiClientSpec, refs: Sequence[ImageRef],
         cache_path = cache_root / f"{digest}.json"
         if cache_path.exists():
             try:
-                cached = prediction_from_json(cache_path.read_text(encoding="utf-8"))
-            except (DataError, UnicodeDecodeError) as exc:
+                cached = prediction_from_json(cache_path.read_bytes())
+            except DataError as exc:
                 raise CacheCorruptError(
                     f"unreadable cache entry: {cache_path}: {exc}") from None
             # The entry is keyed by image bytes, which other ids may share.
@@ -286,8 +290,8 @@ def _fetch_one(spec, ref, body, headers, transport, limiter, sleep) -> Predictio
         else:
             if status == 200:
                 try:
-                    payload = json.loads(content)
-                except json.JSONDecodeError:
+                    payload = _parse_json(content)
+                except ParseError:
                     raise UpstreamError(
                         f"{spec.api_id}: non-JSON response for {ref.image_id}",
                         status=status) from None
@@ -371,7 +375,7 @@ class RunConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
         """A config from its JSON file; an absent key keeps its field's default."""
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = _parse_json(Path(path).read_bytes())
         if not isinstance(payload, dict):
             raise ValueError("a config file must hold a JSON object")
         settings = {field: payload[key] for key, field in _CONFIG_FIELDS.items()
@@ -426,12 +430,10 @@ def run_evaluation(config: RunConfig) -> reporting.MetricReport:
     """
     truth_records = read_ground_truth(config.ground_truth_path)
     by_api: dict[str, dict[str, PredictionRecord]] = {}
+    first_file: dict[tuple[str, str], str] = {}
     for path in config.prediction_paths:
-        for record in read_predictions(path):
-            per_image = by_api.setdefault(record.api_id, {})
-            if record.image_id in per_image:
-                raise DuplicateImageError(record.image_id)
-            per_image[record.image_id] = record
+        for record in read_predictions(path, first_file):
+            by_api.setdefault(record.api_id, {})[record.image_id] = record
 
     if not by_api:
         raise EmptyDatasetError("no prediction records found")

@@ -78,7 +78,8 @@ def _string_list(value, field: str) -> tuple[str, ...]:
 
 
 def read_lines(path: str | Path, parse: Callable[[str], object]) -> list:
-    """``parse`` of each non-blank line of a UTF-8 JSON-lines file.
+    """``parse`` of each non-blank line of a UTF-8 JSON-lines file, without
+    its line end, so a decoder's position counts within the record.
 
     A DataError raised for a line, a line that is not valid UTF-8 included,
     is prefixed with ``<path> line <n>: `` and carries ``line_no``.
@@ -94,7 +95,7 @@ def read_lines(path: str | Path, parse: Callable[[str], object]) -> list:
                     line.encode("utf-8")
                 except UnicodeEncodeError:
                     raise ParseError("not valid UTF-8 text") from None
-                parsed.append(parse(line))
+                parsed.append(parse(line.rstrip("\n")))
             except DataError as exc:
                 exc.args = (f"{path} line {line_no}: {exc}",)
                 exc.line_no = line_no
@@ -102,13 +103,16 @@ def read_lines(path: str | Path, parse: Callable[[str], object]) -> list:
     return parsed
 
 
-def _parse_json(text: str):
+def _parse_json(text: str | bytes):
+    """The program's one JSON decoder: every input line, file, cache entry
+    and reply is decoded here. Bytes are decoded as ``json.loads`` detects
+    (UTF-8, -16 or -32). Any failure is a ParseError reading ``invalid JSON:
+    <decoder message>``, which keeps the decoder's line and column."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}") from None
     except (ValueError, RecursionError) as exc:
-        # an integer past the digit limit, or arrays nested past the stack
+        # bad syntax and undecodable bytes are ValueErrors, as is an integer
+        # past the digit limit; arrays nested past the stack recurse
         raise ParseError(f"invalid JSON: {exc}") from None
 
 
@@ -147,7 +151,7 @@ def _parse_object(payload) -> PredictedObject:
     return PredictedObject(synonyms=synonyms, confidence=confidence)
 
 
-def prediction_from_json(text: str) -> PredictionRecord:
+def prediction_from_json(text: str | bytes) -> PredictionRecord:
     """Read one record as ``prediction_to_json`` writes it; a bad one raises
     ParseError or BadConfidenceError."""
     payload = _parse_json(text)
@@ -164,8 +168,23 @@ def prediction_from_json(text: str) -> PredictionRecord:
     return PredictionRecord(image_id=image_id, api_id=api_id, objects=objects)
 
 
-def read_predictions(path: str | Path) -> list[PredictionRecord]:
-    return read_lines(path, prediction_from_json)
+def read_predictions(path: str | Path,
+                     seen: dict[tuple[str, str], str] | None = None
+                     ) -> list[PredictionRecord]:
+    """The records of a predictions file. ``seen`` maps each (api_id,
+    image_id) read to its file, and a repeat is a DuplicateImageError at its
+    line naming the file of the first; share it to check several files."""
+    seen = {} if seen is None else seen
+
+    def parse(line: str) -> PredictionRecord:
+        record = prediction_from_json(line)
+        key = (record.api_id, record.image_id)
+        if key in seen:
+            raise DuplicateImageError(record.image_id, record.api_id, seen[key])
+        seen[key] = str(path)
+        return record
+
+    return read_lines(path, parse)
 
 
 def ground_truth_to_json(record: GroundTruthRecord) -> str:

@@ -6,8 +6,11 @@ Vocabulary, and embedded out-of-process, either by lookup in a
 precomputed vector file or over HTTP. The wire format is a POST of
 {"model": ..., "texts": [...]} answered by {"vectors": [[...], ...]};
 precomputed files are newline-delimited {"digest", "model", "vector"}
-records keyed by the sha256 hex digest of the text. Every vector a run
-uses must be a 1-D array of finite numbers.
+records keyed by the sha256 hex digest of the text. Replies, cache entries
+and vector-file lines all decode through ``labelset._parse_json``. Every
+vector a run uses must be a 1-D array of finite numbers: each is converted
+and checked once, as it is read, and a vector-file record's bad vector is an
+error only when its digest is asked for.
 """
 
 from __future__ import annotations
@@ -26,10 +29,11 @@ from .errors import (
     CacheCorruptError,
     DimensionInconsistentError,
     EmptyBagError,
+    ParseError,
     ProviderUnavailableError,
 )
 from .labelset import (TEXT_ONLY, InternedObjects, InternedTruth, PredictedObject,
-                       _is_int, _is_number, intern_bag, read_lines)
+                       _is_int, _is_number, _parse_json, intern_bag, read_lines)
 
 #: Environment variable that overrides the remote provider endpoint.
 ENDPOINT_ENV_VAR = "LABELEVAL_SENTENCE_ENDPOINT"
@@ -102,17 +106,17 @@ def _vector(value) -> np.ndarray | None:
     return vector if vector.ndim == 1 and np.isfinite(vector).all() else None
 
 
-def _load_precomputed(path: str, model: str) -> dict[str, np.ndarray]:
-    def parse(line: str) -> tuple[str, np.ndarray] | None:
-        try:
-            record = json.loads(line)
-            digest, vector = record["digest"], np.asarray(record["vector"],
-                                                          dtype=np.float64)
-        except (KeyError, TypeError, ValueError, RecursionError):
-            digest = None
+def _load_precomputed(path: str, model: str) -> dict[str, np.ndarray | None]:
+    """The model's digest -> vector table; None marks a vector ``_vector``
+    rejects, which is an error only when its digest is asked for."""
+    def parse(line: str) -> tuple[str, np.ndarray | None] | None:
+        record = _parse_json(line)
+        digest = record.get("digest") if isinstance(record, dict) else None
         if not isinstance(digest, str):  # a table key, so never a list
             raise CacheCorruptError("unreadable vector record")
-        return (digest, vector) if record.get("model") == model else None
+        if record.get("model") != model:
+            return None
+        return digest, _vector(record.get("vector"))
 
     return dict(entry for entry in read_lines(path, parse) if entry)
 
@@ -129,9 +133,10 @@ class _DiskCache:
         if not path.exists():
             return None
         try:
-            vector = _vector(json.loads(path.read_text(encoding="utf-8"))["vector"])
-        except (KeyError, TypeError, ValueError, RecursionError):
-            vector = None
+            entry = _parse_json(path.read_bytes())
+        except ParseError:
+            entry = None
+        vector = _vector(entry.get("vector")) if isinstance(entry, dict) else None
         if vector is None:
             raise CacheCorruptError(f"unreadable cache entry: {path}")
         return vector
@@ -149,7 +154,7 @@ def _post_json(endpoint: str, payload: dict, timeout: float) -> dict:
 
     response = requests.post(endpoint, json=payload, timeout=timeout)
     response.raise_for_status()
-    return response.json()
+    return _parse_json(response.content)
 
 
 def _fetch_remote(config: ProviderConfig, wanted: dict[str, str],
@@ -214,10 +219,8 @@ def fetch_embeddings(config: ProviderConfig, texts: Sequence[str], *,
             raise ProviderUnavailableError(
                 f"precomputed file {config.path} lacks digest {digest}"
                 f" for model {config.model!r}")
-        # only a precomputed file's vectors get here unchecked: remote replies
-        # and cache entries are checked as they are read
-        vector = _vector(table[digest])
-        if vector is None:
+        vector = table[digest]
+        if vector is None:  # only a precomputed file keeps a rejected vector
             raise CacheCorruptError(
                 f"{config.path}: vector for digest {digest} is not a 1-D array "
                 f"of finite numbers")

@@ -147,14 +147,20 @@ class TestEvaluateCommand:
 
     def test_bad_top_k_is_usage_error(self, capsys, tmp_path, fixture_files,
                                       fixture_model_file):
-        code, _, _ = run_cli(
+        code, _, err = run_cli(
             capsys, "evaluate",
             "--ground-truth", str(fixture_files["truth"]),
             "--predictions", str(fixture_files["predictions"][0]),
             "--embeddings", str(fixture_model_file),
             "--top-k", "five")
         assert code == 1
+        assert err.splitlines() == [
+            "Error: --top-k expects comma-separated integers, got 'five'"]
 
+
+#: The decoder's message for a document nested past the recursion limit.
+DEEP_JSON_MESSAGE = ("maximum recursion depth exceeded while decoding a JSON array "
+                     "from a unicode string")
 
 #: A remote sentence provider; a bad setting stops the run before any request.
 REMOTE = {"mode": "remote", "endpoint": "http://127.0.0.1:9/embed", "model": "m"}
@@ -290,6 +296,14 @@ class TestBadRunSettings:
         assert err.splitlines() == [
             "Error: invalid run settings: a config file must hold a JSON object"]
 
+    def test_config_nested_past_the_stack(self, capsys, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text("[" * 100_000, encoding="utf-8")
+        code, _, err = run_cli(capsys, "evaluate", "--config", str(config))
+        assert code == 1
+        assert err.splitlines() == [
+            f"Error: invalid run settings: invalid JSON: {DEEP_JSON_MESSAGE}"]
+
     def test_config_without_predictions(self, capsys, tmp_path, fixture_files,
                                         fixture_model_file):
         config = tmp_path / "run.json"
@@ -359,7 +373,8 @@ class TestLocatedLineErrors:
                        "--top-k", "1", "--out", str(tmp_path / "report"), *extra)
 
     @pytest.mark.parametrize("line,what", [
-        ("{oops", "invalid JSON: Expecting property name enclosed in double quotes"),
+        ("{oops", "invalid JSON: Expecting property name enclosed in double quotes: "
+                  "line 1 column 2 (char 1)"),
         ('{"image_id": "2.jpg", "labels": "car"}', "labels must be an array"),
         ('{"image_id": "1.jpg", "labels": ["tree"]}', "duplicate image_id: '1.jpg'"),
     ], ids=["json", "field", "duplicate-image"])
@@ -373,7 +388,7 @@ class TestLocatedLineErrors:
         assert err.splitlines() == [f"data error: {truth} line 3: {what}"]
 
     @pytest.mark.parametrize("line,what", [
-        ("[1,", "invalid JSON: Expecting value"),
+        ("[1,", "invalid JSON: Expecting value: line 1 column 4 (char 3)"),
         ('{"image_id": "2.jpg", "api_id": "a", "objects": [{"labels": [1]}]}',
          "labels entries must be strings"),
         ('{"image_id": "2.jpg", "api_id": "a", '
@@ -389,12 +404,14 @@ class TestLocatedLineErrors:
         assert code == 2
         assert err.splitlines() == [f"data error: {predictions} line 3: {what}"]
 
-    @pytest.mark.parametrize("line", [
-        "{oops", '{"model": "m", "vector": [1.0]}',
-        '{"digest": ["x"], "model": "m", "vector": [1.0]}',
+    @pytest.mark.parametrize("line,what", [
+        ("{oops", "invalid JSON: Expecting property name enclosed in double quotes: "
+                  "line 1 column 2 (char 1)"),
+        ('{"model": "m", "vector": [1.0]}', "unreadable vector record"),
+        ('{"digest": ["x"], "model": "m", "vector": [1.0]}', "unreadable vector record"),
     ], ids=["json", "no-digest", "list-digest"])
     def test_precomputed_sentence_vectors(self, capsys, tmp_path, fixture_files,
-                                          fixture_model_file, line):
+                                          fixture_model_file, line, what):
         vectors = tmp_path / "vectors.jsonl"
         vectors.write_text('{"digest": "0", "model": "m", "vector": [1.0]}\n\n'
                            + line + "\n", encoding="utf-8")
@@ -403,8 +420,83 @@ class TestLocatedLineErrors:
                                      "--sentence-provider", str(vectors),
                                      "--sentence-model", "m")
         assert code == 2
+        assert err.splitlines() == [f"data error: {vectors} line 3: {what}"]
+
+
+class TestDuplicatePredictions:
+    """A repeated (api_id, image_id) exits 2 with one line naming the API, the
+    image, the repeat's line and the file of the first record."""
+
+    def evaluate(self, capsys, tmp_path, fixture_files, model, *predictions):
+        argv = ["evaluate", "--ground-truth", str(fixture_files["truth"]),
+                "--embeddings", str(model), "--top-k", "1",
+                "--out", str(tmp_path / "report")]
+        for path in predictions:
+            argv += ["--predictions", str(path)]
+        return run_cli(capsys, *argv)
+
+    def test_one_file_given_twice(self, capsys, tmp_path, fixture_files,
+                                  fixture_model_file):
+        predictions = fixture_files["predictions"][0]
+        code, _, err = self.evaluate(capsys, tmp_path, fixture_files,
+                                     fixture_model_file, predictions, predictions)
+        assert code == 2
         assert err.splitlines() == [
-            f"data error: {vectors} line 3: unreadable vector record"]
+            f"data error: {predictions} line 1: clarifai/1.jpg: duplicate prediction, "
+            f"first read from {predictions}"]
+
+    def test_record_repeated_within_a_file(self, capsys, tmp_path, fixture_files,
+                                           fixture_model_file):
+        record = '{"image_id": "1.jpg", "api_id": "a", "objects": []}\n'
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        first.write_text(record.replace("1.jpg", "2.jpg"), encoding="utf-8")
+        second.write_text(record + "\n" + record, encoding="utf-8")
+        code, _, err = self.evaluate(capsys, tmp_path, fixture_files,
+                                     fixture_model_file, first, second)
+        assert code == 2
+        assert err.splitlines() == [
+            f"data error: {second} line 3: a/1.jpg: duplicate prediction, "
+            f"first read from {second}"]
+
+    def test_empty_predictions_file(self, capsys, tmp_path, fixture_files,
+                                    fixture_model_file):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("\n", encoding="utf-8")
+        code, _, err = self.evaluate(capsys, tmp_path, fixture_files,
+                                     fixture_model_file, empty)
+        assert code == 2
+        assert err.splitlines() == ["data error: no prediction records found"]
+
+
+class TestUsageErrors:
+    """A usage error prints one line, without click's usage banner: exit 1.
+    ``--top-k five`` is ``TestEvaluateCommand::test_bad_top_k_is_usage_error``."""
+
+    def test_top_k_naming_no_level(self, capsys, fixture_files, fixture_model_file):
+        code, _, err = run_cli(capsys, "evaluate",
+                               "--ground-truth", str(fixture_files["truth"]),
+                               "--predictions", str(fixture_files["predictions"][0]),
+                               "--embeddings", str(fixture_model_file), "--top-k", ",")
+        assert code == 1
+        assert err.splitlines() == ["Error: --top-k must name at least one level"]
+
+    def test_evaluate_without_inputs(self, capsys):
+        code, _, err = run_cli(capsys, "evaluate")
+        assert code == 1
+        assert err.splitlines() == [
+            "Error: either --config or all of --ground-truth/--predictions/"
+            "--embeddings are required"]
+
+    def test_no_command(self, capsys):
+        code, _, err = run_cli(capsys)
+        assert code == 1
+        assert err.splitlines() == ["Error: Missing command."]
+
+    def test_wmd_with_an_empty_list(self, capsys, fixture_model_file):
+        code, _, err = run_cli(capsys, "wmd", ",", "x",
+                               "--embeddings", str(fixture_model_file))
+        assert code == 1
+        assert err.splitlines() == ["Error: both label lists must be non-empty"]
 
 
 class _SentenceHandler(BaseHTTPRequestHandler):
@@ -673,6 +765,16 @@ class TestStatsCommand:
         assert stdout == ""
         assert err.splitlines() == [f"Error: -k must be >= 1, got {k}"]
 
+    def test_one_file_given_twice(self, capsys, fixture_files, fixture_model_file):
+        predictions = fixture_files["predictions"][0]
+        code, _, err = run_cli(capsys, "stats", "--predictions", str(predictions),
+                               "--predictions", str(predictions),
+                               "--embeddings", str(fixture_model_file))
+        assert code == 2
+        assert err.splitlines() == [
+            f"data error: {predictions} line 1: clarifai/1.jpg: duplicate prediction, "
+            f"first read from {predictions}"]
+
     def test_json_output(self, capsys, fixture_files, fixture_model_file):
         argv = ["stats", "--embeddings", str(fixture_model_file), "--json"]
         for path in fixture_files["predictions"]:
@@ -686,10 +788,12 @@ class TestStatsCommand:
 
 
 class _VendorHandler(BaseHTTPRequestHandler):
-    """A vendor endpoint that answers every image with the server's ``reply``."""
+    """A vendor endpoint that answers every image with the server's ``reply``:
+    a JSON value, or a raw body as bytes."""
 
     def do_POST(self):
-        body = json.dumps(self.server.reply).encode()
+        reply = self.server.reply
+        body = reply if isinstance(reply, bytes) else json.dumps(reply).encode()
         self.send_response(200)
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
@@ -762,8 +866,8 @@ class TestFetchCommand:
                        "--out", str(tmp_path / "preds.jsonl"))
 
     @pytest.mark.parametrize("spec,message", [
-        ("{not json", "Error: invalid client spec: Expecting property name enclosed "
-                      "in double quotes: line 1 column 2 (char 1)"),
+        ("{not json", "Error: invalid client spec: invalid JSON: Expecting property "
+                      "name enclosed in double quotes: line 1 column 2 (char 1)"),
         (json.dumps({"api_id": "vendor"}), "Error: spec lacks required key 'endpoint'"),
         (json.dumps({"api_id": "vendor", "endpoint": "http://127.0.0.1:9/x",
                      "requests_per_period": 0}),
@@ -774,6 +878,9 @@ class TestFetchCommand:
         (json.dumps({"api_id": 5, "endpoint": "http://127.0.0.1:9/x"}),
          "Error: invalid client spec: api_id, endpoint, auth_env_var and the "
          "*_path fields must be strings"),
+        ("[1]", "Error: invalid client spec: a spec file must hold a JSON object"),
+        pytest.param("[" * 100_000, f"Error: invalid client spec: invalid JSON: "
+                                    f"{DEEP_JSON_MESSAGE}", id="nested-past-the-stack"),
     ])
     def test_bad_spec_is_a_usage_error(self, capsys, tmp_path, spec, message):
         spec_path, images_path = self.write_inputs(tmp_path, "http://127.0.0.1:9/x")
@@ -807,7 +914,7 @@ class TestFetchCommand:
     @pytest.mark.parametrize("line,message", [
         (json.dumps({"image_id": "2.jpg"}),
          "expected an object with string image_id and path"),
-        ("[1, 2", "invalid JSON: Expecting ',' delimiter"),
+        ("[1, 2", "invalid JSON: Expecting ',' delimiter: line 1 column 6 (char 5)"),
     ])
     def test_bad_images_line_is_a_data_error(self, capsys, tmp_path, line, message):
         spec_path, images_path = self.write_inputs(tmp_path, "http://127.0.0.1:9/x")
@@ -816,6 +923,20 @@ class TestFetchCommand:
         code, _, err = self.fetch(capsys, tmp_path, spec_path, images_path)
         assert code == 2
         assert err.splitlines() == [f"data error: {images_path} line 3: {message}"]
+
+    @pytest.mark.parametrize("body", [b"\x80\x81", b"[" * 100_000],
+                             ids=["not-utf-8", "nested-past-the-stack"])
+    def test_undecodable_vendor_body_is_an_upstream_error(
+            self, capsys, tmp_path, vendor_server, vendor_endpoint, body):
+        """A 200 body the decoder rejects is neither cached nor written."""
+        vendor_server.reply = body
+        spec_path, images_path = self.write_inputs(tmp_path, vendor_endpoint)
+        code, _, err = self.fetch(capsys, tmp_path, spec_path, images_path)
+        assert code == 3
+        assert err.splitlines() == [
+            "upstream error: vendor: non-JSON response for 1.jpg"]
+        assert not (tmp_path / "preds.jsonl").exists()
+        assert not [path for path in (tmp_path / "cache").rglob("*") if path.is_file()]
 
     @pytest.mark.parametrize("entry,what", [
         ({"labels": [1], "confidence": 0.9}, "labels entries must be strings"),

@@ -2,13 +2,17 @@ import hashlib
 import json
 import logging
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import street_scene
 from helpers import sentence_score
 from labeleval.errors import (
     AuthMissingError,
+    BadConfidenceError,
     CacheCorruptError,
     EmptyBagError,
     EmptyDatasetError,
@@ -214,6 +218,50 @@ class TestFetch:
             [("1.jpg", "vendor"), ("2.jpg", "vendor")]
         assert len(transport.times) == 1
         assert records[0].objects == records[1].objects
+
+
+# Vendor reply bodies: raw bytes, UTF-16 text, JSON values of any shape over
+# the keys a reply is read through, and arrays nested past the recursion limit.
+_REPLY_KEYS = ("objects", "labels", "confidence")
+_reply_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_REPLY_KEYS) | st.text(max_size=2), inner,
+                      max_size=3),
+    max_leaves=10)
+# replies shaped like a vendor's, so that examples reach records and confidences
+_reply_objects = st.fixed_dictionaries(
+    {"labels": st.text(max_size=3) | st.lists(st.text(max_size=3), max_size=2)},
+    optional={"confidence": st.floats() | st.integers() | st.booleans()})
+_reply_json = _reply_values | st.fixed_dictionaries(
+    {"objects": st.lists(_reply_objects | _reply_values, max_size=3)})
+_reply_bodies = st.one_of(
+    st.binary(max_size=32),
+    st.text(max_size=16).map(lambda text: text.encode("utf-16")),
+    _reply_json.map(lambda value: json.dumps(value).encode()),
+    _reply_json.map(
+        lambda value: json.dumps(value, ensure_ascii=False).encode("utf-16")),
+    st.integers(0, 200_000).map(lambda depth: b"[" * depth),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(body=_reply_bodies)
+def test_every_reply_body_gives_a_record_or_an_upstream_error(body):
+    """A 200 body gives a record, an UpstreamError or a BadConfidenceError,
+    never another exception; after an error no cache entry exists."""
+    with tempfile.TemporaryDirectory() as tmp:
+        image = Path(tmp) / "img.bin"
+        image.write_bytes(b"image")
+        cache = Path(tmp) / "cache"
+        try:
+            records = fetch_predictions(
+                make_spec(), [ImageRef(image_id="1.jpg", path=str(image))], cache,
+                transport=lambda url, headers, data: (200, body))
+        except (UpstreamError, BadConfidenceError):
+            assert not [path for path in cache.rglob("*") if path.is_file()]
+        else:
+            assert [record.image_id for record in records] == ["1.jpg"]
 
 
 class TestNormalization:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from pathlib import Path
-from types import SimpleNamespace
 
 from labeleval import harness
 
@@ -53,7 +52,7 @@ def keys_read_by_from_file(tmp_path, monkeypatch) -> set[str]:
         **{key: None for key in harness._CONFIG_FIELDS},  # each one present
         "output": _Lookups({"path": "report", "format": "csv"}, seen, "output."),
     }, seen)
-    monkeypatch.setattr(harness, "json", SimpleNamespace(loads=lambda text: payload))
+    monkeypatch.setattr(harness, "_parse_json", lambda text: payload)
     path = tmp_path / "run.json"
     path.write_text("{}", encoding="utf-8")
     try:

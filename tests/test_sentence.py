@@ -10,6 +10,7 @@ from labeleval.errors import (
     CacheCorruptError,
     DimensionInconsistentError,
     EmptyBagError,
+    ParseError,
     ProviderUnavailableError,
 )
 from labeleval.labelset import PredictedObject
@@ -65,7 +66,7 @@ class TestPrecomputedProvider:
         path = tmp_path / "vectors.jsonl"
         path.write_text("[" * 100_000 + "\n", encoding="utf-8")
         config = ProviderConfig(mode="file", path=str(path), model="m")
-        with pytest.raises(CacheCorruptError, match="line 1: unreadable vector record"):
+        with pytest.raises(ParseError, match="line 1: invalid JSON: maximum recursion"):
             fetch_embeddings(config, ["alpha"])
 
     def test_missing_text_names_digest(self, tmp_path):
@@ -274,3 +275,36 @@ def test_wire_format_over_http(local_provider):
     assert vectors[0][0] == float(sum(map(ord, "hello")))
     score = sentence_score("same text", "same text", config)
     assert score == pytest.approx(1.0, abs=1e-12)
+
+
+class _NotJsonHandler(BaseHTTPRequestHandler):
+    """A provider whose every reply body is bytes that are not UTF-8."""
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.posts += 1
+        body = b"\x80\x81"
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+def test_reply_that_is_not_json_is_retried_then_unavailable():
+    server = HTTPServer(("127.0.0.1", 0), _NotJsonHandler)
+    server.posts = 0
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    config = ProviderConfig(mode="remote", model="m", timeout=5.0, max_retries=1,
+                            endpoint=f"http://127.0.0.1:{server.server_port}/embed")
+    try:
+        with pytest.raises(ProviderUnavailableError,
+                           match="failed after 2 attempts: invalid JSON: "):
+            fetch_embeddings(config, ["hello"], sleep=lambda seconds: None)
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert server.posts == 2
