@@ -51,6 +51,8 @@ def _provider_from_flags(provider: str | None, model: str | None,
     """The --sentence-provider: an http(s) endpoint, which ``ENDPOINT_ENV_VAR``
     replaces when set, or a precomputed vector file, which it leaves alone."""
     if provider is None:
+        if model is not None:
+            raise click.UsageError("--sentence-model requires --sentence-provider")
         return None
     if provider.startswith(("http://", "https://")):
         endpoint = (os.environ if env is None else env).get(ENDPOINT_ENV_VAR)
@@ -85,6 +87,9 @@ def evaluate(**flags):
         raise click.ClickException(f"config lacks required key {exc}") from None
     except (ValueError, TypeError, ParseError) as exc:
         raise click.ClickException(f"invalid run settings: {exc}") from None
+    directory = Path(config.output_path).parent
+    if not directory.is_dir():  # before scoring, so a bad --out costs no run
+        raise FileNotFoundError(f"no such output directory: {directory}")
     result = run_evaluation(config)
     reporting.rank_and_colorize(result)
     paths = reporting.emit(result, config.output_path, config.output_format)

@@ -26,7 +26,7 @@ import os
 import re
 import time
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -96,6 +96,20 @@ def natural_key(value: str):
 
 # -- fetching ----------------------------------------------------------------
 
+def _from_json(cls, payload, what: str, prefix: str = ""):
+    """A ``cls`` dataclass from ``payload``, which must be a JSON object
+    (``what`` names it). A field without a default must be present, else
+    KeyError names it after ``prefix``; an absent field keeps its default,
+    and a key that names no field is ignored."""
+    if not isinstance(payload, Mapping):
+        raise ValueError(f"{what} must hold a JSON object")
+    for field in fields(cls):
+        if field.default is MISSING and field.name not in payload:
+            raise KeyError(prefix + field.name)
+    return cls(**{field.name: payload[field.name] for field in fields(cls)
+                  if field.name in payload})
+
+
 @dataclass(frozen=True)
 class ApiClientSpec:
     """One upstream classifier endpoint plus its response-shape adapter.
@@ -132,13 +146,8 @@ class ApiClientSpec:
 
     @classmethod
     def from_json(cls, payload: Mapping) -> "ApiClientSpec":
-        """A spec from its JSON object; an absent key keeps its field's default."""
-        if not isinstance(payload, Mapping):
-            raise ValueError("a spec file must hold a JSON object")
-        return cls(api_id=payload["api_id"], endpoint=payload["endpoint"],
-                   **{key: value for key, value in payload.items()
-                      if key in cls.__dataclass_fields__
-                      and key not in ("api_id", "endpoint")})
+        """A spec from its JSON object, read by ``_from_json``."""
+        return _from_json(cls, payload, "a spec file")
 
 
 @dataclass(frozen=True)
@@ -160,19 +169,17 @@ class SlidingWindowLimiter:
         self._period = period
         self._clock = clock
         self._sleep = sleep
-        self._issued: deque[float] = deque()
+        self._issued: deque[float] = deque(maxlen=limit)  # the last `limit` grants
 
     def acquire(self) -> float:
+        """Grant once the oldest of the last ``limit`` grants is ``period``
+        old; returns the grant's time."""
         now = self._clock()
-        while self._issued and self._issued[0] <= now - self._period:
-            self._issued.popleft()
-        if len(self._issued) >= self._limit:
+        if len(self._issued) == self._limit:
             wait = self._issued[0] + self._period - now
             if wait > 0:
                 self._sleep(wait)
-            now = self._clock()
-            while self._issued and self._issued[0] <= now - self._period:
-                self._issued.popleft()
+                now = self._clock()
         self._issued.append(now)
         return now
 
@@ -380,9 +387,9 @@ class RunConfig:
             raise ValueError("a config file must hold a JSON object")
         settings = {field: payload[key] for key, field in _CONFIG_FIELDS.items()
                     if key in payload}
-        if "sentence" in settings:
-            sentence = settings["sentence"]
-            settings["sentence"] = ProviderConfig(**sentence) if sentence else None
+        if settings.get("sentence") is not None:  # null turns the provider off
+            settings["sentence"] = _from_json(ProviderConfig, settings["sentence"],
+                                              "a sentence block", "sentence.")
         output = payload.get("output", {})
         if not isinstance(output, dict):
             raise ValueError(f"output must be an object, got {output!r}")

@@ -200,7 +200,7 @@ def emit(report: MetricReport, out: str | Path, fmt: str) -> list[Path]:
         target = out if out.suffix == ".jsonl" else out.with_suffix(".jsonl")
         return [emit_json_lines(report, target)]
     if fmt == "csv":
-        return emit_csv(report, out)
+        return emit_csv(report, out.with_suffix("") if out.suffix == ".csv" else out)
     if fmt == "html":
         target = out if out.suffix == ".html" else out.with_suffix(".html")
         return [emit_html(report, target)]

@@ -61,8 +61,9 @@ class ProviderConfig:
         if self.mode not in ("file", "remote"):
             raise ValueError(f"unknown provider mode: {self.mode!r}")
         for name in ("model", "path", "endpoint", "cache_dir"):
-            if not isinstance(getattr(self, name), (str, type(None))):
-                raise ValueError(f"{name} must be a string, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not (isinstance(value, str) or (value is None and name != "model")):
+                raise ValueError(f"{name} must be a string, got {value!r}")
         if self.mode == "file" and not self.path:
             raise ValueError("file provider requires a path")
         if self.mode == "remote" and not self.endpoint:

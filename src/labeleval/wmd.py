@@ -10,9 +10,9 @@ solved exactly, not by an entropic approximation, with the network simplex
 of Ahuja-Magnanti-Orlin (*Network Flows*, ch. 11) as Bonneel et al. 2011
 use it: a least-cost (matrix-minimum) start, dual-variable pricing, and a
 basis tree kept across pivots, of which each pivot re-hangs only the
-subtree the leaving cell cuts off. Pivots take the most negative price up
-to a cap; past it, Bland's rule (Bland 1977) continues from the same basis,
-so the solve terminates on any degenerate instance.
+subtree the leaving cell cuts off. One pivot loop enters the most negative
+price up to a cap and, past it, switches to Bland's rule (Bland 1977) on the
+same basis, so the solve terminates on any degenerate instance.
 
 A run's per-image kernel (``harness``) builds one cost block per (api,
 image), against the object side at the largest k, and each k solves on its
@@ -222,8 +222,10 @@ class _BasisTree:
             self.hang(column, i)
 
 
-def _entering(tree: _BasisTree) -> tuple[int, int] | None:
-    """Non-basic cell of most negative price (c - u) - v, row-major first.
+def _entering(tree: _BasisTree, first: bool = False) -> tuple[int, int] | None:
+    """Non-basic cell of most negative price (c - u) - v, row-major first;
+    with ``first``, the first one in row-major order whose price falls below
+    -_PRICE_TOL, which is Bland's entering rule.
 
     None when no price falls below -_PRICE_TOL: the basis is optimal.
     """
@@ -234,70 +236,58 @@ def _entering(tree: _BasisTree) -> tuple[int, int] | None:
         for j, cost in enumerate(row):
             price = (cost - ui) - v[j]
             if price < best and not tree.joins(i, j):
+                if first:
+                    return i, j
                 best = price
                 entering = (i, j)
     return entering
 
 
-def _first_entering(tree: _BasisTree) -> tuple[int, int] | None:
-    """Bland's entering rule: the first non-basic cell, row-major, whose
-    price (c - u) - v falls below -_PRICE_TOL; None when the basis is optimal.
-    """
-    v = tree.v
-    for i, (row, ui) in enumerate(zip(tree.costs, tree.u)):
-        for j, cost in enumerate(row):
-            if (cost - ui) - v[j] < -_PRICE_TOL and not tree.joins(i, j):
-                return i, j
-    return None
-
-
 def _pivot_loop(flow: list[list[float]], tree: _BasisTree, max_pivots: int,
-                entering_rule=_entering) -> bool:
+                bland_pivots: int) -> None:
     """Pivot to optimality, updating ``flow`` and ``tree`` in place.
 
-    ``entering_rule`` picks each entering cell. The entering cell closes one
-    cycle: the tree paths from its row and its column up to their common
-    ancestor. Walking that cycle from the column, cells alternate between
-    losing and gaining flow; a path cell loses when its lower node is a row
-    on the row's path, or a column on the column's path. The leaving cell is
-    the lowest (i, j) among the givers that drop to zero, which with
-    ``_first_entering`` is Bland's rule, so those pivots cannot cycle.
-    Returns False when the cap hits first.
+    The first ``max_pivots`` pivots enter the cell of most negative price,
+    the next ``bland_pivots`` the first negative one (Bland's rule), from
+    the same basis. The entering cell closes one cycle: the tree paths from
+    its row and its column up to their common ancestor. Walking that cycle
+    from the column, cells alternate between losing and gaining flow; a path
+    cell loses when its lower node is a row on the row's path, or a column
+    on the column's path. The leaving cell is the lowest (i, j) among the
+    givers that drop to zero, which under Bland's entering rule is Bland's
+    leaving rule, so those pivots cannot cycle. Raises NumericalFailureError
+    when both budgets run out first.
     """
     m = tree.m
     parent, depth = tree.parent, tree.depth
-    for _ in range(max_pivots):
-        entering = entering_rule(tree)
+    for pivot in range(max_pivots + bland_pivots):
+        entering = _entering(tree, first=pivot >= max_pivots)
         if entering is None:
-            return True
+            return
         i, j = entering
         gainers = [entering]
-        givers: list[tuple[tuple[int, int], int, bool]] = []
+        givers: list[tuple[float, tuple[int, int], int, bool]] = []
         x, y = i, m + j  # x climbs from the row, y from the column
         while x != y:
-            if depth[x] >= depth[y]:
-                if x < m:
-                    givers.append((tree.cell(x), x, True))
-                else:
-                    gainers.append(tree.cell(x))
-                x = parent[x]
+            row_side = depth[x] >= depth[y]  # the deeper side climbs
+            if row_side:
+                node, x = x, parent[x]
             else:
-                if y >= m:
-                    givers.append((tree.cell(y), y, False))
-                else:
-                    gainers.append(tree.cell(y))
-                y = parent[y]
-        theta = min(flow[a][b] for (a, b), _, _ in givers)
-        # the leaving cell: the lowest (i, j) among givers that drop to zero
-        _, node, row_side = min(
-            giver for giver in givers if flow[giver[0][0]][giver[0][1]] == theta)
+                node, y = y, parent[y]
+            a, b = cell = tree.cell(node)
+            if (node < m) == row_side:
+                givers.append((flow[a][b], cell, node, row_side))
+            else:
+                gainers.append(cell)
+        # theta and the leaving cell: the lowest (i, j) among least givers
+        theta, _, node, row_side = min(givers)
         for a, b in gainers:
             flow[a][b] += theta
-        for (a, b), _, _ in givers:
+        for _, (a, b), _, _ in givers:
             value = flow[a][b] - theta
             flow[a][b] = value if value > 0.0 else 0.0
         tree.exchange(entering, node, row_side)
-    return False
+    raise NumericalFailureError("transport solver failed to converge")
 
 
 def solve_transport(supply, demand, costs, *, max_pivots: int | None = None)\
@@ -365,11 +355,7 @@ def solve_transport(supply, demand, costs, *, max_pivots: int | None = None)\
             max_pivots = 1000 + 10 * m * n
         flow, basis = _least_cost_start(s.tolist(), d.tolist(), c)
         tree = _BasisTree(basis, c.tolist())
-        # past the cap, Bland's rule finishes from the same basis
-        if not (_pivot_loop(flow, tree, max_pivots)
-                or _pivot_loop(flow, tree, max(4 * max_pivots, 1000 + 10 * m * n),
-                               _first_entering)):
-            raise NumericalFailureError("transport solver failed to converge")
+        _pivot_loop(flow, tree, max_pivots, max(4 * max_pivots, 1000 + 10 * m * n))
         plan = np.array(flow, dtype=np.float64)
         u, v = np.array(tree.u, dtype=np.float64), np.array(tree.v, dtype=np.float64)
     objective = float((plan * c).sum())

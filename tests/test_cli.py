@@ -51,6 +51,35 @@ class TestEvaluateCommand:
             assert code == 0
             assert (tmp_path / expected).exists()
 
+    def test_csv_honours_its_suffix(self, capsys, tmp_path, fixture_files,
+                                    fixture_model_file):
+        code, stdout, _ = run_cli(capsys, "evaluate",
+                                  "--ground-truth", str(fixture_files["truth"]),
+                                  "--predictions", str(fixture_files["predictions"][0]),
+                                  "--embeddings", str(fixture_model_file),
+                                  "--top-k", "1,3", "--format", "csv",
+                                  "--out", str(tmp_path / "report.csv"))
+        assert code == 0
+        assert stdout.splitlines() == [f"wrote {tmp_path / 'report_k1.csv'}",
+                                       f"wrote {tmp_path / 'report_k3.csv'}"]
+
+    def test_missing_output_directory_stops_before_scoring(
+            self, monkeypatch, capsys, tmp_path, fixture_files, fixture_model_file):
+        from labeleval import harness
+
+        def unloaded(*args, **kwargs):
+            raise AssertionError("the model was loaded")
+
+        monkeypatch.setattr(harness, "load_model", unloaded)
+        missing = tmp_path / "no" / "such"
+        code, _, err = run_cli(capsys, "evaluate",
+                               "--ground-truth", str(fixture_files["truth"]),
+                               "--predictions", str(fixture_files["predictions"][0]),
+                               "--embeddings", str(fixture_model_file),
+                               "--out", str(missing / "report"))
+        assert code == 2
+        assert err.splitlines() == [f"data error: no such output directory: {missing}"]
+
     def test_missing_inputs_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "evaluate")
         assert code == 1
@@ -288,6 +317,36 @@ class TestBadRunSettings:
         assert code == 1
         assert err.splitlines() == [f"Error: invalid run settings: {message}"]
 
+    @pytest.mark.parametrize("sentence,message", [
+        ({**REMOTE, "model": None, "cache_dir": "c"},
+         "invalid run settings: model must be a string, got None"),
+        ({"mode": "file", "path": "x"}, "config lacks required key 'sentence.model'"),
+        ({"path": "x", "model": "m"}, "config lacks required key 'sentence.mode'"),
+        ({}, "config lacks required key 'sentence.mode'"),
+        ([1], "invalid run settings: a sentence block must hold a JSON object"),
+        ([], "invalid run settings: a sentence block must hold a JSON object"),
+        (False, "invalid run settings: a sentence block must hold a JSON object"),
+        (0, "invalid run settings: a sentence block must hold a JSON object"),
+        # an unknown key is ignored, and the keys it knows are still checked
+        ({**REMOTE, "extra": 1, "timeout": 0},
+         "invalid run settings: timeout must be a finite positive number"),
+    ], ids=["null-model", "no-model", "no-mode", "empty-object", "list", "empty-list",
+            "false", "zero", "unknown-key"])
+    def test_sentence_block_is_read_like_a_spec(
+            self, monkeypatch, capsys, tmp_path, fixture_files, fixture_model_file,
+            sentence, message):
+        from labeleval import harness
+
+        def unread(*args, **kwargs):
+            raise AssertionError("an input file was read")
+
+        for name in ("read_ground_truth", "read_predictions", "load_model"):
+            monkeypatch.setattr(harness, name, unread)
+        code, _, err = self.evaluate_config(capsys, tmp_path, fixture_files,
+                                            fixture_model_file, sentence=sentence)
+        assert code == 1
+        assert err.splitlines() == [f"Error: {message}"]
+
     def test_config_that_is_not_an_object(self, capsys, tmp_path):
         config = tmp_path / "run.json"
         config.write_text("[1]", encoding="utf-8")
@@ -486,6 +545,16 @@ class TestUsageErrors:
         assert err.splitlines() == [
             "Error: either --config or all of --ground-truth/--predictions/"
             "--embeddings are required"]
+
+    def test_sentence_model_without_a_provider(self, capsys, fixture_files,
+                                               fixture_model_file):
+        code, _, err = run_cli(capsys, "evaluate",
+                               "--ground-truth", str(fixture_files["truth"]),
+                               "--predictions", str(fixture_files["predictions"][0]),
+                               "--embeddings", str(fixture_model_file),
+                               "--sentence-model", "m")
+        assert code == 1
+        assert err.splitlines() == ["Error: --sentence-model requires --sentence-provider"]
 
     def test_no_command(self, capsys):
         code, _, err = run_cli(capsys)

@@ -109,6 +109,33 @@ class TestRateLimiter:
             limiter.acquire()
         assert clock.now == 0.0
 
+    def test_rounding_keeps_an_expired_looking_grant(self):
+        """After the sleep, 0.3 + 2.8 reads 4e-16 s short of 0.1 + 3: the
+        grant at 0.1 still counts, so the next one waits a full period."""
+        clock = FakeClock()
+        clock.now = 0.1
+        limiter = SlidingWindowLimiter(1, 3.0, clock=clock.monotonic,
+                                       sleep=clock.sleep)
+        times = [limiter.acquire()]
+        clock.now += 0.2
+        times += [limiter.acquire(), limiter.acquire()]
+        assert times == [0.1, 3.0999999999999996, 6.1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(limit=st.integers(1, 5),
+           period=st.floats(0.001, 100.0, allow_nan=False),
+           gaps=st.lists(st.floats(0.0, 50.0, allow_nan=False), max_size=30))
+    def test_no_window_holds_more_than_limit(self, limit, period, gaps):
+        clock = FakeClock()
+        limiter = SlidingWindowLimiter(limit, period, clock=clock.monotonic,
+                                       sleep=clock.sleep)
+        times = []
+        for gap in gaps:
+            clock.now += gap
+            times.append(limiter.acquire())
+        for first, last in zip(times, times[limit:]):
+            assert last - first >= period - 1e-9
+
 
 class TestFetch:
     def test_cold_then_warm_cache(self, tmp_path):

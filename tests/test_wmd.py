@@ -11,6 +11,7 @@ from labeleval.errors import (
     EmptyBagError,
     EmptyDatasetError,
     InfeasibleMarginalsError,
+    NumericalFailureError,
     UnresolvedTokenError,
 )
 from labeleval.wmd import (
@@ -177,6 +178,33 @@ class TestSolveTransport:
             assert plan.objective == pytest.approx(expected, abs=1e-9)
             assert np.max(np.abs(plan.flow.sum(axis=1) - supply)) <= 1e-9
             assert np.max(np.abs(plan.flow.sum(axis=0) - demand)) <= 1e-9
+
+
+class TestPivotLoop:
+    @pytest.mark.parametrize("cap", [0, 1, 3])
+    def test_bland_rule_takes_over_exactly_at_the_cap(self, monkeypatch, cap):
+        supply, demand, costs = random_instance(random.Random(5), max_side=10)
+        firsts = []
+        entering = wmd._entering
+
+        def recording(tree, first=False):
+            firsts.append(first)
+            return entering(tree, first)
+
+        monkeypatch.setattr(wmd, "_entering", recording)
+        plan = solve_transport(supply, demand, costs, max_pivots=cap)
+        assert len(firsts) > cap + 1  # Bland's rule pivots at least once
+        assert firsts == [False] * cap + [True] * (len(firsts) - cap)
+        assert plan.objective == pytest.approx(
+            solve_transport(supply, demand, costs).objective, abs=1e-12)
+
+    def test_running_out_of_pivots_raises(self):
+        supply, demand, costs = random_instance(random.Random(5), max_side=10)
+        flow, basis = wmd._least_cost_start(supply.tolist(), demand.tolist(), costs)
+        tree = wmd._BasisTree(basis, costs.tolist())
+        assert wmd._entering(tree) is not None  # the start is not optimal
+        with pytest.raises(NumericalFailureError, match="failed to converge"):
+            wmd._pivot_loop(flow, tree, 0, 0)
 
 
 @st.composite
