@@ -5,10 +5,21 @@ rows of "token c1 ... cD". Binary: the same ascii header, then V records of
 token bytes, a single 0x20, and D little-endian float32 values with an
 optional trailing newline. Every component must be finite.
 
-A load reads the file once, 4 MB (binary) or 8 KB (text) at a time: the
+A parse reads the file once, 4 MB (binary) or 8 KB (text) at a time: the
 same bytes feed the store's SHA-256 digest, and every row is checked. Given
 ``wanted`` tokens, a load keeps only their rows, so a run holds the few
 thousand rows its labels can resolve to, not the whole model.
+
+``load_model`` keeps what a text parse has checked in a cache entry keyed by
+the file's digest: the float32 rows, in file order, then the tokens. The
+entry is written only if the parse read the bytes the key was hashed from.
+A repeat load of the same bytes hashes the file and takes its rows from the
+entry, with no parse; a read re-checks the entry's header and size, that it
+holds V tokens, and that the rows it takes are finite. An entry that fails
+a check is ignored and written again. The entries live in
+``$XDG_CACHE_HOME/labeleval/models`` (``~/.cache/labeleval/models`` when
+that is unset). Binary models, ``load_text_model`` and ``load_binary_model``
+always parse.
 
 A run resolves its labels once, into a ``Vocabulary``; the scalar ``cosine``
 and ``euclidean`` stay as the reference the vectorised scoring is checked
@@ -17,17 +28,20 @@ against.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import hashlib
 import io
+import logging
 import math
 import os
 import re
 import sys
+import tempfile
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
+from typing import AbstractSet, Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -40,6 +54,8 @@ from .errors import (
     UnresolvedTokenError,
     ZeroVectorError,
 )
+
+logger = logging.getLogger(__name__)
 
 #: Distinguished token standing in for every label the store cannot resolve.
 UNKNOWN_TOKEN = "<unk>"
@@ -225,6 +241,15 @@ def _open_hashed(path: Path) -> io.BufferedReader:
     return io.BufferedReader(_HashingFile(path), _READ_BYTES)
 
 
+def sha256(path: str | Path) -> str:
+    """The SHA-256 hex digest of a file's bytes, read ``_READ_BYTES`` at a time."""
+    buffer = bytearray(_READ_BYTES)
+    with _HashingFile(Path(path)) as handle:
+        while handle.readinto(buffer):
+            pass
+        return handle.sha256.hexdigest()
+
+
 class _RowSink:
     """The rows a load keeps, taken one parsed block at a time.
 
@@ -232,16 +257,19 @@ class _RowSink:
     and every block is checked for NaN and infinities before its rows are
     copied out: all of them, or, given ``wanted``, those whose token is in it.
     ``first_bad`` is the place (line or record) of the first non-finite row.
+    Given an ``_EntryWriter``, every row also goes to it, a block at a time,
+    and the tokens once the load has passed every check.
     """
 
-    __slots__ = ("seen", "first_bad", "_kept", "_wanted", "_matrix")
+    __slots__ = ("seen", "first_bad", "_kept", "_wanted", "_matrix", "_entry")
 
     def __init__(self, vocab: int, fits: int, dim: int,
-                 wanted: AbstractSet[str] | None):
+                 wanted: AbstractSet[str] | None, entry: _EntryWriter | None = None):
         self.seen: dict[str, int] = {}  # every token read -> its row in the file
         self.first_bad: int | None = None
         self._kept = self.seen if wanted is None else {}
         self._wanted = wanted
+        self._entry = entry
         # kept rows have distinct tokens, all wanted, and the file holds them
         capacity = min(vocab, fits, len(wanted) if wanted is not None else vocab)
         self._matrix = np.zeros((capacity, dim), dtype=np.float32)
@@ -252,6 +280,8 @@ class _RowSink:
         bad = _first_bad_row(rows)
         if bad is not None and self.first_bad is None:
             self.first_bad = places[bad]
+        if self._entry is not None:
+            self._entry.rows(rows)
         if self._wanted is None:
             first = len(self.seen) - len(tokens)
             self._matrix[first:first + len(tokens)] = rows
@@ -262,6 +292,10 @@ class _RowSink:
                     self._kept[token] = len(self._kept)
 
     def store(self, path: Path, digest: str) -> EmbeddingStore:
+        """The kept rows as a store; called once the load has passed every check,
+        with the digest of the bytes it read."""
+        if self._entry is not None:
+            self._entry.commit(self.seen, self._matrix.shape[1], digest)
         return EmbeddingStore._from_matrix(
             self._kept, self._matrix[:len(self._kept)], str(path), digest)
 
@@ -322,7 +356,11 @@ def load_text_model(path: str | Path, *,
     a DataError too. With ``wanted``, only the rows of those tokens are kept,
     but every row is still checked.
     """
-    path = Path(path)
+    return _load_text(Path(path), wanted)
+
+
+def _load_text(path: Path, wanted: AbstractSet[str] | None,
+               entry: _EntryWriter | None = None) -> EmbeddingStore:
     with _open_hashed(path) as binary, \
             io.TextIOWrapper(binary, encoding="utf-8") as text, \
             np.errstate(over="ignore"):  # a float32 overflow is rejected below
@@ -337,7 +375,7 @@ def load_text_model(path: str | Path, *,
         if vocab and not fits:
             raise MalformedHeaderError(
                 f"{path}: a row of {dim} components cannot fit in the file")
-        sink = _RowSink(vocab, fits, dim, wanted)
+        sink = _RowSink(vocab, fits, dim, wanted, entry)
         seen = sink.seen
         # Each line is checked as it is decoded; its numbers wait in a block
         # of about _READ_BYTES, parsed at once.
@@ -490,23 +528,191 @@ def load_binary_model(path: str | Path, *,
 #: The formats ``load_model`` takes; "auto" picks by the file suffix.
 MODEL_FORMATS = ("auto", "text", "binary")
 
-
 def load_model(path: str | Path, fmt: str = "auto", *,
                wanted: AbstractSet[str] | None = None) -> EmbeddingStore:
     """Dispatch on format; 'auto' treats a .bin suffix as binary.
 
-    With ``wanted``, the store keeps only the rows of those tokens.
+    With ``wanted``, the store keeps only the rows of those tokens. A text
+    model whose bytes were loaded before is read from its cache entry (see
+    the module docstring); the store is the same either way.
     """
     if fmt not in MODEL_FORMATS:
         raise ValueError(f"unknown model format: {fmt!r}")
     if fmt == "auto":
         fmt = "binary" if Path(path).suffix == ".bin" else "text"
-    return (load_binary_model if fmt == "binary" else load_text_model)(path, wanted=wanted)
+    if fmt == "binary":
+        return load_binary_model(path, wanted=wanted)
+    path = Path(path)
+    digest = sha256(path)
+    entry = _cache_dir() / f"{digest}.text.v{_ENTRY_VERSION}"
+    store = _cached_store(entry, path, digest, wanted)
+    if store is None:
+        writer = _EntryWriter(entry, digest)
+        try:
+            store = _load_text(path, wanted, writer)
+        finally:
+            writer.discard()
+    return store
 
 
-def _checked_token(token: str) -> str:
-    # Both serializations delimit the token with whitespace.
-    if " " in token or "\n" in token:
+# A cache entry: a header of _HEADER_BYTES, then the V x D little-endian
+# float32 rows in file order, then every token followed by "\n", in UTF-8
+# (a text model's token holds no line break). The header is one ASCII line,
+# padded with spaces, naming the layout version, the model's digest, V, D and
+# the size of the token table.
+_ENTRY_VERSION = 1
+_HEADER_BYTES = 128
+
+
+def _entry_header(digest: str, vocab: int, dim: int, table_bytes: int) -> bytes:
+    line = f"labeleval-model-cache {_ENTRY_VERSION} {digest} {vocab} {dim} {table_bytes}"
+    return line.encode("ascii").ljust(_HEADER_BYTES - 1) + b"\n"
+
+
+def _cache_dir() -> Path:
+    """``$XDG_CACHE_HOME/labeleval/models``, or ``~/.cache/labeleval/models``
+    when that is unset (or, as the XDG rules say, not an absolute path)."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    return Path(base, "labeleval", "models")
+
+
+class _BadEntry(Exception):
+    """A cache entry that fails a check on read."""
+
+
+def _cached_store(entry: Path, path: Path, digest: str,
+                  wanted: AbstractSet[str] | None) -> EmbeddingStore | None:
+    """The store the model's cache entry holds, or None when there is none,
+    or it cannot be read, or it fails a check."""
+    try:
+        with entry.open("rb") as handle:
+            store = _read_entry(handle, path, digest, wanted)
+    except (FileNotFoundError, NotADirectoryError):
+        logger.debug("model cache miss: %s", path)
+        return None
+    except (OSError, _BadEntry) as exc:
+        logger.warning("model cache entry %s ignored (%s); loading %s again",
+                       entry, exc, path)
+        return None
+    logger.debug("model cache hit: %s from %s", path, entry)
+    return store
+
+
+def _read_entry(handle: io.BufferedReader, path: Path, digest: str,
+                wanted: AbstractSet[str] | None) -> EmbeddingStore:
+    head = handle.read(_HEADER_BYTES)
+    try:
+        vocab, dim, table_bytes = (int(field) for field in head.split()[-3:])
+    except ValueError:
+        raise _BadEntry("unreadable header") from None
+    if head != _entry_header(digest, vocab, dim, table_bytes):
+        raise _BadEntry("header does not name this model")
+    rows_end = _HEADER_BYTES + 4 * vocab * dim
+    size = os.fstat(handle.fileno()).st_size
+    if size != rows_end + table_bytes:
+        raise _BadEntry(f"{size} bytes, expected {rows_end + table_bytes}")
+    handle.seek(rows_end)
+    try:
+        tokens = handle.read().decode("utf-8").split("\n")
+    except UnicodeDecodeError:
+        raise _BadEntry("token table is not UTF-8") from None
+    if len(tokens) != vocab + 1 or tokens.pop():
+        raise _BadEntry(f"token table does not hold {vocab} tokens")
+    kept = {token: place for place, token in enumerate(tokens)
+            if wanted is None or token in wanted}
+    index = list(kept.values())
+    matrix = np.empty((len(index), dim), dtype="<f4")
+    if wanted is None:
+        handle.seek(_HEADER_BYTES)
+        handle.readinto(matrix)
+    else:  # only the rows taken are read
+        for kept_row, place in enumerate(index):
+            handle.seek(_HEADER_BYTES + 4 * dim * place)
+            handle.readinto(matrix[kept_row])
+    bad = _first_bad_row(matrix)
+    if bad is not None:
+        raise _BadEntry(f"non-finite component in row {index[bad]}")
+    row = {token: kept_row for kept_row, token in enumerate(kept)}
+    return EmbeddingStore._from_matrix(row, matrix.astype(np.float32, copy=False),
+                                       str(path), digest)
+
+
+class _EntryWriter:
+    """The cache entry of one text load, written as the load goes.
+
+    Rows go to a temporary file beside the entry as each block is checked;
+    ``commit`` adds the tokens and the header and moves the file into place,
+    if the load read the bytes the entry is keyed by. A write that fails is
+    logged once, and the load goes on without the entry; ``discard`` removes
+    what was not committed.
+    """
+
+    def __init__(self, entry: Path, digest: str):
+        self._entry, self._digest = entry, digest
+        self._handle: io.BufferedWriter | None = None
+        self._temp: Path | None = None
+        try:
+            # the cache base, labeleval and models: each made private if missing
+            for directory in (entry.parents[2], entry.parents[1], entry.parent):
+                directory.mkdir(mode=0o700, parents=True, exist_ok=True)
+            fd, name = tempfile.mkstemp(prefix=entry.name + ".", suffix=".tmp",
+                                        dir=entry.parent)
+            self._temp = Path(name)
+            self._handle = os.fdopen(fd, "wb")
+            self._handle.write(bytes(_HEADER_BYTES))
+        except OSError as exc:
+            self._fail(exc)
+
+    def rows(self, rows: np.ndarray) -> None:
+        if self._handle is None:
+            return
+        try:
+            self._handle.write(np.ascontiguousarray(rows, dtype="<f4"))
+        except OSError as exc:
+            self._fail(exc)
+
+    def commit(self, tokens: Collection[str], dim: int, digest: str) -> None:
+        """Write the tokens and the header, and put the entry in place, unless
+        the load's ``digest`` shows the file changed since it was keyed."""
+        if self._handle is None:
+            return
+        if digest != self._digest:
+            self._fail(f"the model file changed while it was read, to {digest}")
+            return
+        try:
+            table = "\n".join([*tokens, ""]).encode("utf-8")
+            self._handle.write(table)
+            self._handle.seek(0)
+            self._handle.write(_entry_header(digest, len(tokens), dim, len(table)))
+            self._handle.close()
+            os.replace(self._temp, self._entry)
+        except OSError as exc:
+            self._fail(exc)
+            return
+        self._handle = self._temp = None
+        logger.debug("model cache entry written: %s", self._entry)
+
+    def _fail(self, why: object) -> None:
+        logger.warning("model cache entry %s not written (%s)", self._entry, why)
+        self.discard()
+
+    def discard(self) -> None:
+        """Close and remove the temporary file, unless it was committed."""
+        with contextlib.suppress(OSError):  # the load's own outcome stands
+            if self._handle is not None:
+                self._handle.close()
+        with contextlib.suppress(OSError):
+            if self._temp is not None:
+                self._temp.unlink(missing_ok=True)
+        self._handle = self._temp = None
+
+
+def _checked_token(token: str, breaks: str = " \n") -> str:
+    # Both serializations end the token at a space; ``breaks`` also holds
+    # what else ends one when read back.
+    if any(character in token for character in breaks):
         raise DataError(f"token contains whitespace and cannot be serialized: {token!r}")
     return token
 
@@ -517,8 +723,13 @@ def save_text_model(store: EmbeddingStore, path: str | Path) -> None:
     with path.open("w", encoding="utf-8") as handle:
         handle.write(f"{store.vocab_size} {store.dim}\n")
         for token, vector in store.items():
-            rendered = " ".join(f"{float(c):.8e}" for c in vector)
-            handle.write(f"{_checked_token(token)} {rendered}\n")
+            # the reader's universal newlines end a line at "\r" too
+            line = " ".join([_checked_token(token, " \n\r"),
+                             *(f"{float(c):.8e}" for c in vector)])
+            if not line:  # the reader skips a blank line
+                raise DataError("an empty token with no components cannot be "
+                                "serialized as text")
+            handle.write(f"{line}\n")
 
 
 def save_binary_model(store: EmbeddingStore, path: str | Path) -> None:

@@ -46,6 +46,7 @@ from .embeddings import (
     clean_labels,
     cosine,
     load_model,
+    sha256,
     wanted_tokens,
 )
 from .errors import (
@@ -412,14 +413,6 @@ class _Scored:
     wmd: float | None  # None when WMD is off or a side is empty
 
 
-def _sha256_file(path: str | Path) -> str:
-    digest = hashlib.sha256()
-    with Path(path).open("rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def _annotate(exc: EvaluationError, api_id: str, image_id: str) -> None:
     """Prefix the failing unit to the error's message, keeping the error."""
     exc.args = (f"{api_id}/{image_id}: {exc}",)
@@ -449,8 +442,8 @@ def run_evaluation(config: RunConfig) -> reporting.MetricReport:
     store = load_model(config.embeddings_path, config.embeddings_format,
                        wanted=wanted_tokens(cleaned.values()))
     provenance = {
-        "ground_truth_digest": _sha256_file(config.ground_truth_path),
-        "prediction_digests": {str(p): _sha256_file(p)
+        "ground_truth_digest": sha256(config.ground_truth_path),
+        "prediction_digests": {str(p): sha256(p)
                                for p in config.prediction_paths},
         "embeddings_digest": store.digest,
         "config": {

@@ -6,6 +6,16 @@ import pytest
 import street_scene
 
 
+@pytest.fixture(scope="session", autouse=True)
+def model_cache_home(tmp_path_factory):
+    """Every model cache entry the tests make, CLI subprocesses' included,
+    goes under a directory of this session, not the real ``~/.cache``."""
+    home = tmp_path_factory.mktemp("xdg_cache")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(home))
+        yield home
+
+
 @pytest.fixture(scope="session")
 def fixture_store():
     return street_scene.build_store()

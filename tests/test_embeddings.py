@@ -151,6 +151,35 @@ class TestRoundTrip:
             assert np.max(np.abs(from_text.get(token) - vector)) <= 1e-6
             assert np.max(np.abs(from_binary.get(token) - vector)) <= 1e-6
 
+    def test_a_carriage_return_is_not_written_as_text(self, tmp_path):
+        store = EmbeddingStore([("a\rb", [1, 2]), ("c", [3, 4])], dim=2)
+        with pytest.raises(DataError, match="whitespace"):
+            save_text_model(store, tmp_path / "cr.txt")
+        save_binary_model(store, tmp_path / "cr.bin")
+        assert list(load_binary_model(tmp_path / "cr.bin").tokens()) == ["a\rb", "c"]
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(tokens=st.lists(st.text(st.characters(exclude_categories=["Cs"]),
+                                   max_size=4), unique=True, max_size=5),
+           dim=st.integers(0, 3), data=st.data())
+    def test_what_a_writer_accepts_loads_back(self, tmp_path, tokens, dim, data):
+        vectors = data.draw(st.lists(
+            st.lists(st.floats(width=32, allow_nan=False, allow_infinity=False),
+                     min_size=dim, max_size=dim),
+            min_size=len(tokens), max_size=len(tokens)))
+        store = EmbeddingStore(zip(tokens, vectors), dim=dim)
+        for save, load in ((save_text_model, load_text_model),
+                           (save_binary_model, load_binary_model)):
+            path = tmp_path / "model"
+            try:
+                save(store, path)
+            except DataError:
+                continue
+            loaded = load(path)
+            assert list(loaded.tokens()) == tokens
+            assert loaded._matrix.tobytes() == store._matrix.tobytes()
+
 
 class TestCleaning:
     @pytest.mark.parametrize("raw,expected", [

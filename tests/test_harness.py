@@ -381,12 +381,12 @@ class TestRunEvaluation:
             loads.append(kwargs)
             return load_model(*args, **kwargs)
 
-        def recording_hash(path, real=harness._sha256_file):
+        def recording_hash(path, real=harness.sha256):
             hashed.append(str(path))
             return real(path)
 
         monkeypatch.setattr(harness, "load_model", recording_load)
-        monkeypatch.setattr(harness, "_sha256_file", recording_hash)
+        monkeypatch.setattr(harness, "sha256", recording_hash)
         config = self.make_config(fixture_files, fixture_model_file)
         report = run_evaluation(config)
         assert len(loads) == 1
@@ -401,6 +401,27 @@ class TestRunEvaluation:
         full = run_evaluation(config)
         assert report.rows == full.rows
         assert report.provenance == full.provenance
+
+    def test_a_repeat_run_reads_the_model_cache(self, monkeypatch, tmp_path,
+                                                fixture_files, fixture_model_file):
+        from unittest import mock
+
+        from labeleval import embeddings, harness
+
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        real, loads = harness.load_model, []
+        monkeypatch.setattr(harness, "load_model",
+                            lambda *args, **kwargs: loads.append(1) or real(*args, **kwargs))
+        config = self.make_config(fixture_files, fixture_model_file)
+        cold = run_evaluation(config)
+        assert len(loads) == 1
+        failing = mock.Mock(side_effect=AssertionError("the model was parsed"))
+        with mock.patch.object(embeddings, "_load_text", failing):
+            warm = run_evaluation(config)
+        assert len(loads) == 2
+        assert list((tmp_path / "labeleval" / "models").iterdir())
+        assert warm.rows == cold.rows
+        assert warm.provenance == cold.provenance
 
     def test_k1_equals_k5_for_single_object_records(self, tmp_path,
                                                     fixture_model_file):
@@ -706,12 +727,13 @@ class TestFetchCacheValidation:
 
 
 def test_digest_of_a_file_larger_than_one_chunk(tmp_path):
-    from labeleval.harness import _sha256_file
+    from labeleval.embeddings import _READ_BYTES, sha256
 
     path = tmp_path / "model.bin"
-    data = bytes(range(256)) * 12_000
+    data = bytes(range(256)) * 20_000
+    assert len(data) > _READ_BYTES
     path.write_bytes(data)
-    assert _sha256_file(path) == hashlib.sha256(data).hexdigest()
+    assert sha256(path) == hashlib.sha256(data).hexdigest()
 
 
 def test_annotated_error_keeps_class_and_attributes(monkeypatch, fixture_files,

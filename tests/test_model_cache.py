@@ -1,0 +1,376 @@
+"""The model cache of ``load_model``: a repeat load of the same text model
+bytes reads the checked rows from an entry keyed by the file's SHA-256.
+
+Every cached store must equal what the uncached loader gives, bit for bit;
+an entry that fails a check, or cannot be written, changes nothing but the
+time a load takes.
+"""
+
+from __future__ import annotations
+
+import errno
+import hashlib
+import logging
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from labeleval import embeddings
+from labeleval.embeddings import (
+    EmbeddingStore,
+    load_binary_model,
+    load_model,
+    load_text_model,
+    save_binary_model,
+    save_text_model,
+)
+from labeleval.errors import DataError
+
+UNCACHED = {"text": load_text_model, "binary": load_binary_model}
+
+
+@pytest.fixture
+def cache_home(tmp_path, monkeypatch):
+    """A cache of the test's own, so what it holds is what the test made."""
+    home = tmp_path / "cache_home"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(home))
+    return home
+
+
+def cache_files(home: Path) -> list[str]:
+    directory = home / "labeleval" / "models"
+    return sorted(p.name for p in directory.iterdir()) if directory.is_dir() else []
+
+
+def entry_path(home: Path, path: Path) -> Path:
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    return home / "labeleval" / "models" / f"{digest}.text.v1"
+
+
+def assert_same_store(got: EmbeddingStore, expected: EmbeddingStore) -> None:
+    assert list(got.tokens()) == list(expected.tokens())
+    assert got._matrix.dtype == expected._matrix.dtype == np.float32
+    assert got._matrix.shape == expected._matrix.shape
+    assert got._matrix.tobytes() == expected._matrix.tobytes()
+    assert not got._matrix.flags.writeable
+    assert (got.dim, got.digest, got.source_path) == \
+        (expected.dim, expected.digest, expected.source_path)
+
+
+def no_parse():
+    """The text parser, patched to fail: a load must come from the cache."""
+    def parse(*args, **kwargs):
+        raise AssertionError("the model was parsed")
+    return mock.patch.object(embeddings, "_load_text", parse)
+
+
+def outcome(load, *args, **kwargs):
+    try:
+        return load(*args, **kwargs)
+    except DataError as exc:
+        return type(exc), str(exc)
+
+
+def write_model(directory: Path, fmt: str, store: EmbeddingStore) -> Path:
+    path = directory / f"model.{'bin' if fmt == 'binary' else 'txt'}"
+    (save_binary_model if fmt == "binary" else save_text_model)(store, path)
+    return path
+
+
+# a space ends a token early, which mostly fails the load; a binary model's
+# token may hold a line break
+_token = st.text(alphabet="abü\t\x00 \n", max_size=4)
+_component = st.floats(width=32, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _models(draw):
+    """A small model file's bytes and format, usually well-formed."""
+    fmt = draw(st.sampled_from(["text", "binary"]))
+    dim = draw(st.integers(0, 3))
+    tokens = draw(st.lists(_token, max_size=6, unique=True))
+    if fmt == "text":
+        tokens = list(dict.fromkeys(token.replace("\n", "") for token in tokens))
+    if tokens and draw(st.integers(0, 7)) == 0:
+        tokens.append(tokens[0])  # fails the load
+    vectors = draw(st.lists(st.lists(_component, min_size=dim, max_size=dim),
+                            min_size=len(tokens), max_size=len(tokens)))
+    if vectors and dim and draw(st.integers(0, 3)) == 0:
+        vectors[-1][0] = draw(st.sampled_from([np.nan, np.inf]))  # fails the load
+    if fmt == "binary":
+        blob = f"{len(tokens)} {dim}\n".encode() + b"".join(
+            token.encode() + b" " + np.array(vector, dtype="<f4").tobytes() + b"\n"
+            for token, vector in zip(tokens, vectors))
+    else:
+        blob = f"{len(tokens)} {dim}\n".encode() + b"".join(
+            " ".join([token, *(repr(float(c)) for c in vector)]).encode() + b"\n"
+            for token, vector in zip(tokens, vectors))
+    wanted = draw(st.none() | st.sets(_token | st.just("zz"), max_size=4))
+    return fmt, blob, wanted
+
+
+class TestBitIdentity:
+    @settings(max_examples=150, deadline=None)
+    @given(model=_models())
+    def test_cold_and_warm_loads_equal_the_uncached_loader(self, model):
+        fmt, blob, wanted = model
+        with tempfile.TemporaryDirectory() as scratch, \
+                mock.patch.dict(os.environ, {"XDG_CACHE_HOME": scratch}):
+            path = Path(scratch) / "model"
+            path.write_bytes(blob)
+            expected = outcome(UNCACHED[fmt], path, wanted=wanted)
+            cold = outcome(load_model, path, fmt, wanted=wanted)
+            if not isinstance(expected, EmbeddingStore):
+                # a failing model leaves nothing behind, and fails alike again
+                assert cold == expected
+                assert cache_files(Path(scratch)) == []
+                assert outcome(load_model, path, fmt, wanted=wanted) == expected
+                return
+            assert_same_store(cold, expected)
+            if fmt == "binary":  # parsed every time, and never cached
+                assert cache_files(Path(scratch)) == []
+                assert_same_store(load_model(path, fmt, wanted=wanted), expected)
+                return
+            assert cache_files(Path(scratch)) == [entry_path(Path(scratch), path).name]
+            every_row = load_text_model(path)
+            with no_parse():
+                assert_same_store(load_model(path, fmt, wanted=wanted), expected)
+                # the entry holds every row, whichever rows the cold load kept
+                assert_same_store(load_model(path, fmt, wanted=None), every_row)
+
+    def test_a_warm_load_is_logged_and_does_not_parse(self, cache_home, caplog,
+                                                       fixture_model_file):
+        caplog.set_level(logging.DEBUG, logger="labeleval.embeddings")
+        cold = load_model(fixture_model_file, wanted={"car", "lamp_post"})
+        with no_parse():
+            warm = load_model(fixture_model_file, wanted={"car", "lamp_post"})
+        assert_same_store(warm, cold)
+        records = [r for r in caplog.records if r.name == "labeleval.embeddings"]
+        assert [r.getMessage().split(":")[0] for r in records] == [
+            "model cache miss", "model cache entry written", "model cache hit"]
+        assert {r.levelno for r in records} == {logging.DEBUG}
+
+
+    def test_a_file_rewritten_between_the_key_and_the_parse(self, tmp_path,
+                                                            cache_home, caplog):
+        # the key is hashed from the first bytes, the parse reads the second
+        path = write_model(tmp_path, "text", EmbeddingStore(
+            [("cat", [1.0, 2.0])], dim=2))
+        first = path.read_bytes()
+        second = b"1 2\ncat 3 4\n"
+        real_load_text = embeddings._load_text
+
+        def rewritten(*args):
+            path.write_bytes(second)
+            return real_load_text(*args)
+
+        with mock.patch.object(embeddings, "_load_text", rewritten), \
+                caplog.at_level(logging.WARNING, logger="labeleval.embeddings"):
+            store = load_model(path)
+        assert store.get("cat").tolist() == [3.0, 4.0]
+        assert store.digest == hashlib.sha256(second).hexdigest()
+        assert [record.levelno for record in caplog.records] == [logging.WARNING]
+        assert "changed while it was read" in caplog.records[0].getMessage()
+        assert cache_files(cache_home) == []
+        # neither the first bytes nor the second are served the other's rows
+        for blob, vector in ((first, [1.0, 2.0]), (second, [3.0, 4.0]),
+                             (first, [1.0, 2.0])):
+            path.write_bytes(blob)
+            assert load_model(path).get("cat").tolist() == vector
+            assert load_model(path).digest == hashlib.sha256(blob).hexdigest()
+
+
+class TestKeying:
+    def test_content_edited_at_the_same_path_is_a_miss(self, tmp_path, cache_home):
+        path = write_model(tmp_path, "text", EmbeddingStore(
+            [("cat", [1.0, 2.0])], dim=2))
+        load_model(path)
+        path.write_text("1 2\ncat 3 4\n", encoding="utf-8")
+        store = load_model(path)
+        assert store.get("cat").tolist() == [3.0, 4.0]
+        assert len(cache_files(cache_home)) == 2
+
+    def test_the_same_bytes_as_binary_never_read_the_text_entry(self, tmp_path,
+                                                                cache_home):
+        # valid both ways: text reads 1234, binary reads the bytes b"1234"
+        path = tmp_path / "model"
+        path.write_bytes(b"1 1\nab 1234\n")
+        as_text = load_model(path, "text")
+        assert as_text.get("ab").tolist() == [1234.0]
+        assert cache_files(cache_home) == [entry_path(cache_home, path).name]
+        with no_parse():
+            assert_same_store(load_model(path, "binary"), load_binary_model(path))
+            assert load_model(path, "binary").get("ab").tobytes() == b"1234"
+            assert_same_store(load_model(path, "text"), as_text)
+        assert cache_files(cache_home) == [entry_path(cache_home, path).name]
+
+
+def _truncate(entry: Path, data: bytes) -> bytes:
+    return data[:-5]
+
+
+def _garble_table(entry: Path, data: bytes) -> bytes:
+    return data[:-1] + bytes([data[-1] ^ 0x01])
+
+
+def _garble_token(entry: Path, data: bytes) -> bytes:
+    """The first token's first byte, made one that is not UTF-8."""
+    start = data.rindex(b"cat\n")
+    return data[:start] + b"\xff" + data[start + 1:]
+
+
+def _garble_header(entry: Path, data: bytes) -> bytes:
+    return b"X" + data[1:]
+
+
+def _other_models_entry(entry: Path, data: bytes) -> bytes:
+    """The entry of a model of the same shape, at this model's key."""
+    other = entry.parent.parent.parent.parent / "other.txt"
+    save_text_model(EmbeddingStore([("cat", [9.0, 9.0]), ("dog", [8.0, 8.0])],
+                                   dim=2), other)
+    load_model(other)
+    return entry_path(entry.parents[2], other).read_bytes()
+
+
+def _non_finite_row(entry: Path, data: bytes) -> bytes:
+    start = embeddings._HEADER_BYTES
+    return data[:start] + np.float32(np.nan).tobytes() + data[start + 4:]
+
+
+class TestBadEntries:
+    @pytest.mark.parametrize("damage", [_truncate, _garble_table, _garble_token,
+                                        _garble_header,
+                                        _other_models_entry, _non_finite_row])
+    def test_is_ignored_and_rewritten(self, tmp_path, cache_home, caplog, damage):
+        store = EmbeddingStore([("cat", [1.0, 2.0]), ("dog", [3.0, 4.0])], dim=2)
+        path = write_model(tmp_path, "text", store)
+        load_model(path)
+        entry = entry_path(cache_home, path)
+        good = entry.read_bytes()
+        entry.write_bytes(damage(entry, good))
+        assert entry.read_bytes() != good
+        with caplog.at_level(logging.WARNING, logger="labeleval.embeddings"):
+            assert_same_store(load_model(path, wanted={"cat"}),
+                              load_text_model(path, wanted={"cat"}))
+        assert [record.levelno for record in caplog.records] == [logging.WARNING]
+        assert str(entry) in caplog.records[0].getMessage()
+        assert entry.read_bytes() == good
+        assert entry.name in cache_files(cache_home)
+
+    def test_an_unreadable_entry_counts_as_a_miss(self, tmp_path, cache_home):
+        path = write_model(tmp_path, "text", EmbeddingStore([("cat", [1.0])], dim=1))
+        entry = entry_path(cache_home, path)
+        entry.mkdir(parents=True)  # opening it fails with an OSError
+        assert_same_store(load_model(path), load_text_model(path))
+
+
+class TestFailingModels:
+    @pytest.mark.parametrize("blob", [b"2 2\ncat 1 2\ncat 3 4\n", b"1 2\ncat 1 nan\n",
+                                      b"3 2\ncat 1 2\n", b"1 2\ncat 1 2 3\n"])
+    def test_leave_no_entry_and_fail_alike_again(self, tmp_path, cache_home, blob):
+        path = tmp_path / "model.txt"
+        path.write_bytes(blob)
+        with pytest.raises(DataError) as uncached:
+            load_text_model(path)
+        for _ in range(2):
+            with pytest.raises(type(uncached.value)) as cached:
+                load_model(path)
+            assert str(cached.value) == str(uncached.value)
+            assert cache_files(cache_home) == []
+
+    def test_a_missing_file_raises_as_before(self, tmp_path, cache_home):
+        with pytest.raises(FileNotFoundError, match="nothing.txt"):
+            load_model(tmp_path / "nothing.txt")
+        assert cache_files(cache_home) == []
+
+
+class TestUnwritableCache:
+    def test_a_cache_that_cannot_be_made(self, tmp_path, monkeypatch, caplog):
+        blocker = tmp_path / "not_a_directory"
+        blocker.write_text("", encoding="utf-8")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        path = write_model(tmp_path, "text", EmbeddingStore(
+            [("cat", [1.0, 2.0])], dim=2))
+        with caplog.at_level(logging.WARNING, logger="labeleval.embeddings"):
+            for _ in range(2):
+                assert_same_store(load_model(path), load_text_model(path))
+        assert [record.levelno for record in caplog.records] == [logging.WARNING] * 2
+
+    def test_a_full_disk_midway(self, tmp_path, cache_home, caplog, monkeypatch):
+        rows = [(f"t{i}", [float(i)] * 4) for i in range(10)]
+        path = write_model(tmp_path, "text", EmbeddingStore(rows, dim=4))
+        monkeypatch.setattr(embeddings, "_READ_BYTES", 16)  # blocks of one row
+
+        class FullDisk:
+            """The entry's file, full after two blocks of rows."""
+
+            def __init__(self, handle):
+                self.handle, self.writes = handle, 0
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 3:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return self.handle.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self.handle, name)
+
+        real_init = embeddings._EntryWriter.__init__
+
+        def init(self, *args):
+            real_init(self, *args)
+            self._handle = FullDisk(self._handle)
+
+        monkeypatch.setattr(embeddings._EntryWriter, "__init__", init)
+        with caplog.at_level(logging.WARNING, logger="labeleval.embeddings"):
+            assert_same_store(load_model(path, wanted={"t1", "t9"}),
+                              load_text_model(path, wanted={"t1", "t9"}))
+        assert [record.levelno for record in caplog.records] == [logging.WARNING]
+        assert "No space left" in caplog.records[0].getMessage()
+        assert cache_files(cache_home) == []
+
+
+class TestCacheLocation:
+    def test_directories_are_private(self, tmp_path, cache_home):
+        load_model(write_model(tmp_path, "text", EmbeddingStore([("a", [1.0])], dim=1)))
+        for directory in (cache_home, cache_home / "labeleval",
+                          cache_home / "labeleval" / "models"):
+            assert directory.stat().st_mode & 0o777 == 0o700
+
+    def test_without_xdg_cache_home_the_entry_goes_under_home(self, tmp_path,
+                                                              monkeypatch):
+        monkeypatch.delenv("XDG_CACHE_HOME")
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        assert embeddings._cache_dir() == \
+            tmp_path / "home" / ".cache" / "labeleval" / "models"
+        monkeypatch.setenv("XDG_CACHE_HOME", "relative/dir")
+        assert embeddings._cache_dir() == \
+            tmp_path / "home" / ".cache" / "labeleval" / "models"
+
+    def test_a_cli_run_writes_nothing_under_the_real_home(self, model_cache_home,
+                                                          fixture_model_file):
+        def snapshot(directory: Path):
+            return sorted((str(p), p.stat().st_mtime_ns) for p in directory.rglob("*")) \
+                if directory.exists() else None
+
+        real = Path(os.path.expanduser("~")) / ".cache" / "labeleval"
+        before = snapshot(real)
+        assert os.environ["XDG_CACHE_HOME"] == str(model_cache_home)
+        src = str(Path(embeddings.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run(
+            [sys.executable, "-m", "labeleval.cli", "inspect-embeddings",
+             str(fixture_model_file)], capture_output=True, text=True, env=env,
+            timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert entry_path(model_cache_home, fixture_model_file).is_file()
+        assert snapshot(real) == before

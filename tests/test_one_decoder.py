@@ -8,6 +8,8 @@ under ``src/labeleval`` and fails on a second decoder: a ``json.load`` or
 a response's own decoder. It also fails on an ``except`` naming a decoder
 failure (``JSONDecodeError``, ``RecursionError``) outside ``_parse_json``, or
 ``UnicodeDecodeError`` outside ``embeddings``, whose model files are not JSON.
+No module may import ``pickle``, ``marshal`` or ``shelve``: a cache entry
+that unpickles could run any code its bytes name.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "labeleval"
+UNPICKLERS = ("pickle", "marshal", "shelve")
 
 
 def _decoder_nodes(tree: ast.Module) -> set[int]:
@@ -51,6 +54,11 @@ def _second_decoders(path: Path) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module == "json" and any(
                 alias.name in ("load", "loads") for alias in node.names):
             found.append(f"{where}: from json import")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = ([alias.name for alias in node.names]
+                       if isinstance(node, ast.Import) else [node.module or ""])
+            found.extend(f"{where}: import {module}" for module in modules
+                         if module.partition(".")[0] in UNPICKLERS)
         elif isinstance(node, ast.ExceptHandler) and node.type is not None:
             names = {sub.id if isinstance(sub, ast.Name) else sub.attr
                      for sub in ast.walk(node.type)
@@ -62,6 +70,14 @@ def _second_decoders(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.stem)
 def test_no_second_decoder(path):
     assert _second_decoders(path) == []
+
+
+@pytest.mark.parametrize("source", ["import pickle", "import os, marshal as m",
+                                    "from shelve import open", "import pickle.x"])
+def test_an_unpickler_import_is_a_second_decoder(tmp_path, source):
+    path = tmp_path / "module.py"
+    path.write_text(source + "\n", encoding="utf-8")
+    assert len(_second_decoders(path)) == 1
 
 
 def test_parse_json_is_the_decoder():
