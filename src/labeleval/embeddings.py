@@ -6,7 +6,8 @@ token bytes, a single 0x20, and D little-endian float32 values with an
 optional trailing newline. Every component must be finite.
 
 A parse reads the file once, 4 MB (binary) or 8 KB (text) at a time: the
-same bytes feed the store's SHA-256 digest, and every row is checked. Given
+same bytes feed the store's SHA-256 digest, and every row is checked; the
+whole binary records each read completes are checked as one block. Given
 ``wanted`` tokens, a load keeps only their rows, so a run holds the few
 thousand rows its labels can resolve to, not the whole model.
 
@@ -60,9 +61,9 @@ logger = logging.getLogger(__name__)
 #: Distinguished token standing in for every label the store cannot resolve.
 UNKNOWN_TOKEN = "<unk>"
 
-#: Binary bytes read, or text parsed, at a time; binary records checked at a time.
+#: Binary bytes read, or text parsed, at a time; the whole binary records one
+#: read completes are checked as one block.
 _READ_BYTES = 1 << 22
-_BLOCK_ROWS = 4096
 
 _DISALLOWED = re.compile(r"[^a-z0-9 ]+")
 _MULTISPACE = re.compile(r" +")
@@ -217,6 +218,8 @@ def _first_bad_row(matrix: np.ndarray) -> int | None:
 class _HashingFile(io.RawIOBase):
     """A binary file whose every byte read also goes into a SHA-256 digest."""
 
+    _handle = None  # still None if the open fails; the finalizer closes it anyway
+
     def __init__(self, path: Path):
         self._handle = path.open("rb", buffering=0)
         self.size = os.fstat(self._handle.fileno()).st_size
@@ -231,7 +234,8 @@ class _HashingFile(io.RawIOBase):
         return count
 
     def close(self) -> None:
-        self._handle.close()
+        if self._handle is not None:
+            self._handle.close()
         super().close()
 
 
@@ -417,58 +421,11 @@ def _load_text(path: Path, wanted: AbstractSet[str] | None,
     return sink.store(path, binary.raw.sha256.hexdigest())
 
 
-class _RecordReader:
-    """The records of a binary model, read a chunk at a time.
-
-    Only the bytes not yet taken are held, so memory stays at about a chunk
-    unless one record is longer.
-    """
-
-    __slots__ = ("_source", "_data", "_view", "_pos")
-
-    def __init__(self, source: io.BufferedReader):
-        self._source = source
-        self._data = b""
-        self._view = memoryview(self._data)
-        self._pos = 0
-
-    def _more(self, pos: int) -> bool:
-        """Keep the held bytes from ``pos`` on, plus the next chunk, if any."""
-        chunk = self._source.read(_READ_BYTES)
-        if chunk:
-            self._data = self._data[pos:] + chunk
-            self._view = memoryview(self._data)
-            self._pos = 0
-        return bool(chunk)
-
-    def record(self, size: int) -> tuple[bytes | None, memoryview | None]:
-        """The next record's token bytes and its ``size`` vector bytes.
-
-        Newlines before the token (one may end the previous record) are
-        skipped. Either part is None when the stream ends before it does.
-        """
-        while True:
-            data, pos = self._data, self._pos
-            while pos < len(data) and data[pos] == 0x0A:
-                pos += 1
-            space = data.find(b" ", pos)
-            end = space + 1 + size
-            if 0 <= space and end <= len(data):
-                self._pos = end
-                return data[pos:space], self._view[space + 1:end]
-            if not self._more(pos):
-                return (None, None) if space < 0 else (data[pos:space], None)
-
-    def trailing(self) -> int:
-        """How many bytes follow the newlines after the last record, reading them all."""
-        while True:
-            rest = self._data[self._pos:].lstrip(b"\n")
-            if rest or not self._more(len(self._data)):
-                break
-        left = len(rest)
-        while chunk := self._source.read(_READ_BYTES):
-            left += len(chunk)
-        return left
+def _record_token(raw: bytes, index: int, path: Path) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: record {index}: token is not UTF-8") from None
 
 
 def load_binary_model(path: str | Path, *,
@@ -489,35 +446,43 @@ def load_binary_model(path: str | Path, *,
             raise MalformedHeaderError(f"{path}: non-ascii header") from None
         record_bytes = 4 * dim
         # A record takes a space and its vector at least, so no header sizes a
-        # matrix or a block beyond the file; records past the end are truncated.
+        # matrix beyond the file; records past the end are truncated.
         fits = (source.raw.size - len(header)) // (record_bytes + 1)
         if vocab and not fits:
             raise TruncatedRecordError(0)
         sink = _RowSink(vocab, fits, dim, wanted)
-        block_rows = min(_BLOCK_ROWS, fits)
-        block_bytes = bytearray(block_rows * record_bytes)
-        block = np.frombuffer(block_bytes, dtype="<f4").reshape(block_rows, dim)
-        records = _RecordReader(source)
-        tokens: list[str] = []
-        for index in range(vocab):
-            raw_token, vector = records.record(record_bytes)
-            if raw_token is None:
-                raise TruncatedRecordError(index)
-            try:
-                token = raw_token.decode("utf-8")
-            except UnicodeDecodeError:
-                raise DataError(f"{path}: record {index}: token is not UTF-8") from None
-            if vector is None:
-                raise TruncatedRecordError(index)
-            _add_token(sink.seen, token)
-            start = len(tokens) * record_bytes
-            block_bytes[start:start + record_bytes] = vector
-            tokens.append(token)
-            if len(tokens) == len(block) or index == vocab - 1:
-                sink.block(tokens, block[:len(tokens)],
-                           range(index + 1 - len(tokens), index + 1))
-                tokens.clear()
-        trailing = records.trailing()
+        # Each read is walked for the records it completes, which go to the
+        # sink as one block; only the bytes of an unfinished record are held.
+        data, index = b"", 0
+        while index < vocab and (chunk := source.read(_READ_BYTES)):
+            data += chunk
+            view = memoryview(data)
+            end, tokens, vectors = 0, [], []
+            while index < vocab:
+                start = end
+                while start < len(data) and data[start] == 0x0A:  # may end a record
+                    start += 1
+                space = data.find(b" ", start)
+                if space < 0 or space + 1 + record_bytes > len(data):
+                    break
+                token = _record_token(data[start:space], index, path)
+                _add_token(sink.seen, token)
+                tokens.append(token)
+                end = space + 1 + record_bytes
+                vectors.append(view[space + 1:end])
+                index += 1
+            rows = np.frombuffer(b"".join(vectors), dtype="<f4")
+            sink.block(tokens, rows.reshape(len(tokens), dim),
+                       range(index - len(tokens), index))
+            data = data[end:]
+        if index < vocab:  # the file ends inside this record
+            token, space, _ = data.lstrip(b"\n").partition(b" ")
+            if space:  # its token is checked first
+                _record_token(token, index, path)
+            raise TruncatedRecordError(index)
+        trailing = len(data.lstrip(b"\n"))
+        while chunk := source.read(_READ_BYTES):
+            trailing += len(chunk if trailing else chunk.lstrip(b"\n"))
         if trailing:
             raise DataError(f"{path}: {trailing} trailing bytes after last record")
     if sink.first_bad is not None:
@@ -717,8 +682,18 @@ def _checked_token(token: str, breaks: str = " \n") -> str:
     return token
 
 
+def _check_finite(store: EmbeddingStore) -> None:
+    # neither loader reads a non-finite component back, so none is written
+    bad = _first_bad_row(store._matrix)
+    if bad is not None:
+        token = next(token for token, row in store._row.items() if row == bad)
+        raise DataError(f"vector for {token!r} has a non-finite component and "
+                        "cannot be serialized")
+
+
 def save_text_model(store: EmbeddingStore, path: str | Path) -> None:
     """Write a text model. 9 significant digits keep float32 exact."""
+    _check_finite(store)
     path = Path(path)
     with path.open("w", encoding="utf-8") as handle:
         handle.write(f"{store.vocab_size} {store.dim}\n")
@@ -733,6 +708,7 @@ def save_text_model(store: EmbeddingStore, path: str | Path) -> None:
 
 
 def save_binary_model(store: EmbeddingStore, path: str | Path) -> None:
+    _check_finite(store)
     path = Path(path)
     with path.open("wb") as handle:
         handle.write(f"{store.vocab_size} {store.dim}\n".encode("ascii"))

@@ -77,6 +77,7 @@ from .labelset import (
     read_ground_truth,
     read_predictions,
     top_k,
+    write_entry,
 )
 from .semantic import DEFAULT_THRESHOLD, semantic_intersection, similarity_matrix
 from .sentence import ProviderConfig, fetch_embeddings, render_bow_text
@@ -280,9 +281,7 @@ def fetch_predictions(spec: ApiClientSpec, refs: Sequence[ImageRef],
                 f"max_total={spec.max_total}")
         issued += 1
         record = _fetch_one(spec, ref, body, headers, transport, limiter, sleep)
-        tmp = cache_path.with_suffix(".tmp")
-        tmp.write_text(prediction_to_json(record), encoding="utf-8")
-        tmp.replace(cache_path)
+        write_entry(cache_path, prediction_to_json(record))
         records.append(record)
     return records
 

@@ -33,7 +33,8 @@ from .errors import (
     ProviderUnavailableError,
 )
 from .labelset import (TEXT_ONLY, InternedObjects, InternedTruth, PredictedObject,
-                       _is_int, _is_number, _parse_json, intern_bag, read_lines)
+                       _is_int, _is_number, _parse_json, intern_bag, read_lines,
+                       write_entry)
 
 #: Environment variable that overrides the remote provider endpoint.
 ENDPOINT_ENV_VAR = "LABELEVAL_SENTENCE_ENDPOINT"
@@ -123,7 +124,8 @@ def _load_precomputed(path: str, model: str) -> dict[str, np.ndarray | None]:
 
 
 class _DiskCache:
-    """One JSON file per (model, digest); atomic writes, concurrent-read safe."""
+    """One JSON file per (model, digest), written by ``write_entry``: a reader
+    sees a whole entry or none, and two writers of one entry both succeed."""
 
     def __init__(self, root: str, model: str):
         self._dir = Path(root) / hashlib.sha256(model.encode("utf-8")).hexdigest()[:16]
@@ -143,11 +145,8 @@ class _DiskCache:
         return vector
 
     def put(self, digest: str, vector: np.ndarray) -> None:
-        path = self._dir / f"{digest}.json"
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps({"vector": [float(x) for x in vector]}),
-                       encoding="utf-8")
-        tmp.replace(path)
+        write_entry(self._dir / f"{digest}.json",
+                    json.dumps({"vector": [float(x) for x in vector]}))
 
 
 def _post_json(endpoint: str, payload: dict, timeout: float) -> dict:

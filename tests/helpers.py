@@ -1,13 +1,15 @@
 """Reference readers and scorers that only the tests use.
 
-``parse_json_lines`` reads a json_lines report back into its records, and
+``parse_json_lines`` reads a json_lines report back into its records,
 ``sentence_score`` is the one-pair sentence similarity that a run's batched
-sentence family is checked against.
+sentence family is checked against, and ``second_writer_between`` interleaves
+two writers of one cache entry.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 from labeleval.embeddings import cosine
@@ -24,3 +26,16 @@ def sentence_score(truth_text: str, predicted_text: str,
     """Cosine similarity of the two texts' provider embeddings."""
     vectors = fetch_embeddings(config, [truth_text, predicted_text], **fetch_kwargs)
     return cosine(vectors[0], vectors[1])
+
+
+def second_writer_between(monkeypatch, second) -> None:
+    """Run ``second()`` once, when the first writer has written its entry's
+    temporary file and is about to move it into place."""
+    replace = os.replace
+
+    def interleaved(source, target):
+        monkeypatch.setattr(os, "replace", replace)
+        second()
+        replace(source, target)
+
+    monkeypatch.setattr(os, "replace", interleaved)

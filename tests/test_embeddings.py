@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -165,13 +166,21 @@ class TestRoundTrip:
            dim=st.integers(0, 3), data=st.data())
     def test_what_a_writer_accepts_loads_back(self, tmp_path, tokens, dim, data):
         vectors = data.draw(st.lists(
-            st.lists(st.floats(width=32, allow_nan=False, allow_infinity=False),
-                     min_size=dim, max_size=dim),
+            st.lists(st.floats(width=32), min_size=dim, max_size=dim),
             min_size=len(tokens), max_size=len(tokens)))
         store = EmbeddingStore(zip(tokens, vectors), dim=dim)
+        bad = [token for token, vector in zip(tokens, vectors)
+               if not np.isfinite(vector).all()]
         for save, load in ((save_text_model, load_text_model),
                            (save_binary_model, load_binary_model)):
             path = tmp_path / "model"
+            path.unlink(missing_ok=True)
+            if bad:  # no loader reads it back, so nothing is written
+                with pytest.raises(DataError, match=re.escape(
+                        f"vector for {bad[0]!r} has a non-finite component")):
+                    save(store, path)
+                assert not path.exists()
+                continue
             try:
                 save(store, path)
             except DataError:
@@ -631,11 +640,40 @@ class TestModelReaderFuzz:
     @_fuzz
     @given(blob=_binary_models(), wanted=st.sets(st.sampled_from(
         ["cat", "dog", "emu", "Cat", "", "a_b", "\u00fc", "zzz"])),
-        read_bytes=st.sampled_from([4, 16, 1 << 22]),
-        block_rows=st.sampled_from([1, 2, 4096]))
-    def test_binary(self, tmp_path, blob, wanted, read_bytes, block_rows):
+        read_bytes=st.sampled_from([4, 16, 1 << 22]))
+    def test_binary(self, tmp_path, blob, wanted, read_bytes):
         path = tmp_path / "model.bin"
         path.write_bytes(blob)
-        with mock.patch.object(embeddings, "_READ_BYTES", read_bytes), \
-                mock.patch.object(embeddings, "_BLOCK_ROWS", block_rows):
+        with mock.patch.object(embeddings, "_READ_BYTES", read_bytes):
             self.check(load_binary_model, path, wanted)
+
+    def check_read_sizes(self, load, path, wanted):
+        def outcome(read_bytes):
+            with mock.patch.object(embeddings, "_READ_BYTES", read_bytes):
+                try:
+                    store = load(path, wanted=wanted)
+                except DataError as exc:
+                    return type(exc), str(exc)
+            return list(store.tokens()), store._matrix.tobytes(), store.dim, store.digest
+
+        # reads of 1 and 3 bytes end inside every header, token, vector and newline
+        expected = outcome(1 << 22)
+        for read_bytes in (1, 3, 4, 16):
+            assert outcome(read_bytes) == expected, read_bytes
+
+    _wanted = st.none() | st.sets(st.sampled_from(
+        ["cat", "dog", "emu", "Cat", "", "a_b", "\u00fc", "zzz"]))
+
+    @_fuzz
+    @given(blob=_text_models(), wanted=_wanted)
+    def test_text_read_size_never_changes_the_outcome(self, tmp_path, blob, wanted):
+        path = tmp_path / "model.txt"
+        path.write_bytes(blob)
+        self.check_read_sizes(load_text_model, path, wanted)
+
+    @_fuzz
+    @given(blob=_binary_models(), wanted=_wanted)
+    def test_binary_read_size_never_changes_the_outcome(self, tmp_path, blob, wanted):
+        path = tmp_path / "model.bin"
+        path.write_bytes(blob)
+        self.check_read_sizes(load_binary_model, path, wanted)

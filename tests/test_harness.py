@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import street_scene
-from helpers import sentence_score
+from helpers import second_writer_between, sentence_score
 from labeleval.errors import (
     AuthMissingError,
     BadConfidenceError,
@@ -31,7 +31,7 @@ from labeleval.harness import (
     normalize_response,
     run_evaluation,
 )
-from labeleval.labelset import write_ground_truth, write_predictions
+from labeleval.labelset import prediction_from_json, write_ground_truth, write_predictions
 from labeleval.labelset import GroundTruthRecord, PredictionRecord, PredictedObject
 from labeleval.sentence import ProviderConfig, text_digest, render_bow_text
 
@@ -724,6 +724,25 @@ class TestFetchCacheValidation:
             fetch_predictions(make_spec(), refs, cache, transport=transport,
                               clock=clock.monotonic, sleep=clock.sleep)
         assert len(transport.times) == 1
+
+
+def test_two_writers_of_one_fetch_cache_entry(tmp_path, monkeypatch):
+    clock = FakeClock()
+    refs = make_images(tmp_path, 1)
+    cache = tmp_path / "cache"
+
+    def fetch():
+        return fetch_predictions(make_spec(), refs, cache,
+                                 transport=FakeTransport(clock),
+                                 clock=clock.monotonic, sleep=clock.sleep)
+
+    second = []
+    second_writer_between(monkeypatch, lambda: second.append(fetch()))
+    first = fetch()
+    assert second == [first]
+    (entry,) = (cache / "vendor").iterdir()
+    assert entry.name == f"{hashlib.sha256(b'image-0').hexdigest()}.json"
+    assert prediction_from_json(entry.read_bytes()) == first[0]
 
 
 def test_digest_of_a_file_larger_than_one_chunk(tmp_path):

@@ -5,7 +5,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import numpy as np
 import pytest
 
-from helpers import sentence_score
+from helpers import second_writer_between, sentence_score
 from labeleval.errors import (
     CacheCorruptError,
     DimensionInconsistentError,
@@ -16,6 +16,7 @@ from labeleval.errors import (
 from labeleval.labelset import PredictedObject
 from labeleval.sentence import (
     ProviderConfig,
+    _DiskCache,
     fetch_embeddings,
     render_bow_text,
     text_digest,
@@ -242,6 +243,27 @@ class TestRemoteProvider:
             fetch_embeddings(config, ["abc"], post=post, sleep=post.sleep)
 
 
+class TestDiskCacheWrites:
+    def test_two_writers_of_one_entry(self, tmp_path, monkeypatch):
+        cache = _DiskCache(str(tmp_path), "m")
+        second_writer_between(monkeypatch, lambda: _DiskCache(str(tmp_path), "m").put(
+            "abc", np.array([2.0])))
+        cache.put("abc", np.array([1.0]))
+        assert cache.get("abc").tolist() == [1.0]  # the first writer moved last
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_a_failed_write_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        cache = _DiskCache(str(tmp_path), "m")
+
+        def refuse(source, target):
+            raise PermissionError(target)
+
+        monkeypatch.setattr("os.replace", refuse)
+        with pytest.raises(PermissionError):
+            cache.put("abc", np.array([1.0]))
+        assert not [path for path in tmp_path.rglob("*") if path.is_file()]
+
+
 class _Handler(BaseHTTPRequestHandler):
     def do_POST(self):
         length = int(self.headers["Content-Length"])
@@ -265,6 +287,7 @@ def local_provider():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/embed"
     server.shutdown()
+    server.server_close()
 
 
 def test_wire_format_over_http(local_provider):
