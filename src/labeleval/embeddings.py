@@ -674,49 +674,44 @@ class _EntryWriter:
         self._handle = self._temp = None
 
 
-def _checked_token(token: str, breaks: str = " \n") -> str:
-    # Both serializations end the token at a space; ``breaks`` also holds
-    # what else ends one when read back.
-    if any(character in token for character in breaks):
-        raise DataError(f"token contains whitespace and cannot be serialized: {token!r}")
-    return token
-
-
-def _check_finite(store: EmbeddingStore) -> None:
-    # neither loader reads a non-finite component back, so none is written
+def _check_serializable(store: EmbeddingStore, breaks: str = " \n") -> None:
+    # Called before a writer opens its file, so a rejected save leaves the path
+    # as it was. Neither loader reads a non-finite component back. Both
+    # serializations end a token at a space; ``breaks`` also holds what else
+    # ends one when read back.
     bad = _first_bad_row(store._matrix)
     if bad is not None:
         token = next(token for token, row in store._row.items() if row == bad)
         raise DataError(f"vector for {token!r} has a non-finite component and "
                         "cannot be serialized")
+    for token in store._row:
+        if any(character in token for character in breaks):
+            raise DataError(
+                f"token contains whitespace and cannot be serialized: {token!r}")
 
 
 def save_text_model(store: EmbeddingStore, path: str | Path) -> None:
     """Write a text model. 9 significant digits keep float32 exact."""
-    _check_finite(store)
+    # the reader's universal newlines end a line at "\r" too
+    _check_serializable(store, " \n\r")
+    if store.dim == 0 and "" in store:  # the reader skips a blank line
+        raise DataError("an empty token with no components cannot be "
+                        "serialized as text")
     path = Path(path)
     with path.open("w", encoding="utf-8") as handle:
         handle.write(f"{store.vocab_size} {store.dim}\n")
         for token, vector in store.items():
-            # the reader's universal newlines end a line at "\r" too
-            line = " ".join([_checked_token(token, " \n\r"),
-                             *(f"{float(c):.8e}" for c in vector)])
-            if not line:  # the reader skips a blank line
-                raise DataError("an empty token with no components cannot be "
-                                "serialized as text")
-            handle.write(f"{line}\n")
+            handle.write(" ".join([token, *(f"{float(c):.8e}" for c in vector)]) + "\n")
 
 
 def save_binary_model(store: EmbeddingStore, path: str | Path) -> None:
-    _check_finite(store)
+    _check_serializable(store)
     path = Path(path)
     with path.open("wb") as handle:
         handle.write(f"{store.vocab_size} {store.dim}\n".encode("ascii"))
         for token, vector in store.items():
-            handle.write(_checked_token(token).encode("utf-8"))
-            handle.write(b" ")
-            handle.write(np.asarray(vector, dtype="<f4").tobytes())
-            handle.write(b"\n")
+            handle.write(b"%s %s\n" % (token.encode("utf-8"),
+                                       np.asarray(vector, dtype="<f4").tobytes()))
 
 
 def spellings(cleaned: str) -> tuple[tuple[str, Permutation], ...]:

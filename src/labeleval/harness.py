@@ -13,8 +13,8 @@ one kernel call. The kernel builds that image's objects, exact match,
 similarity grid and WMD cost block once, at the largest k, and each k reads
 their prefix.
 Every metric family, WMD and the sentence text included, reads those
-interned sides; the per-(api, k) reductions (means, the confusion ledger,
-``dataset_wmd``) run after the kernel.
+interned sides. Reductions happen as each image is scored: the kernel appends
+each k's results to one cell per (api, k), which the report reads once.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ import os
 import re
 import time
 from collections import deque
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
+from operator import add
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -34,7 +35,6 @@ from . import report as reporting
 from .bipartition import (
     ConfusionLedger,
     ExampleScores,
-    MatchResult,
     exact_intersection,
     label_based_scores,
     mean_scores,
@@ -62,7 +62,6 @@ from .errors import (
 )
 from .labelset import (
     GroundTruthRecord,
-    InternedObjects,
     InternedTruth,
     PredictionRecord,
     _is_int,
@@ -71,6 +70,7 @@ from .labelset import (
     _parse_object,
     intern_objects,
     intern_truth,
+    object_counts,
     object_stats,
     prediction_from_json,
     prediction_to_json,
@@ -400,16 +400,22 @@ class RunConfig:
                    embeddings_path=payload["embeddings"], **settings)
 
 
-@dataclass(frozen=True)
-class _Scored:
-    """One (api, k, image) unit as the per-image kernel leaves it."""
+@dataclass(slots=True)
+class _Cell:
+    """One (api, k)'s results, appended by the kernel in natural image order."""
 
-    truth: InternedTruth
-    objects: InternedObjects
-    match: MatchResult
-    exact: ExampleScores
-    semantic: ExampleScores | None
-    wmd: float | None  # None when WMD is off or a side is empty
+    ledger: ConfusionLedger | None  # None when label-based scoring is off
+    exact: list[int] = field(default_factory=list)  # match counts
+    semantic: list[int] = field(default_factory=list)  # empty with semantic off
+    n_truth: list[int] = field(default_factory=list)
+    n_objects: list[int] = field(default_factory=list)
+    wmd: list[float | None] = field(default_factory=list)  # None: WMD off or a side empty
+    texts: list[str | None] = field(default_factory=list)  # only with a sentence provider
+    objects: tuple[int, int, int] = (0, 0, 0)  # the summed ``object_counts``
+
+    def scores(self, matched: Sequence[int]) -> list[ExampleScores]:
+        """Each image's example scores, from its match count and set sizes."""
+        return list(map(scores_from_counts, matched, self.n_truth, self.n_objects))
 
 
 def _annotate(exc: EvaluationError, api_id: str, image_id: str) -> None:
@@ -473,11 +479,11 @@ def run_evaluation(config: RunConfig) -> reporting.MetricReport:
     for api_id in sorted(by_api):
         if not eval_ids[api_id]:
             raise EmptyDatasetError(f"{api_id}: no images overlap the ground truth")
-    scored = _score_units(
+    cells = _score_units(
         [(api_id, k, image_id) for api_id in sorted(by_api)
          for image_id in eval_ids[api_id] for k in config.top_ks],
         truths, by_api, config)
-    sentence = (_sentence_mean(scored, eval_ids, truths, config)
+    sentence = (_sentence_mean(cells, eval_ids, truths, config)
                 if config.sentence is not None else {})
 
     rows: list[reporting.ReportRow] = []
@@ -486,40 +492,32 @@ def run_evaluation(config: RunConfig) -> reporting.MetricReport:
         skip_missing_truth = sum(1 for i in per_image
                                  if i not in truths and i not in empty_truth)
         skip_empty_truth = sum(1 for i in per_image if i in empty_truth)
-        # the label space is cleaned once per API; each k's ledger starts empty
-        blank_ledger = (ConfusionLedger(sorted({label for image_id in eval_ids[api_id]
-                                                for label in truths[image_id].labels}))
-                        if config.include_label_based else None)
         for k in config.top_ks:
-            results = [scored[api_id, k, image_id] for image_id in eval_ids[api_id]]
+            cell = cells[api_id, k]
             # each score dataclass's fields, in order, are its columns
-            cells = dict(vars(mean_scores([r.exact for r in results])))
+            values = dict(vars(mean_scores(cell.scores(cell.exact))))
             if config.include_semantic:
-                semantic_mean = mean_scores([r.semantic for r in results])
-                cells.update((f"{name}_semantic", value)
-                             for name, value in vars(semantic_mean).items())
+                semantic_mean = mean_scores(cell.scores(cell.semantic))
+                values.update((f"{name}_semantic", value)
+                              for name, value in vars(semantic_mean).items())
             if config.include_label_based:
-                ledger = blank_ledger.fresh()
-                for r in results:
-                    ledger.accumulate(r.truth, r.objects, r.match)
-                cells.update(vars(label_based_scores(ledger)))
+                values.update(vars(label_based_scores(cell.ledger)))
             skips = {"missing_truth": skip_missing_truth,
                      "empty_truth": skip_empty_truth}
             if config.include_wmd:
                 try:
-                    wmd_result = dataset_wmd([r.wmd for r in results])
+                    wmd_result = dataset_wmd(cell.wmd)
                 except EvaluationError as exc:
                     _annotate(exc, api_id, "<dataset>")
                     raise
-                cells["wmd"] = wmd_result.value
+                values["wmd"] = wmd_result.value
                 skips["wmd_empty_prediction"] = wmd_result.skipped
             if config.sentence is not None:
-                (cells["sentence_similarity"],
+                (values["sentence_similarity"],
                  skips["sentence_empty_prediction"]) = sentence[api_id, k]
-            unknown_rate, labels_per_object = object_stats(
-                [r.objects for r in results])
+            unknown_rate, labels_per_object = object_stats(*cell.objects)
             rows.append(reporting.ReportRow(
-                api_id=api_id, k=k, cells=cells,
+                api_id=api_id, k=k, cells=values,
                 extras={"unknown_object_rate": unknown_rate,
                         "mean_labels_per_object": labels_per_object},
                 skips=skips))
@@ -542,8 +540,9 @@ def _run_labels(truth_records: Iterable[GroundTruthRecord],
 
 def _score_image(truth: InternedTruth, truth_nbow: NBow | None,
                  record: PredictionRecord, ks: Sequence[int],
-                 config: RunConfig) -> list[_Scored]:
-    """The per-image kernel: one (api, image) at each k of ``ks``, in order.
+                 cells: Sequence[_Cell], config: RunConfig) -> None:
+    """The per-image kernel: one (api, image) at each k of ``ks``, in order,
+    appended to the cell of that k in ``cells``.
 
     The objects are interned and matched exactly, and the similarity grid
     and the WMD cost block built, once, at the largest k; each k reads their
@@ -559,54 +558,61 @@ def _score_image(truth: InternedTruth, truth_nbow: NBow | None,
              for side in prefixes]
     longest = nbows[ks.index(max(ks))]
     block = None if longest is None else cost_matrix(truth_nbow, longest, truth.vocab)
-    scored: list[_Scored] = []
-    for k, objects_k, nbow in zip(ks, prefixes, nbows):
-        n_truth, n_objects = len(truth.labels), len(objects_k)
+    for k, cell, objects_k, nbow in zip(ks, cells, prefixes, nbows):
         match_k = match.prefix(k)
-        semantic = None
+        cell.exact.append(match_k.matched)
+        cell.n_truth.append(len(truth.labels))
+        cell.n_objects.append(len(objects_k))
         if grid is not None:
-            semantic_match = semantic_intersection(grid.prefix(k), config.threshold)
-            semantic = scores_from_counts(semantic_match.matched, n_truth, n_objects)
-        distance = None if nbow is None else solve_transport(
-            truth_nbow.weights, nbow.weights, block[:, :len(nbow.tokens)]).objective
-        scored.append(_Scored(truth=truth, objects=objects_k, match=match_k,
-                              exact=scores_from_counts(match_k.matched, n_truth,
-                                                       n_objects),
-                              semantic=semantic, wmd=distance))
-    return scored
+            cell.semantic.append(
+                semantic_intersection(grid.prefix(k), config.threshold).matched)
+        cell.wmd.append(None if nbow is None else solve_transport(
+            truth_nbow.weights, nbow.weights, block[:, :len(nbow.tokens)]).objective)
+        if cell.ledger is not None:
+            cell.ledger.accumulate(truth, objects_k, match_k)
+        if config.sentence is not None:
+            try:
+                cell.texts.append(render_bow_text(objects_k))
+            except EmptyBagError:
+                cell.texts.append(None)
+        cell.objects = tuple(map(add, cell.objects, object_counts(objects_k)))
 
 
 def _score_units(units: Sequence[tuple[str, int, str]],
                  truths: Mapping[str, InternedTruth],
                  by_api: Mapping[str, Mapping[str, PredictionRecord]],
-                 config: RunConfig) -> dict[tuple[str, int, str], _Scored]:
-    """Score (api_id, k, image_id) units, keyed by unit.
+                 config: RunConfig) -> dict[tuple[str, int], _Cell]:
+    """Score (api_id, k, image_id) units, in order, into one cell per (api_id, k).
 
     The units of one (api, image) go to the per-image kernel together, so
     it interns, matches, grids and costs that image's objects once for all
     their ks. Each image's truth nBOW is built once and shared by every API.
     """
     ks_of: dict[tuple[str, str], list[int]] = {}
+    spaces: dict[str, set[str]] = {}  # each API's confusion-ledger label space
     for api_id, k, image_id in units:
         ks_of.setdefault((api_id, image_id), []).append(k)
+        spaces.setdefault(api_id, set()).update(truths[image_id].labels)
+    # the label space is cleaned once per API; each k's ledger starts empty
+    blanks = ({api_id: ConfusionLedger(sorted(space)) for api_id, space in spaces.items()}
+              if config.include_label_based else {})
+    cells = {(api_id, k): _Cell(blanks[api_id].fresh() if blanks else None)
+             for api_id, k in dict.fromkeys((api_id, k) for api_id, k, _ in units)}
     truth_nbows: dict[str, NBow] = {}
-    scored: dict[tuple[str, int, str], _Scored] = {}
     for (api_id, image_id), ks in ks_of.items():
         truth = truths[image_id]
         if config.include_wmd and image_id not in truth_nbows:
             truth_nbows[image_id] = build_nbow(truth.bag)  # kept truths are never empty
         try:
-            results = _score_image(truth, truth_nbows.get(image_id),
-                                   by_api[api_id][image_id], ks, config)
+            _score_image(truth, truth_nbows.get(image_id), by_api[api_id][image_id],
+                         ks, [cells[api_id, k] for k in ks], config)
         except EvaluationError as exc:
             _annotate(exc, api_id, image_id)
             raise
-        scored.update(((api_id, k, image_id), result)
-                      for k, result in zip(ks, results))
-    return scored
+    return cells
 
 
-def _sentence_mean(scored: Mapping[tuple[str, int, str], _Scored],
+def _sentence_mean(cells: Mapping[tuple[str, int], _Cell],
                    eval_ids: Mapping[str, Sequence[str]],
                    truths: Mapping[str, InternedTruth],
                    config: RunConfig) -> dict[tuple[str, int], tuple[float, int]]:
@@ -619,17 +625,14 @@ def _sentence_mean(scored: Mapping[tuple[str, int, str], _Scored],
     pairs: dict[tuple[str, int], list[tuple[int, int]]] = {}
     for api_id in sorted(eval_ids):
         for k in config.top_ks:
-            cell = pairs[api_id, k] = []
-            for image_id in eval_ids[api_id]:
-                try:
-                    predicted = render_bow_text(scored[api_id, k, image_id].objects)
-                except EmptyBagError:
-                    continue
-                cell.append((rows.setdefault(truth_texts[image_id], len(rows)),
-                             rows.setdefault(predicted, len(rows))))
-            if not cell:
+            pair = pairs[api_id, k] = []
+            for image_id, predicted in zip(eval_ids[api_id], cells[api_id, k].texts):
+                if predicted is not None:
+                    pair.append((rows.setdefault(truth_texts[image_id], len(rows)),
+                                 rows.setdefault(predicted, len(rows))))
+            if not pair:
                 raise EmptyDatasetError(f"{api_id}: no prediction texts to embed")
     vectors = fetch_embeddings(config.sentence, list(rows))
-    return {(api_id, k): (sum(cosine(vectors[a], vectors[b]) for a, b in cell)
-                          / len(cell), len(eval_ids[api_id]) - len(cell))
-            for (api_id, k), cell in pairs.items()}
+    return {(api_id, k): (sum(cosine(vectors[a], vectors[b]) for a, b in pair)
+                          / len(pair), len(eval_ids[api_id]) - len(pair))
+            for (api_id, k), pair in pairs.items()}

@@ -373,26 +373,25 @@ def label_bag(side, store: EmbeddingStore) -> list[str]:
     return [bag.vocab.token(raw) for raw in bag.raw]
 
 
-def object_stats(sides: Sequence[InternedObjects]) -> tuple[float, float]:
-    """(unknown_object_rate, mean_labels_per_object) over interned objects.
+def object_counts(side: InternedObjects) -> tuple[int, int, int]:
+    """(objects, unknown objects, synonyms) of one interned side.
 
     An object counts as unknown only when every one of its synonyms fails to
     resolve, that is, sits at the vocabulary's origin row.
     """
-    total_objects = 0
-    unknown_objects = 0
-    total_synonyms = 0
-    for side in sides:
-        start = 0
-        for end in side.ends:
-            total_objects += 1
-            total_synonyms += end - start
-            if not any(side.rows[start:end]):
-                unknown_objects += 1
-            start = end
-    if total_objects == 0:
+    unknown = start = 0
+    for end in side.ends:
+        unknown += not any(side.rows[start:end])
+        start = end
+    return len(side.ends), unknown, len(side.rows)
+
+
+def object_stats(objects: int, unknown: int, synonyms: int) -> tuple[float, float]:
+    """(unknown_object_rate, mean_labels_per_object) from ``object_counts``,
+    of one side or summed over several."""
+    if objects == 0:
         raise EmptyInputError("no objects to compute metadata statistics over")
-    return unknown_objects / total_objects, total_synonyms / total_objects
+    return unknown / objects, synonyms / objects
 
 
 def metadata_stats(records: Sequence[PredictionRecord], store: EmbeddingStore,
@@ -401,4 +400,5 @@ def metadata_stats(records: Sequence[PredictionRecord], store: EmbeddingStore,
     ranked = [top_k(record, k).objects for record in records]
     vocab = Vocabulary(store, clean_labels(label for objects in ranked
                                            for label in _raw_labels(objects)))
-    return object_stats([intern_objects(objects, vocab) for objects in ranked])
+    counts = [object_counts(intern_objects(objects, vocab)) for objects in ranked]
+    return object_stats(*(sum(column) for column in zip((0, 0, 0), *counts)))

@@ -8,9 +8,9 @@ precomputed vector file or over HTTP. The wire format is a POST of
 precomputed files are newline-delimited {"digest", "model", "vector"}
 records keyed by the sha256 hex digest of the text. Replies, cache entries
 and vector-file lines all decode through ``labelset._parse_json``. Every
-vector a run uses must be a 1-D array of finite numbers: each is converted
-and checked once, as it is read, and a vector-file record's bad vector is an
-error only when its digest is asked for.
+vector a run uses must be a 1-D array of finite numbers with a non-zero
+norm: each is converted and checked once, as it is read, and a vector-file
+record's bad vector is an error only when its digest is asked for.
 """
 
 from __future__ import annotations
@@ -99,13 +99,15 @@ def render_bow_text(bag: Sequence[str | PredictedObject] | InternedTruth
 
 
 def _vector(value) -> np.ndarray | None:
-    """``value`` as a sentence vector, a 1-D float64 array of finite numbers;
-    None when it is not one."""
+    """``value`` as a sentence vector, a 1-D float64 array of finite numbers
+    with a non-zero norm, which ``cosine`` needs; None when it is not one."""
     try:
         vector = np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError):
         return None
-    return vector if vector.ndim == 1 and np.isfinite(vector).all() else None
+    finite = vector.ndim == 1 and np.isfinite(vector).all()
+    # cosine divides by the root of v.v, so a square that underflows fails too
+    return vector if finite and float(np.dot(vector, vector)) > 0.0 else None
 
 
 def _load_precomputed(path: str, model: str) -> dict[str, np.ndarray | None]:
@@ -195,7 +197,7 @@ def _fetch_remote(config: ProviderConfig, wanted: dict[str, str],
             if arr is None:
                 raise ProviderUnavailableError(
                     f"provider at {endpoint} returned a vector that is not a 1-D "
-                    f"array of finite numbers")
+                    f"array of finite numbers with a non-zero norm")
             resolved[digest] = arr
             if cache:
                 cache.put(digest, arr)
@@ -223,7 +225,7 @@ def fetch_embeddings(config: ProviderConfig, texts: Sequence[str], *,
         if vector is None:  # only a precomputed file keeps a rejected vector
             raise CacheCorruptError(
                 f"{config.path}: vector for digest {digest} is not a 1-D array "
-                f"of finite numbers")
+                f"of finite numbers with a non-zero norm")
         out.append(vector)
     dims = {v.shape for v in out}
     if len(dims) > 1:

@@ -2,14 +2,17 @@
 
 ``parse_json_lines`` reads a json_lines report back into its records,
 ``sentence_score`` is the one-pair sentence similarity that a run's batched
-sentence family is checked against, and ``second_writer_between`` interleaves
-two writers of one cache entry.
+sentence family is checked against, ``second_writer_between`` interleaves
+two writers of one cache entry, and ``bench_module`` imports a module of the
+benchmark, which the tests only read.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
+import sys
 from pathlib import Path
 
 from labeleval.embeddings import cosine
@@ -39,3 +42,17 @@ def second_writer_between(monkeypatch, second) -> None:
         replace(source, target)
 
     monkeypatch.setattr(os, "replace", interleaved)
+
+
+BENCH_DIR = Path(__file__).resolve().parents[1] / "benchmarks"
+
+
+def bench_module(name: str):
+    """``benchmarks/<name>.py``, imported once under a name of its own."""
+    key = f"_bench_{name}"
+    if key not in sys.modules:
+        spec = importlib.util.spec_from_file_location(key, BENCH_DIR / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[key] = module  # a dataclass looks its module up there
+        spec.loader.exec_module(module)
+    return sys.modules[key]

@@ -608,7 +608,7 @@ class TestBadSentenceVectors:
                        "--sentence-provider", provider, "--sentence-model", "m")
 
     @pytest.mark.parametrize("vector", [[float("nan"), 1.0], [1.0, float("inf")],
-                                        [[1.0, 2.0]]])
+                                        [[1.0, 2.0]], [0.0, 0.0]])
     def test_precomputed_file(self, capsys, tmp_path, fixture_files,
                               fixture_model_file, vector):
         from labeleval.sentence import render_bow_text, text_digest
@@ -623,11 +623,11 @@ class TestBadSentenceVectors:
         assert code == 2
         assert err.splitlines() == [
             f"data error: {vectors}: vector for digest {digest} "
-            "is not a 1-D array of finite numbers"]
+            "is not a 1-D array of finite numbers with a non-zero norm"]
         assert not (tmp_path / "report.jsonl").exists()
 
     @pytest.mark.parametrize("vector", ['["x", 1]', '{"a": 1}', "null", "[[1.0, 2.0]]",
-                                        "[NaN, 1.0]"])
+                                        "[NaN, 1.0]", "[0.0, 0.0]"])
     def test_remote_reply(self, capsys, tmp_path, fixture_files, fixture_model_file,
                           sentence_server, vector, monkeypatch):
         from labeleval.sentence import ENDPOINT_ENV_VAR
@@ -640,7 +640,7 @@ class TestBadSentenceVectors:
         assert code == 3
         assert err.splitlines() == [
             f"upstream error: provider at {endpoint} returned a vector that is not "
-            "a 1-D array of finite numbers"]
+            "a 1-D array of finite numbers with a non-zero norm"]
 
 
 class TestProviderFlags:

@@ -159,6 +159,26 @@ class TestRoundTrip:
         save_binary_model(store, tmp_path / "cr.bin")
         assert list(load_binary_model(tmp_path / "cr.bin").tokens()) == ["a\rb", "c"]
 
+    @pytest.mark.parametrize("save,entries,dim", [
+        (save_text_model, [("a", [1.0]), ("b c", [2.0])], 1),
+        (save_binary_model, [("a", [1.0]), ("b c", [2.0])], 1),
+        (save_text_model, [("a", [1.0]), ("b\rc", [2.0])], 1),
+        (save_text_model, [("a", []), ("", [])], 0),
+        (save_binary_model, [("a", [1.0]), ("b", [math.inf])], 1),
+    ])
+    def test_a_rejected_save_leaves_the_path_as_it_was(self, tmp_path, save,
+                                                        entries, dim):
+        """Every row is checked before the file is opened: a bad row after a
+        good one neither truncates a file at the path nor creates one."""
+        store = EmbeddingStore(entries, dim=dim)
+        existing, absent = tmp_path / "existing", tmp_path / "absent"
+        existing.write_bytes(b"precious\n")
+        for path in (existing, absent):
+            with pytest.raises(DataError, match="cannot be serialized"):
+                save(store, path)
+        assert existing.read_bytes() == b"precious\n"
+        assert not absent.exists()
+
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(tokens=st.lists(st.text(st.characters(exclude_categories=["Cs"]),
@@ -184,6 +204,7 @@ class TestRoundTrip:
             try:
                 save(store, path)
             except DataError:
+                assert not path.exists()
                 continue
             loaded = load(path)
             assert list(loaded.tokens()) == tokens

@@ -1,15 +1,17 @@
+import gc
 import hashlib
 import json
 import logging
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import street_scene
-from helpers import second_writer_between, sentence_score
+from helpers import bench_module, second_writer_between, sentence_score
 from labeleval.errors import (
     AuthMissingError,
     BadConfidenceError,
@@ -21,6 +23,7 @@ from labeleval.errors import (
     UnresolvedTokenError,
     UpstreamError,
 )
+from labeleval import harness
 from labeleval.harness import (
     ApiClientSpec,
     ImageRef,
@@ -771,3 +774,30 @@ def test_annotated_error_keeps_class_and_attributes(monkeypatch, fixture_files,
     assert info.value.token == "zzz"
     assert str(info.value) == ("clarifai/<dataset>: "
                                "token not present in embedding store: 'zzz'")
+
+
+@pytest.mark.parametrize("workload", ["grid", "labels-sentence"])
+def test_scoring_retains_little_per_unit(tmp_path, monkeypatch, workload):
+    """The run reduces as it scores: what ``_score_units`` leaves behind is
+    its per-(api, k) cells, at most 600 bytes per (api, k, image) unit on
+    the benchmark's seed-0 inputs; a map of every unit's results held about
+    1.6 KB per unit."""
+    config_path = bench_module("gen").generate(workload, 0, tmp_path)
+    monkeypatch.chdir(tmp_path)  # the config's paths are relative to it
+    score_units, retained = harness._score_units, []
+
+    def measured(units, *args):
+        tracemalloc.start()
+        try:
+            cells = score_units(units, *args)
+            gc.collect()
+            retained.append((tracemalloc.get_traced_memory()[0], len(units)))
+        finally:
+            tracemalloc.stop()
+        return cells
+
+    monkeypatch.setattr(harness, "_score_units", measured)
+    run_evaluation(RunConfig.from_file(config_path))
+    [(size, units)] = retained
+    assert units >= 1000
+    assert size / units <= 600

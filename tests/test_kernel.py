@@ -38,6 +38,7 @@ from labeleval.labelset import (
     intern_objects,
     intern_truth,
     label_bag,
+    object_counts,
     top_k,
     write_ground_truth,
     write_predictions,
@@ -280,15 +281,16 @@ class TestWmdKernel:
         interned = intern_truth(truth, vocab)
         config = RunConfig(ground_truth_path="", prediction_paths=(),
                            embeddings_path="", top_ks=tuple(ks))
-        scored = harness._score_image(interned, build_nbow(interned.bag), record,
-                                      ks, config)
-        for k, unit in zip(ks, scored):
-            rows = intern_objects(top_k(record, k).objects, vocab).rows
-            assert unit.objects.rows == rows
-            if rows:
-                assert unit.wmd == wmd_pair(interned.bag, rows, vocab)
+        cells = [harness._Cell(ledger=None) for _ in ks]
+        harness._score_image(interned, build_nbow(interned.bag), record, ks, cells,
+                             config)
+        for k, cell in zip(ks, cells):
+            side = intern_objects(top_k(record, k).objects, vocab)
+            assert cell.objects == object_counts(side)
+            if side.rows:
+                assert cell.wmd == [wmd_pair(interned.bag, side.rows, vocab)]
             else:
-                assert unit.wmd is None
+                assert cell.wmd == [None]
 
     def test_wmd_off_solves_nothing(self, fixture_store, monkeypatch):
         monkeypatch.setattr(harness, "solve_transport", _simplex_must_not_run)
@@ -298,8 +300,9 @@ class TestWmdKernel:
             PredictedObject(synonyms=("city",)),))
         config = RunConfig(ground_truth_path="", prediction_paths=(),
                            embeddings_path="", include_wmd=False)
-        assert [unit.wmd for unit in harness._score_image(
-            truth, None, record, (1, 3), config)] == [None, None]
+        cells = [harness._Cell(ledger=None) for _ in (1, 3)]
+        harness._score_image(truth, None, record, (1, 3), cells, config)
+        assert [cell.wmd for cell in cells] == [[None], [None]]
 
     def test_one_cost_block_per_api_image(self, fixture_files, fixture_model_file,
                                           monkeypatch):

@@ -94,7 +94,7 @@ class TestPrecomputedProvider:
 
     @pytest.mark.parametrize("vector", [
         [float("nan"), 1.0], [1.0, float("inf")], [-float("inf"), 0.0], [[1.0, 2.0]],
-        [[1.0], [2.0]], 1.0])
+        [[1.0], [2.0]], 1.0, [0.0, 0.0], [1e-200, 0.0], []])
     def test_vector_must_be_flat_and_finite(self, tmp_path, vector):
         path = tmp_path / "vectors.jsonl"
         write_precomputed(path, "m", {"alpha": [1.0, 0.0], "beta": vector})
@@ -102,7 +102,8 @@ class TestPrecomputedProvider:
         with pytest.raises(CacheCorruptError) as info:
             fetch_embeddings(config, ["alpha", "beta"])
         assert str(info.value) == (f"{path}: vector for digest {text_digest('beta')} "
-                                   "is not a 1-D array of finite numbers")
+                                   "is not a 1-D array of finite numbers with a "
+                                   "non-zero norm")
 
     def test_unrequested_bad_vector_is_not_read(self, tmp_path):
         path = tmp_path / "vectors.jsonl"
@@ -199,7 +200,7 @@ class TestRemoteProvider:
             fetch_embeddings(config, ["a", "b"], post=post)
 
     @pytest.mark.parametrize("vector", [
-        ["x", 1], {"a": 1}, None, [[1.0, 2.0]], [float("nan"), 1.0], 2.0])
+        ["x", 1], {"a": 1}, None, [[1.0, 2.0]], [float("nan"), 1.0], 2.0, [0.0, 0.0]])
     def test_bad_reply_vector_is_unavailable_and_not_cached(self, tmp_path, vector):
         def post(endpoint, payload, timeout):
             return {"vectors": [[1.0, 2.0], vector]}
@@ -211,6 +212,7 @@ class TestRemoteProvider:
 
     @pytest.mark.parametrize("entry", ['{"vector": [NaN]}', '{"vector": [[1.0]]}',
                                        '{"vector": null}', '{"vector": ["x"]}',
+                                       '{"vector": [0.0, 0.0]}',
                                        pytest.param("[" * 100_000, id="deeply-nested")])
     def test_bad_cache_entry_vector(self, tmp_path, entry):
         post = FakePost()
