@@ -14,9 +14,8 @@ from pathlib import Path
 import click
 
 from . import report as reporting
-from .embeddings import (Vocabulary, clean_label, clean_labels, load_model, resolve_label,
-                         wanted_tokens)
-from .errors import DataError, ParseError, UpstreamError
+from .embeddings import Vocabulary, clean_labels, load_model, resolve_label, wanted_tokens
+from .errors import DataError, DuplicateImageError, ParseError, UpstreamError
 from .harness import (
     ApiClientSpec,
     ImageRef,
@@ -24,8 +23,8 @@ from .harness import (
     fetch_predictions,
     run_evaluation,
 )
-from .labelset import (_parse_json, _require, metadata_stats, read_lines,
-                       read_predictions, write_predictions)
+from .labelset import (_parse_json, _require, _require_id, metadata_stats, read_lines,
+                       read_predictions, top_k, write_predictions)
 from .semantic import DEFAULT_THRESHOLD
 from .sentence import ENDPOINT_ENV_VAR, ProviderConfig
 from .wmd import wmd_pair
@@ -141,18 +140,28 @@ def fetch(spec_path, images_path, cache_dir, out_path):
         raise click.ClickException(f"spec lacks required key {exc}") from None
     except (ValueError, TypeError, ParseError) as exc:
         raise click.ClickException(f"invalid client spec: {exc}") from None
-    records = fetch_predictions(spec, read_lines(images_path, _image_ref), cache_dir)
+    records = fetch_predictions(spec, _read_images(images_path), cache_dir)
     write_predictions(records, out_path)
     click.echo(f"wrote {len(records)} records to {out_path}")
 
 
-def _image_ref(line: str) -> ImageRef:
-    """One {image_id, path} line of an images file."""
-    payload = _parse_json(line)
-    _require(isinstance(payload, dict) and isinstance(payload.get("image_id"), str)
-             and isinstance(payload.get("path"), str),
-             "expected an object with string image_id and path")
-    return ImageRef(image_id=payload["image_id"], path=payload["path"])
+def _read_images(path: str) -> list[ImageRef]:
+    """The {image_id, path} lines of an images file, all read before any
+    request is made; a repeated image_id is a DuplicateImageError at its line."""
+    seen: set[str] = set()
+
+    def parse(line: str) -> ImageRef:
+        payload = _parse_json(line)
+        _require(isinstance(payload, dict) and isinstance(payload.get("image_id"), str)
+                 and isinstance(payload.get("path"), str),
+                 "expected an object with string image_id and path")
+        image_id = _require_id(payload["image_id"], "image_id")
+        if image_id in seen:
+            raise DuplicateImageError(image_id)
+        seen.add(image_id)
+        return ImageRef(image_id=image_id, path=payload["path"])
+
+    return read_lines(path, parse)
 
 
 @cli.command("wmd")
@@ -205,9 +214,10 @@ def stats(predictions, embeddings, k, as_json):
     for path in predictions:
         for record in read_predictions(path, first_file):
             by_api.setdefault(record.api_id, []).append(record)
-    store = load_model(embeddings, wanted=wanted_tokens(
-        clean_label(label) for records in by_api.values() for record in records
-        for obj in record.objects for label in obj.synonyms))
+    # only the top-k objects are counted, so only their labels need rows
+    cleaned = clean_labels(label for records in by_api.values() for record in records
+                           for obj in top_k(record, k).objects for label in obj.synonyms)
+    store = load_model(embeddings, wanted=wanted_tokens(cleaned.values()))
     rows = []
     for api_id in sorted(by_api):
         unknown_rate, labels_per_object = metadata_stats(by_api[api_id], store, k)

@@ -677,8 +677,8 @@ class _EntryWriter:
 def _check_serializable(store: EmbeddingStore, breaks: str = " \n") -> None:
     # Called before a writer opens its file, so a rejected save leaves the path
     # as it was. Neither loader reads a non-finite component back. Both
-    # serializations end a token at a space; ``breaks`` also holds what else
-    # ends one when read back.
+    # serializations write a token as UTF-8 and end it at a space; ``breaks``
+    # also holds what else ends one when read back.
     bad = _first_bad_row(store._matrix)
     if bad is not None:
         token = next(token for token, row in store._row.items() if row == bad)
@@ -688,6 +688,11 @@ def _check_serializable(store: EmbeddingStore, breaks: str = " \n") -> None:
         if any(character in token for character in breaks):
             raise DataError(
                 f"token contains whitespace and cannot be serialized: {token!r}")
+        try:
+            token.encode("utf-8")
+        except UnicodeEncodeError:  # a lone surrogate
+            raise DataError(
+                f"token is not valid UTF-8 and cannot be serialized: {token!r}") from None
 
 
 def save_text_model(store: EmbeddingStore, path: str | Path) -> None:

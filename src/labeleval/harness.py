@@ -6,12 +6,13 @@ rate-limited endpoint and fills a persistent response cache, while
 Images are processed in natural ascending image_id order ("2" before "10"),
 one at a time.
 
-Scoring interns every label of the run once, into a Vocabulary, before any
-image is scored; each image's truth side, and its WMD nBOW, is then built
-once and shared by every API, and each (api, image) is scored at every k by
-one kernel call. The kernel builds that image's objects, exact match,
-similarity grid and WMD cost block once, at the largest k, and each k reads
-their prefix.
+Each prediction record keeps only its top max(k) objects from the read on,
+the only ones scored. Scoring interns every label of the run once, into a
+Vocabulary, before any image is scored; each image's truth side, and its WMD
+nBOW, is then built once and shared by every API, and each (api, image) is
+scored at every k by one kernel call. The kernel builds that image's
+objects, exact match, similarity grid and WMD cost block once, at the
+largest k, and each k reads their prefix.
 Every metric family, WMD and the sentence text included, reads those
 interned sides. Reductions happen as each image is scored: the kernel appends
 each k's results to one cell per (api, k), which the report reads once.
@@ -27,6 +28,7 @@ import re
 import time
 from collections import deque
 from dataclasses import MISSING, dataclass, field, fields, replace
+from itertools import groupby
 from operator import add
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -68,6 +70,7 @@ from .labelset import (
     _is_number,
     _parse_json,
     _parse_object,
+    _require_id,
     intern_objects,
     intern_truth,
     object_counts,
@@ -137,6 +140,7 @@ class ApiClientSpec:
                 self.labels_path)) and isinstance(self.confidence_path, (str, type(None)))):
             raise ValueError("api_id, endpoint, auth_env_var and the *_path fields "
                              "must be strings")
+        _require_id(self.api_id, "api_id")  # it names every record fetched
         if not (_is_int(self.requests_per_period) and self.requests_per_period >= 1):
             raise ValueError("requests_per_period must be >= 1")
         # an infinite period would make the limiter sleep forever, which sleep refuses
@@ -407,15 +411,14 @@ class _Cell:
     ledger: ConfusionLedger | None  # None when label-based scoring is off
     exact: list[int] = field(default_factory=list)  # match counts
     semantic: list[int] = field(default_factory=list)  # empty with semantic off
-    n_truth: list[int] = field(default_factory=list)
     n_objects: list[int] = field(default_factory=list)
     wmd: list[float | None] = field(default_factory=list)  # None: WMD off or a side empty
     texts: list[str | None] = field(default_factory=list)  # only with a sentence provider
     objects: tuple[int, int, int] = (0, 0, 0)  # the summed ``object_counts``
 
-    def scores(self, matched: Sequence[int]) -> list[ExampleScores]:
+    def scores(self, matched: Sequence[int], n_truth: Sequence[int]) -> list[ExampleScores]:
         """Each image's example scores, from its match count and set sizes."""
-        return list(map(scores_from_counts, matched, self.n_truth, self.n_objects))
+        return list(map(scores_from_counts, matched, n_truth, self.n_objects))
 
 
 def _annotate(exc: EvaluationError, api_id: str, image_id: str) -> None:
@@ -429,16 +432,18 @@ def run_evaluation(config: RunConfig) -> reporting.MetricReport:
     Output is deterministic: images are reduced in natural ascending
     image_id order, and the provenance block echoes only evaluation-relevant
     settings. The records are read before the model, which keeps only the
-    rows the run's labels may resolve to. Every truth record is interned
-    once; one none of whose labels survives cleaning is skipped and counted
-    as empty truth.
+    rows the run's labels may resolve to. Each prediction record keeps only
+    its top max(k) objects, ranked, the only ones ever scored. Every truth
+    record is interned once; one none of whose labels survives cleaning is
+    skipped and counted as empty truth.
     """
     truth_records = read_ground_truth(config.ground_truth_path)
     by_api: dict[str, dict[str, PredictionRecord]] = {}
     first_file: dict[tuple[str, str], str] = {}
+    deepest = max(config.top_ks)
     for path in config.prediction_paths:
         for record in read_predictions(path, first_file):
-            by_api.setdefault(record.api_id, {})[record.image_id] = record
+            by_api.setdefault(record.api_id, {})[record.image_id] = top_k(record, deepest)
 
     if not by_api:
         raise EmptyDatasetError("no prediction records found")
@@ -492,12 +497,13 @@ def run_evaluation(config: RunConfig) -> reporting.MetricReport:
         skip_missing_truth = sum(1 for i in per_image
                                  if i not in truths and i not in empty_truth)
         skip_empty_truth = sum(1 for i in per_image if i in empty_truth)
+        n_truth = [len(truths[image_id].labels) for image_id in eval_ids[api_id]]
         for k in config.top_ks:
             cell = cells[api_id, k]
             # each score dataclass's fields, in order, are its columns
-            values = dict(vars(mean_scores(cell.scores(cell.exact))))
+            values = dict(vars(mean_scores(cell.scores(cell.exact, n_truth))))
             if config.include_semantic:
-                semantic_mean = mean_scores(cell.scores(cell.semantic))
+                semantic_mean = mean_scores(cell.scores(cell.semantic, n_truth))
                 values.update((f"{name}_semantic", value)
                               for name, value in vars(semantic_mean).items())
             if config.include_label_based:
@@ -544,13 +550,14 @@ def _score_image(truth: InternedTruth, truth_nbow: NBow | None,
     """The per-image kernel: one (api, image) at each k of ``ks``, in order,
     appended to the cell of that k in ``cells``.
 
-    The objects are interned and matched exactly, and the similarity grid
-    and the WMD cost block built, once, at the largest k; each k reads their
-    prefix, since ``top_k`` is a stable sort and an object's exact match
-    depends only on the objects before it. ``truth_nbow`` is the truth
-    side's WMD bag, built once per image; None turns WMD off.
+    ``record`` is ``top_k`` of the read record at the largest k. Its objects
+    are interned and matched exactly, and the similarity grid and the WMD
+    cost block built, once; each k reads their prefix, since ``top_k`` is a
+    stable sort and an object's exact match depends only on the objects
+    before it. ``truth_nbow`` is the truth side's WMD bag, built once per
+    image; None turns WMD off.
     """
-    objects = intern_objects(top_k(record, max(ks)).objects, truth.vocab)
+    objects = intern_objects(record.objects, truth.vocab)
     grid = similarity_matrix(truth, objects) if config.include_semantic else None
     match = exact_intersection(truth, objects) if grid is None else grid.match
     prefixes = [objects.prefix(k) for k in ks]
@@ -561,7 +568,6 @@ def _score_image(truth: InternedTruth, truth_nbow: NBow | None,
     for k, cell, objects_k, nbow in zip(ks, cells, prefixes, nbows):
         match_k = match.prefix(k)
         cell.exact.append(match_k.matched)
-        cell.n_truth.append(len(truth.labels))
         cell.n_objects.append(len(objects_k))
         if grid is not None:
             cell.semantic.append(
@@ -584,14 +590,13 @@ def _score_units(units: Sequence[tuple[str, int, str]],
                  config: RunConfig) -> dict[tuple[str, int], _Cell]:
     """Score (api_id, k, image_id) units, in order, into one cell per (api_id, k).
 
-    The units of one (api, image) go to the per-image kernel together, so
-    it interns, matches, grids and costs that image's objects once for all
-    their ks. Each image's truth nBOW is built once and shared by every API.
+    The units of one (api, image) are adjacent and go to the per-image
+    kernel together, so it interns, matches, grids and costs that image's
+    objects once for all their ks. Each image's truth nBOW is built once and
+    shared by every API.
     """
-    ks_of: dict[tuple[str, str], list[int]] = {}
     spaces: dict[str, set[str]] = {}  # each API's confusion-ledger label space
-    for api_id, k, image_id in units:
-        ks_of.setdefault((api_id, image_id), []).append(k)
+    for api_id, _, image_id in units:
         spaces.setdefault(api_id, set()).update(truths[image_id].labels)
     # the label space is cleaned once per API; each k's ledger starts empty
     blanks = ({api_id: ConfusionLedger(sorted(space)) for api_id, space in spaces.items()}
@@ -599,7 +604,8 @@ def _score_units(units: Sequence[tuple[str, int, str]],
     cells = {(api_id, k): _Cell(blanks[api_id].fresh() if blanks else None)
              for api_id, k in dict.fromkeys((api_id, k) for api_id, k, _ in units)}
     truth_nbows: dict[str, NBow] = {}
-    for (api_id, image_id), ks in ks_of.items():
+    for (api_id, image_id), group in groupby(units, lambda unit: (unit[0], unit[2])):
+        ks = [k for _, k, _ in group]
         truth = truths[image_id]
         if config.include_wmd and image_id not in truth_nbows:
             truth_nbows[image_id] = build_nbow(truth.bag)  # kept truths are never empty

@@ -73,6 +73,13 @@ def _require(condition: bool, message: str) -> None:
         raise ParseError(message)
 
 
+def _require_id(value, field: str) -> str:
+    """An image_id or api_id, which must be a non-empty string."""
+    _require(isinstance(value, str) and value != "",
+             f"{field} must be a non-empty string")
+    return value
+
+
 def _string_list(value, field: str) -> tuple[str, ...]:
     _require(isinstance(value, list), f"{field} must be an array")
     for item in value:
@@ -140,9 +147,7 @@ def read_ground_truth(path: str | Path) -> list[GroundTruthRecord]:
     def parse(line: str) -> GroundTruthRecord:
         payload = _parse_json(line)
         _require(isinstance(payload, dict), "record must be an object")
-        image_id = payload.get("image_id")
-        _require(isinstance(image_id, str) and image_id != "",
-                 "image_id must be a non-empty string")
+        image_id = _require_id(payload.get("image_id"), "image_id")
         labels = _string_list(payload.get("labels"), "labels")
         if image_id in seen:
             raise DuplicateImageError(image_id)
@@ -174,12 +179,8 @@ def prediction_from_json(text: str | bytes) -> PredictionRecord:
     ParseError or BadConfidenceError."""
     payload = _parse_json(text)
     _require(isinstance(payload, dict), "record must be an object")
-    image_id = payload.get("image_id")
-    api_id = payload.get("api_id")
-    _require(isinstance(image_id, str) and image_id != "",
-             "image_id must be a non-empty string")
-    _require(isinstance(api_id, str) and api_id != "",
-             "api_id must be a non-empty string")
+    image_id = _require_id(payload.get("image_id"), "image_id")
+    api_id = _require_id(payload.get("api_id"), "api_id")
     objects_payload = payload.get("objects")
     _require(isinstance(objects_payload, list), "objects must be an array")
     objects = tuple(map(_parse_object, objects_payload))

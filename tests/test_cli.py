@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -7,6 +8,7 @@ import pytest
 import street_scene
 from helpers import parse_json_lines
 from labeleval.cli import main
+from labeleval.labelset import write_predictions
 
 
 def run_cli(capsys, *argv):
@@ -813,6 +815,29 @@ class TestRestrictedCommands:
         rows = [json.loads(line) for line in stdout.splitlines()]
         assert rows == sorted(expected, key=lambda row: row["api_id"])
 
+    def test_stats_wants_only_the_labels_it_counts(self, capsys, loads, tmp_path,
+                                                   fixture_files, fixture_model_file):
+        """A label found only below the top k is never spelled for the load,
+        and the output is what the records without it give."""
+        from labeleval.embeddings import clean_label, wanted_tokens
+        from labeleval.labelset import PredictedObject, read_predictions
+
+        [path] = [p for p in fixture_files["predictions"] if "clarifai" in p.name]
+        [record] = read_predictions(path)
+        padded = tmp_path / path.name
+        write_predictions([dataclasses.replace(record, objects=record.objects + (
+            PredictedObject(("Below The Cut",), 0.01),))], padded)
+        outputs = []
+        for predictions in (path, padded):
+            code, stdout, _ = run_cli(capsys, "stats", "--predictions", str(predictions),
+                                      "--embeddings", str(fixture_model_file), "-k", "5")
+            assert code == 0
+            outputs.append(stdout)
+        assert outputs[0] == outputs[1]
+        assert loads[0]["wanted"] == loads[1]["wanted"]
+        assert not wanted_tokens([clean_label("Below The Cut")]) & loads[1]["wanted"]
+        assert wanted_tokens([clean_label("street")]) & loads[1]["wanted"]
+
 
 class TestStatsCommand:
     def test_table_output(self, capsys, fixture_files, fixture_model_file):
@@ -858,9 +883,10 @@ class TestStatsCommand:
 
 class _VendorHandler(BaseHTTPRequestHandler):
     """A vendor endpoint that answers every image with the server's ``reply``:
-    a JSON value, or a raw body as bytes."""
+    a JSON value, or a raw body as bytes, and counts the requests in ``posts``."""
 
     def do_POST(self):
+        self.server.posts += 1
         reply = self.server.reply
         body = reply if isinstance(reply, bytes) else json.dumps(reply).encode()
         self.send_response(200)
@@ -877,6 +903,7 @@ def vendor_server():
     server = HTTPServer(("127.0.0.1", 0), _VendorHandler)
     server.reply = {"objects": [{"labels": ["car"], "confidence": 0.9},
                                 {"labels": ["tree"], "confidence": 0.4}]}
+    server.posts = 0
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield server
@@ -903,7 +930,7 @@ class TestFetchCommand:
             {"image_id": "1.jpg", "path": str(image)}) + "\n", encoding="utf-8")
         return spec_path, images_path
 
-    def test_fetch_over_http(self, capsys, tmp_path, vendor_endpoint):
+    def test_fetch_over_http(self, capsys, tmp_path, vendor_server, vendor_endpoint):
         spec_path, images_path = self.write_inputs(tmp_path, vendor_endpoint)
         out = tmp_path / "preds.jsonl"
         code, stdout, _ = run_cli(capsys, "fetch",
@@ -915,6 +942,7 @@ class TestFetchCommand:
         from labeleval.labelset import read_predictions
         records = read_predictions(out)
         assert records[0].objects[0].synonyms == ("car",)
+        assert vendor_server.posts == 1
 
     def test_unreachable_endpoint_is_upstream_error(self, capsys, tmp_path):
         # port 9 refuses instantly; the two retry backoffs cost ~1.5s
@@ -992,6 +1020,34 @@ class TestFetchCommand:
         code, _, err = self.fetch(capsys, tmp_path, spec_path, images_path)
         assert code == 2
         assert err.splitlines() == [f"data error: {images_path} line 3: {message}"]
+
+    @pytest.mark.parametrize("spec,line,code,message", [
+        ({"api_id": ""}, None, 1,
+         "Error: invalid client spec: api_id must be a non-empty string"),
+        ({}, {"image_id": ""}, 2,
+         "data error: {images} line 2: image_id must be a non-empty string"),
+        ({}, {"image_id": "1.jpg"}, 2,
+         "data error: {images} line 2: duplicate image_id: '1.jpg'"),
+    ], ids=["empty-api-id", "empty-image-id", "repeated-image-id"])
+    def test_what_evaluate_rejects_is_never_fetched(
+            self, capsys, tmp_path, vendor_server, vendor_endpoint, spec, line, code,
+            message):
+        """An id that would make a record evaluate rejects, or a cache entry
+        the cache reader rejects, ends the fetch before any request."""
+        spec_path, images_path = self.write_inputs(tmp_path, vendor_endpoint)
+        spec_path.write_text(json.dumps({"api_id": "vendor", "endpoint": vendor_endpoint,
+                                         **spec}), encoding="utf-8")
+        if line is not None:
+            image = tmp_path / "other.bin"
+            image.write_bytes(b"other image bytes")
+            with images_path.open("a", encoding="utf-8") as handle:
+                handle.write(json.dumps({**line, "path": str(image)}) + "\n")
+        result, _, err = self.fetch(capsys, tmp_path, spec_path, images_path)
+        assert result == code
+        assert err.splitlines() == [message.format(images=images_path)]
+        assert vendor_server.posts == 0
+        assert not (tmp_path / "preds.jsonl").exists()
+        assert not [path for path in (tmp_path / "cache").rglob("*") if path.is_file()]
 
     @pytest.mark.parametrize("body", [b"\x80\x81", b"[" * 100_000],
                              ids=["not-utf-8", "nested-past-the-stack"])

@@ -165,6 +165,8 @@ class TestRoundTrip:
         (save_text_model, [("a", [1.0]), ("b\rc", [2.0])], 1),
         (save_text_model, [("a", []), ("", [])], 0),
         (save_binary_model, [("a", [1.0]), ("b", [math.inf])], 1),
+        (save_text_model, [("a", [1.0]), ("b\ud800", [2.0])], 1),  # a lone surrogate
+        (save_binary_model, [("a", [1.0]), ("b\ud800", [2.0])], 1),
     ])
     def test_a_rejected_save_leaves_the_path_as_it_was(self, tmp_path, save,
                                                         entries, dim):

@@ -405,6 +405,48 @@ class TestRunEvaluation:
         assert report.rows == full.rows
         assert report.provenance == full.provenance
 
+    def test_objects_below_the_largest_k_are_dropped_at_read(self, monkeypatch, tmp_path,
+                                                             fixture_files,
+                                                             fixture_model_file):
+        """Objects that rank below a record's top max(k) change no byte of the
+        report, and no spelling of their labels reaches the model load."""
+        from labeleval import report as reporting
+        from labeleval.embeddings import clean_label, wanted_tokens
+        from labeleval.labelset import read_predictions
+
+        real, wanted = harness.load_model, []
+        monkeypatch.setattr(harness, "load_model", lambda *args, **kwargs: wanted.append(
+            kwargs["wanted"]) or real(*args, **kwargs))
+
+        def report(paths, name):
+            result = run_evaluation(self.make_config(
+                fixture_files, fixture_model_file, prediction_paths=tuple(paths)))
+            result.provenance["prediction_digests"] = {}  # the files differ by design
+            reporting.rank_and_colorize(result)
+            [path] = reporting.emit(result, tmp_path / name, "json_lines")
+            return path.read_bytes()
+
+        below, padded = [], []
+        for path in fixture_files["predictions"]:
+            records = []
+            for record in read_predictions(path):
+                if len(record.objects) >= 5:  # the largest k is 5
+                    # listed first, so only their rank puts them below the cut
+                    extra = (PredictedObject((f"Unseen {record.api_id} gadget",), 0.1),
+                             PredictedObject((f"{record.api_id}-only thing", "zzqx"),))
+                    below += [label for obj in extra for label in obj.synonyms]
+                    record = PredictionRecord(record.image_id, record.api_id,
+                                              extra + record.objects)
+                records.append(record)
+            padded.append(tmp_path / path.name)
+            write_predictions(records, padded[-1])
+        assert len(below) > 20
+        assert report(padded, "padded.jsonl") == report(
+            fixture_files["predictions"], "plain.jsonl")
+        spelled = wanted_tokens(map(clean_label, below))
+        assert wanted[0] == wanted[1]
+        assert not spelled & wanted[0]
+
     def test_a_repeat_run_reads_the_model_cache(self, monkeypatch, tmp_path,
                                                 fixture_files, fixture_model_file):
         from unittest import mock

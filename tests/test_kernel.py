@@ -282,8 +282,9 @@ class TestWmdKernel:
         config = RunConfig(ground_truth_path="", prediction_paths=(),
                            embeddings_path="", top_ks=tuple(ks))
         cells = [harness._Cell(ledger=None) for _ in ks]
-        harness._score_image(interned, build_nbow(interned.bag), record, ks, cells,
-                             config)
+        # as run_evaluation keeps it: ranked and trimmed to the largest k
+        harness._score_image(interned, build_nbow(interned.bag), top_k(record, max(ks)),
+                             ks, cells, config)
         for k, cell in zip(ks, cells):
             side = intern_objects(top_k(record, k).objects, vocab)
             assert cell.objects == object_counts(side)
