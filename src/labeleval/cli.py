@@ -9,6 +9,7 @@ import dataclasses
 import json
 import os
 import sys
+from itertools import chain
 from pathlib import Path
 
 import click
@@ -23,8 +24,8 @@ from .harness import (
     fetch_predictions,
     run_evaluation,
 )
-from .labelset import (_parse_json, _require, _require_id, metadata_stats, read_lines,
-                       read_predictions, top_k, write_predictions)
+from .labelset import (_parse_json, _raw_labels, _require, _require_id, metadata_stats,
+                       read_lines, read_predictions, write_predictions)
 from .semantic import DEFAULT_THRESHOLD
 from .sentence import ENDPOINT_ENV_VAR, ProviderConfig
 from .wmd import wmd_pair
@@ -212,15 +213,14 @@ def stats(predictions, embeddings, k, as_json):
     by_api: dict[str, list] = {}
     first_file: dict[tuple[str, str], str] = {}
     for path in predictions:
-        for record in read_predictions(path, first_file):
+        for record in read_predictions(path, first_file, k):
             by_api.setdefault(record.api_id, []).append(record)
-    # only the top-k objects are counted, so only their labels need rows
-    cleaned = clean_labels(label for records in by_api.values() for record in records
-                           for obj in top_k(record, k).objects for label in obj.synonyms)
-    store = load_model(embeddings, wanted=wanted_tokens(cleaned.values()))
+    cleaned = clean_labels(_raw_labels(chain(*by_api.values())))
+    vocab = Vocabulary(load_model(embeddings, wanted=wanted_tokens(cleaned.values())),
+                       cleaned)
     rows = []
     for api_id in sorted(by_api):
-        unknown_rate, labels_per_object = metadata_stats(by_api[api_id], store, k)
+        unknown_rate, labels_per_object = metadata_stats(by_api[api_id], vocab, k)
         rows.append({"api_id": api_id,
                      "unknown_object_rate": unknown_rate,
                      "mean_labels_per_object": labels_per_object})

@@ -28,10 +28,10 @@ import re
 import time
 from collections import deque
 from dataclasses import MISSING, dataclass, field, fields, replace
-from itertools import groupby
+from itertools import chain, groupby
 from operator import add
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import report as reporting
 from .bipartition import (
@@ -63,13 +63,13 @@ from .errors import (
     UpstreamError,
 )
 from .labelset import (
-    GroundTruthRecord,
     InternedTruth,
     PredictionRecord,
     _is_int,
     _is_number,
     _parse_json,
     _parse_object,
+    _raw_labels,
     _require_id,
     intern_objects,
     intern_truth,
@@ -79,7 +79,6 @@ from .labelset import (
     prediction_to_json,
     read_ground_truth,
     read_predictions,
-    top_k,
     write_entry,
 )
 from .semantic import DEFAULT_THRESHOLD, semantic_intersection, similarity_matrix
@@ -141,6 +140,10 @@ class ApiClientSpec:
             raise ValueError("api_id, endpoint, auth_env_var and the *_path fields "
                              "must be strings")
         _require_id(self.api_id, "api_id")  # it names every record fetched
+        # it also names the cache directory, which it must not leave or replace
+        if self.api_id in (".", "..") or any(c in self.api_id for c in "/\\\0"):
+            raise ValueError(f"api_id must name one directory: not '.' or '..', "
+                             f"and no '/', '\\' or NUL, got {self.api_id!r}")
         if not (_is_int(self.requests_per_period) and self.requests_per_period >= 1):
             raise ValueError("requests_per_period must be >= 1")
         # an infinite period would make the limiter sleep forever, which sleep refuses
@@ -440,15 +443,15 @@ def run_evaluation(config: RunConfig) -> reporting.MetricReport:
     truth_records = read_ground_truth(config.ground_truth_path)
     by_api: dict[str, dict[str, PredictionRecord]] = {}
     first_file: dict[tuple[str, str], str] = {}
-    deepest = max(config.top_ks)
     for path in config.prediction_paths:
-        for record in read_predictions(path, first_file):
-            by_api.setdefault(record.api_id, {})[record.image_id] = top_k(record, deepest)
+        for record in read_predictions(path, first_file, max(config.top_ks)):
+            by_api.setdefault(record.api_id, {})[record.image_id] = record
 
     if not by_api:
         raise EmptyDatasetError("no prediction records found")
 
-    cleaned = clean_labels(_run_labels(truth_records, by_api.values()))
+    cleaned = clean_labels(_raw_labels(chain(
+        truth_records, *(per_image.values() for per_image in by_api.values()))))
     store = load_model(config.embeddings_path, config.embeddings_format,
                        wanted=wanted_tokens(cleaned.values()))
     provenance = {
@@ -531,17 +534,6 @@ def run_evaluation(config: RunConfig) -> reporting.MetricReport:
     columns = reporting.columns_for(rows[0].cells.keys())
     return reporting.MetricReport(columns=columns, rows=rows,
                                   provenance=provenance)
-
-
-def _run_labels(truth_records: Iterable[GroundTruthRecord],
-                predictions: Iterable[Mapping[str, PredictionRecord]]) -> Iterator[str]:
-    """Every raw label the run may score: truth labels and object synonyms."""
-    for truth in truth_records:
-        yield from truth.labels
-    for per_image in predictions:
-        for record in per_image.values():
-            for obj in record.objects:
-                yield from obj.synonyms
 
 
 def _score_image(truth: InternedTruth, truth_nbow: NBow | None,

@@ -19,6 +19,7 @@ import contextlib
 import json
 import math
 import os
+import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,13 +39,13 @@ from .errors import (
 TEXT_ONLY = EmbeddingStore((), dim=0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroundTruthRecord:
     image_id: str
     labels: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PredictedObject:
     """One predicted object carrying interchangeable synonym labels."""
 
@@ -52,7 +53,7 @@ class PredictedObject:
     confidence: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PredictionRecord:
     image_id: str
     api_id: str
@@ -81,10 +82,11 @@ def _require_id(value, field: str) -> str:
 
 
 def _string_list(value, field: str) -> tuple[str, ...]:
+    """The strings, interned: a label read on many lines is held once."""
     _require(isinstance(value, list), f"{field} must be an array")
     for item in value:
         _require(isinstance(item, str), f"{field} entries must be strings")
-    return tuple(value)
+    return tuple(map(sys.intern, value))
 
 
 def read_lines(path: str | Path, parse: Callable[[str], object]) -> list:
@@ -188,11 +190,13 @@ def prediction_from_json(text: str | bytes) -> PredictionRecord:
 
 
 def read_predictions(path: str | Path,
-                     seen: dict[tuple[str, str], str] | None = None
-                     ) -> list[PredictionRecord]:
+                     seen: dict[tuple[str, str], str] | None = None,
+                     k: int | None = None) -> list[PredictionRecord]:
     """The records of a predictions file. ``seen`` maps each (api_id,
     image_id) read to its file, and a repeat is a DuplicateImageError at its
-    line naming the file of the first; share it to check several files."""
+    line naming the file of the first; share it to check several files.
+    With ``k``, each record is ``top_k(record, k)`` from its line on, so the
+    objects below the cut are never held together."""
     seen = {} if seen is None else seen
 
     def parse(line: str) -> PredictionRecord:
@@ -201,7 +205,7 @@ def read_predictions(path: str | Path,
         if key in seen:
             raise DuplicateImageError(record.image_id, record.api_id, seen[key])
         seen[key] = str(path)
-        return record
+        return record if k is None else top_k(record, k)
 
     return read_lines(path, parse)
 
@@ -297,12 +301,17 @@ class InternedObjects:
 
 
 def _raw_labels(side) -> Iterator[str]:
-    """Every raw label of a truth-label sequence or of PredictedObjects."""
+    """Every raw label, in order, of a sequence of truth labels,
+    PredictedObjects, GroundTruthRecords or PredictionRecords."""
     for item in side:
-        if isinstance(item, PredictedObject):
-            yield from item.synonyms
-        else:
+        if isinstance(item, str):
             yield item
+        elif isinstance(item, PredictedObject):
+            yield from item.synonyms
+        elif isinstance(item, GroundTruthRecord):
+            yield from item.labels
+        else:
+            yield from _raw_labels(item.objects)
 
 
 def intern_truth(labels: Sequence[str], vocab: Vocabulary) -> InternedTruth:
@@ -395,11 +404,14 @@ def object_stats(objects: int, unknown: int, synonyms: int) -> tuple[float, floa
     return unknown / objects, synonyms / objects
 
 
-def metadata_stats(records: Sequence[PredictionRecord], store: EmbeddingStore,
-                   k: int) -> tuple[float, float]:
-    """(unknown_object_rate, mean_labels_per_object) over the top-k objects."""
-    ranked = [top_k(record, k).objects for record in records]
-    vocab = Vocabulary(store, clean_labels(label for objects in ranked
-                                           for label in _raw_labels(objects)))
-    counts = [object_counts(intern_objects(objects, vocab)) for objects in ranked]
+def metadata_stats(records: Sequence[PredictionRecord],
+                   vocab: Vocabulary | EmbeddingStore, k: int) -> tuple[float, float]:
+    """(unknown_object_rate, mean_labels_per_object) over the top-k objects.
+
+    ``vocab`` was built over at least those objects' labels; a store gets a
+    Vocabulary built over them."""
+    ranked = [top_k(record, k) for record in records]
+    if isinstance(vocab, EmbeddingStore):
+        vocab = Vocabulary(vocab, clean_labels(_raw_labels(ranked)))
+    counts = [object_counts(intern_objects(record.objects, vocab)) for record in ranked]
     return object_stats(*(sum(column) for column in zip((0, 0, 0), *counts)))

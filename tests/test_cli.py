@@ -840,6 +840,30 @@ class TestRestrictedCommands:
 
 
 class TestStatsCommand:
+    @pytest.mark.parametrize("k", [1, 5, 10])
+    def test_each_counted_label_is_cleaned_once(self, capsys, monkeypatch, fixture_files,
+                                                fixture_model_file, k):
+        from collections import Counter
+
+        from labeleval import embeddings
+        from labeleval.labelset import read_predictions, top_k
+
+        calls = Counter()
+        clean_label = embeddings.clean_label
+        def counting(raw):
+            calls[raw] += 1
+            return clean_label(raw)
+        monkeypatch.setattr(embeddings, "clean_label", counting)
+        argv = ["stats", "--embeddings", str(fixture_model_file), "-k", str(k)]
+        for path in fixture_files["predictions"]:
+            argv += ["--predictions", str(path)]
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        counted = {label for path in fixture_files["predictions"]
+                   for record in read_predictions(path)
+                   for obj in top_k(record, k).objects for label in obj.synonyms}
+        assert calls == Counter(counted)
+
     def test_table_output(self, capsys, fixture_files, fixture_model_file):
         argv = ["stats", "--embeddings", str(fixture_model_file), "-k", "5"]
         for path in fixture_files["predictions"]:
@@ -1048,6 +1072,25 @@ class TestFetchCommand:
         assert vendor_server.posts == 0
         assert not (tmp_path / "preds.jsonl").exists()
         assert not [path for path in (tmp_path / "cache").rglob("*") if path.is_file()]
+
+    @pytest.mark.parametrize("api_id", [".", "..", "../escaped", "vendor/x", "vendor\\x",
+                                        "vendor\0", "{tmp}/absolute"])
+    def test_api_id_names_one_cache_directory(self, capsys, tmp_path, vendor_server,
+                                              vendor_endpoint, api_id):
+        """The spec's api_id names a directory under --cache-dir; one that
+        would leave or replace it is refused before anything is written."""
+        api_id = api_id.format(tmp=tmp_path)
+        spec_path, images_path = self.write_inputs(tmp_path, vendor_endpoint)
+        spec_path.write_text(json.dumps({"api_id": api_id, "endpoint": vendor_endpoint}),
+                             encoding="utf-8")
+        before = sorted(tmp_path.rglob("*"))
+        code, _, err = self.fetch(capsys, tmp_path, spec_path, images_path)
+        assert code == 1
+        assert err.splitlines() == [
+            f"Error: invalid client spec: api_id must name one directory: not '.' "
+            f"or '..', and no '/', '\\' or NUL, got {api_id!r}"]
+        assert vendor_server.posts == 0
+        assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("body", [b"\x80\x81", b"[" * 100_000],
                              ids=["not-utf-8", "nested-past-the-stack"])

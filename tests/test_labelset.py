@@ -1,10 +1,11 @@
+import dataclasses
 import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import street_scene
-from labeleval.embeddings import UNKNOWN_TOKEN
+from labeleval.embeddings import UNKNOWN_TOKEN, Vocabulary, clean_labels
 from labeleval.errors import (
     BadConfidenceError,
     DataError,
@@ -15,6 +16,7 @@ from labeleval.errors import (
 from labeleval.labelset import (
     PredictedObject,
     PredictionRecord,
+    _raw_labels,
     label_bag,
     metadata_stats,
     prediction_from_json,
@@ -94,6 +96,48 @@ class TestPredictionReader:
         path = tmp_path / "roundtrip.jsonl"
         write_predictions(records, path)
         assert read_predictions(path) == records
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 10])
+    def test_read_with_k_keeps_the_top_k(self, tmp_path, k):
+        records = [
+            PredictionRecord(image_id=str(i), api_id="a", objects=tuple(
+                PredictedObject((f"l{i}{j}", f"s{j}"), c)
+                for j, c in enumerate(confidences)))
+            for i, confidences in enumerate([[0.2, None, 0.9, 0.5], [], [None, 0.3],
+                                             [0.1, 0.1, 0.7]])]
+        path = tmp_path / "pred.jsonl"
+        write_predictions(records, path)
+        assert read_predictions(path, {}, k) == [top_k(r, k) for r in records]
+        assert read_predictions(path, None, None) == records
+
+    def test_read_with_k_names_the_first_file_of_a_repeat(self, tmp_path):
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        record = record_with_confidences([0.5, 0.9])
+        write_predictions([record], first)
+        write_predictions([dataclasses.replace(record, image_id="other"), record], second)
+        seen: dict = {}
+        read_predictions(first, seen, 1)
+        with pytest.raises(DuplicateImageError) as info:
+            read_predictions(second, seen, 1)
+        assert info.value.line_no == 2
+        assert str(info.value) == (f"{second} line 2: api/img: duplicate prediction, "
+                                   f"first read from {first}")
+
+    def test_records_hold_each_label_once(self, tmp_path):
+        path = tmp_path / "pred.jsonl"
+        path.write_text(''.join(
+            json.dumps({"image_id": image_id, "api_id": "a",
+                        "objects": [{"labels": ["street lamp"]}]}) + "\n"
+            for image_id in ("1", "2")), encoding="utf-8")
+        first, second = read_predictions(path)
+        assert first.objects[0].synonyms[0] is second.objects[0].synonyms[0]
+        truth = tmp_path / "truth.jsonl"
+        truth.write_text('{"image_id": "1", "labels": ["street lamp"]}\n',
+                         encoding="utf-8")
+        [truth_record] = read_ground_truth(truth)
+        assert truth_record.labels[0] is first.objects[0].synonyms[0]
+        for value in (first, first.objects[0], truth_record):
+            assert not hasattr(value, "__dict__")
 
 
 # Small JSON documents built from the record fields, so that examples reach
@@ -244,3 +288,13 @@ class TestMetadataStats:
             objects=(PredictedObject(synonyms=("zzqx", "car")),))
         unknown_rate, _ = metadata_stats([record], fixture_store, k=5)
         assert unknown_rate == 0.0
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 10])
+    def test_a_vocabulary_gives_what_its_store_gives(self, fixture_store, k):
+        """A Vocabulary built over more records' labels than are counted."""
+        records = [street_scene.prediction_record(api)
+                   for api in sorted(street_scene.PREDICTIONS)]
+        vocab = Vocabulary(fixture_store, clean_labels(_raw_labels(records)))
+        for record in records:
+            assert (metadata_stats([record], vocab, k)
+                    == metadata_stats([record], fixture_store, k))
