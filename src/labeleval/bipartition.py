@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 from .embeddings import clean_label
 from .errors import EmptyDatasetError, EmptyLedgerError, EmptyTruthError
 from .labelset import (TEXT_ONLY, InternedObjects, InternedTruth, PredictedObject,
-                       intern_unit)
+                       _first_cleanings, intern_unit)
 
 
 @dataclass(frozen=True)
@@ -66,14 +66,7 @@ class MatchResult:
 
 def dedup_normalized(labels: Iterable[str]) -> list[str]:
     """Cleaned labels in first-occurrence order; empty cleanings dropped."""
-    seen: set[str] = set()
-    out: list[str] = []
-    for label in labels:
-        cleaned = clean_label(label)
-        if cleaned and cleaned not in seen:
-            seen.add(cleaned)
-            out.append(cleaned)
-    return out
+    return list(_first_cleanings(labels, clean_label))
 
 
 def exact_intersection(truth: Sequence[str] | InternedTruth,
@@ -150,9 +143,7 @@ class ConfusionLedger:
     """
 
     def __init__(self, label_space: Iterable[str]):
-        cleaned = (clean_label(label) for label in label_space)
-        self.label_space: tuple[str, ...] = tuple(dict.fromkeys(
-            label for label in cleaned if label))
+        self.label_space = tuple(_first_cleanings(label_space, clean_label))
         self._index = {label: j for j, label in enumerate(self.label_space)}
         self._zero()
 

@@ -220,7 +220,7 @@ def stats(predictions, embeddings, k, as_json):
                        cleaned)
     rows = []
     for api_id in sorted(by_api):
-        unknown_rate, labels_per_object = metadata_stats(by_api[api_id], vocab, k)
+        unknown_rate, labels_per_object = metadata_stats(by_api[api_id], vocab)
         rows.append({"api_id": api_id,
                      "unknown_object_rate": unknown_rate,
                      "mean_labels_per_object": labels_per_object})

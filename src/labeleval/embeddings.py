@@ -70,10 +70,12 @@ _MULTISPACE = re.compile(r" +")
 
 
 def clean_label(raw: str) -> str:
-    """Lowercase, strip characters outside [a-z0-9 ], collapse spaces, trim."""
-    lowered = raw.lower()
-    kept = _DISALLOWED.sub("", lowered)
-    return _MULTISPACE.sub(" ", kept).strip()
+    """Lowercase, strip characters outside [a-z0-9 ], collapse spaces, trim.
+
+    A label that is already clean is returned itself, not a copy of it.
+    """
+    cleaned = _MULTISPACE.sub(" ", _DISALLOWED.sub("", raw.lower())).strip()
+    return raw if cleaned == raw else cleaned
 
 
 def clean_labels(labels: Iterable[str]) -> dict[str, str]:
@@ -180,28 +182,28 @@ class EmbeddingStore:
         return gathered
 
 
-def _add_token(row: dict[str, int], token: str) -> int:
+def _add_token(row: dict[str, int], token: str) -> None:
     """Give a token the next row; a token seen before is an error."""
     if token in row:
         raise DuplicateTokenError(token)
-    row[token] = index = len(row)
-    return index
+    row[token] = len(row)
 
 
-def _parse_header(line: str) -> tuple[int, int]:
+def _parse_header(line: str, path: Path) -> tuple[int, int]:
+    """The header line's V and D; ``line`` comes without its line end."""
     parts = line.split()
     if len(parts) != 2:
-        raise MalformedHeaderError(f"expected 'V D' header, got {line!r}")
+        raise MalformedHeaderError(f"{path}: expected 'V D' header, got {line!r}")
     try:
         vocab, dim = int(parts[0]), int(parts[1])
     except ValueError:
-        raise MalformedHeaderError(f"non-integer header fields: {line!r}") from None
+        raise MalformedHeaderError(f"{path}: non-integer header fields: {line!r}") from None
     if vocab < 0 or dim < 0:
-        raise MalformedHeaderError(f"negative header fields: {line!r}")
+        raise MalformedHeaderError(f"{path}: negative header fields: {line!r}")
     # A loader bounds the dimension by the row the file must hold; with no
     # rows, only numpy bounds it, at the widest float32 array it can size.
     if not vocab and 4 * dim > sys.maxsize:
-        raise MalformedHeaderError(f"dimension too large: {line!r}")
+        raise MalformedHeaderError(f"{path}: dimension too large: {line!r}")
     return vocab, dim
 
 
@@ -372,7 +374,7 @@ def _load_text(path: Path, wanted: AbstractSet[str] | None,
         header = next(lines, "")
         if not header.strip():
             raise MalformedHeaderError(f"{path}: empty file")
-        vocab, dim = _parse_header(header)
+        vocab, dim = _parse_header(header.rstrip("\n"), path)
         # A row takes 2 bytes a component (a space and a digit), and at least
         # 1, so no header sizes a matrix beyond the file.
         fits = binary.raw.size // max(1, 2 * dim)
@@ -401,7 +403,10 @@ def _load_text(path: Path, wanted: AbstractSet[str] | None,
                     raise MalformedHeaderError(
                         f"{path} line {line_no}: header declares only {vocab} rows")
                 token, _, numbers = line.partition(" ")
-                _add_token(seen, token)
+                try:
+                    _add_token(seen, token)
+                except DuplicateTokenError:
+                    raise DuplicateTokenError(token, f"{path} line {line_no}: ") from None
                 tokens.append(token)
                 fields.append(numbers)
                 line_nos.append(line_no)
@@ -441,7 +446,7 @@ def load_binary_model(path: str | Path, *,
         if not header.endswith(b"\n"):
             raise MalformedHeaderError(f"{path}: missing header line")
         try:
-            vocab, dim = _parse_header(header[:-1].decode("ascii"))
+            vocab, dim = _parse_header(header[:-1].decode("ascii"), path)
         except UnicodeDecodeError:
             raise MalformedHeaderError(f"{path}: non-ascii header") from None
         record_bytes = 4 * dim
@@ -449,7 +454,7 @@ def load_binary_model(path: str | Path, *,
         # matrix beyond the file; records past the end are truncated.
         fits = (source.raw.size - len(header)) // (record_bytes + 1)
         if vocab and not fits:
-            raise TruncatedRecordError(0)
+            raise TruncatedRecordError(0, path)
         sink = _RowSink(vocab, fits, dim, wanted)
         # Each read is walked for the records it completes, which go to the
         # sink as one block; only the bytes of an unfinished record are held.
@@ -466,7 +471,10 @@ def load_binary_model(path: str | Path, *,
                 if space < 0 or space + 1 + record_bytes > len(data):
                     break
                 token = _record_token(data[start:space], index, path)
-                _add_token(sink.seen, token)
+                try:
+                    _add_token(sink.seen, token)
+                except DuplicateTokenError:
+                    raise DuplicateTokenError(token, f"{path}: record {index}: ") from None
                 tokens.append(token)
                 end = space + 1 + record_bytes
                 vectors.append(view[space + 1:end])
@@ -479,7 +487,7 @@ def load_binary_model(path: str | Path, *,
             token, space, _ = data.lstrip(b"\n").partition(b" ")
             if space:  # its token is checked first
                 _record_token(token, index, path)
-            raise TruncatedRecordError(index)
+            raise TruncatedRecordError(index, path)
         trailing = len(data.lstrip(b"\n"))
         while chunk := source.read(_READ_BYTES):
             trailing += len(chunk if trailing else chunk.lstrip(b"\n"))

@@ -37,16 +37,18 @@ class DimensionMismatchError(DataError):
 
 
 class DuplicateTokenError(DataError):
-    def __init__(self, token: str):
-        super().__init__(f"duplicate token in model: {token!r}")
+    """A token repeated in a model; a loader's ``prefix`` names its file and place."""
+
+    def __init__(self, token: str, prefix: str = ""):
+        super().__init__(f"{prefix}duplicate token in model: {token!r}")
         self.token = token
 
 
 class TruncatedRecordError(DataError):
     """Binary model file ends in the middle of a record."""
 
-    def __init__(self, index: int):
-        super().__init__(f"truncated record at index {index}")
+    def __init__(self, index: int, path: object):
+        super().__init__(f"{path}: truncated record at index {index}")
         self.index = index
 
 

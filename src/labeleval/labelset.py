@@ -23,7 +23,7 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .embeddings import EmbeddingStore, Vocabulary, clean_labels
 from .errors import (
@@ -314,15 +314,23 @@ def _raw_labels(side) -> Iterator[str]:
             yield from _raw_labels(item.objects)
 
 
+def _first_cleanings(labels: Iterable[str], clean: Callable[[str], str]) -> dict[str, str]:
+    """Each non-empty cleaned label, in first-occurrence order, mapped to the
+    first raw label that cleans to it: the deduplicated label set that truth
+    sides, ledger spaces and ``dedup_normalized`` all count."""
+    first: dict[str, str] = {}
+    for raw in labels:
+        cleaned = clean(raw)
+        if cleaned and cleaned not in first:
+            first[cleaned] = raw
+    return first
+
+
 def intern_truth(labels: Sequence[str], vocab: Vocabulary) -> InternedTruth:
     """Intern truth labels through a Vocabulary built over them."""
-    deduplicated: dict[str, int] = {}
-    for raw in labels:
-        cleaned = vocab.cleaned(raw)
-        if cleaned and cleaned not in deduplicated:
-            deduplicated[cleaned] = vocab.row(raw)
-    return InternedTruth(vocab=vocab, labels=tuple(deduplicated),
-                         rows=tuple(deduplicated.values()), raw=tuple(labels),
+    first = _first_cleanings(labels, vocab.cleaned)
+    return InternedTruth(vocab=vocab, labels=tuple(first),
+                         rows=tuple(map(vocab.row, first.values())), raw=tuple(labels),
                          bag=tuple(map(vocab.row, labels)))
 
 
@@ -405,13 +413,10 @@ def object_stats(objects: int, unknown: int, synonyms: int) -> tuple[float, floa
 
 
 def metadata_stats(records: Sequence[PredictionRecord],
-                   vocab: Vocabulary | EmbeddingStore, k: int) -> tuple[float, float]:
-    """(unknown_object_rate, mean_labels_per_object) over the top-k objects.
+                   vocab: Vocabulary) -> tuple[float, float]:
+    """(unknown_object_rate, mean_labels_per_object) over the records' objects.
 
-    ``vocab`` was built over at least those objects' labels; a store gets a
-    Vocabulary built over them."""
-    ranked = [top_k(record, k) for record in records]
-    if isinstance(vocab, EmbeddingStore):
-        vocab = Vocabulary(vocab, clean_labels(_raw_labels(ranked)))
-    counts = [object_counts(intern_objects(record.objects, vocab)) for record in ranked]
+    ``vocab`` was built over at least those objects' labels. For the top-k
+    objects, pass records that ``read_predictions`` cut with ``k``."""
+    counts = [object_counts(intern_objects(record.objects, vocab)) for record in records]
     return object_stats(*(sum(column) for column in zip((0, 0, 0), *counts)))

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 import street_scene
 from labeleval.bipartition import (
@@ -11,8 +12,9 @@ from labeleval.bipartition import (
     label_based_scores,
     mean_scores,
 )
+from labeleval.embeddings import Vocabulary, clean_label, clean_labels
 from labeleval.errors import EmptyDatasetError, EmptyLedgerError, EmptyTruthError
-from labeleval.labelset import PredictedObject
+from labeleval.labelset import PredictedObject, intern_bag, intern_truth
 
 
 def objects_of(*labels):
@@ -235,3 +237,29 @@ class TestLabelBasedScores:
 
 def test_dedup_normalized_keeps_first_occurrence():
     assert dedup_normalized(["Car", "car!", "tree", "CAR"]) == ["car", "tree"]
+
+
+@st.composite
+def raw_spellings(draw):
+    """A raw spelling of a word: mixed case, punctuation and runs of spaces,
+    so that different spellings clean to the same text; the empty word's
+    spellings clean to nothing."""
+    word = draw(st.sampled_from(["car", "lamp post", "parking meter", "zzqx", ""]))
+    noise = st.sampled_from(["", "", "!", "-", "  ", "?*"])
+    return "".join(draw(noise) + (char.upper() if draw(st.booleans()) else char)
+                   for char in word) + draw(noise)
+
+
+@given(labels=st.lists(st.one_of(raw_spellings(), st.text(max_size=6)), max_size=12))
+def test_every_label_set_is_deduplicated_alike(fixture_store, labels):
+    """Truth sides, ledger spaces and ``dedup_normalized`` keep one label set:
+    the non-empty cleanings in first-occurrence order."""
+    expected = dedup_normalized(labels)
+    assert list(ConfusionLedger(labels).label_space) == expected
+    assert list(intern_bag(labels, fixture_store).labels) == expected
+    vocab = Vocabulary(fixture_store, clean_labels(labels))
+    truth = intern_truth(labels, vocab)
+    firsts = [next(raw for raw in labels if clean_label(raw) == cleaned)
+              for cleaned in expected]
+    assert list(truth.labels) == expected
+    assert truth.rows == tuple(map(vocab.row, firsts))

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import struct
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -756,11 +757,32 @@ class TestInspectCommand:
     @pytest.mark.parametrize("name,message", [
         ("model.txt", "{path}: a row of 99999999999999999999 components cannot "
                       "fit in the file"),
-        ("model.bin", "truncated record at index 0"),
+        ("model.bin", "{path}: truncated record at index 0"),
     ], ids=["text", "binary"])
     def test_huge_header_dimension(self, capsys, tmp_path, name, message):
         model = tmp_path / name
         model.write_bytes(b"1 99999999999999999999\ncat 1\n")
+        code, _, err = run_cli(capsys, "inspect-embeddings", str(model))
+        assert code == 2
+        assert err.splitlines() == [f"data error: {message.format(path=model)}"]
+
+    ONE = struct.pack("<f", 1.0)
+
+    @pytest.mark.parametrize("name,content,message", [
+        ("model.txt", b"3 1\ncat 1\ndog 1\ncat 2\n",
+         "{path} line 4: duplicate token in model: 'cat'"),
+        ("model.bin", b"2 1\ncat " + ONE + b"\ncat " + ONE + b"\n",
+         "{path}: record 1: duplicate token in model: 'cat'"),
+        ("model.txt", b"x y\ncat 1\n", "{path}: non-integer header fields: 'x y'"),
+        ("model.bin", b"x y\ncat " + ONE + b"\n",
+         "{path}: non-integer header fields: 'x y'"),
+        ("model.bin", b"2 1\ncat " + ONE + b"\ndo", "{path}: truncated record at index 1"),
+    ], ids=["text-duplicate", "binary-duplicate", "text-header", "binary-header",
+            "binary-truncated"])
+    def test_model_errors_name_the_file_and_the_place(self, capsys, tmp_path, name,
+                                                      content, message):
+        model = tmp_path / name
+        model.write_bytes(content)
         code, _, err = run_cli(capsys, "inspect-embeddings", str(model))
         assert code == 2
         assert err.splitlines() == [f"data error: {message.format(path=model)}"]
@@ -795,8 +817,8 @@ class TestRestrictedCommands:
         assert stdout == f"{value:.6f}\n"
 
     def test_stats(self, capsys, loads, fixture_files, fixture_model_file):
-        from labeleval.embeddings import load_text_model
-        from labeleval.labelset import metadata_stats, read_predictions
+        from labeleval.embeddings import Vocabulary, clean_labels, load_text_model
+        from labeleval.labelset import _raw_labels, metadata_stats, read_predictions
 
         argv = ["stats", "--embeddings", str(fixture_model_file), "--json", "-k", "3"]
         for path in fixture_files["predictions"]:
@@ -807,8 +829,9 @@ class TestRestrictedCommands:
         full = load_text_model(fixture_model_file)
         expected = []
         for path in fixture_files["predictions"]:
-            records = read_predictions(path)
-            unknown, per_object = metadata_stats(records, full, 3)
+            records = read_predictions(path, k=3)
+            vocab = Vocabulary(full, clean_labels(_raw_labels(records)))
+            unknown, per_object = metadata_stats(records, vocab)
             expected.append({"api_id": records[0].api_id,
                              "unknown_object_rate": unknown,
                              "mean_labels_per_object": per_object})

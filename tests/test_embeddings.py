@@ -226,7 +226,7 @@ class TestCleaning:
     @given(st.text(max_size=40))
     def test_idempotent(self, raw):
         once = clean_label(raw)
-        assert clean_label(once) == once
+        assert clean_label(once) is once  # a clean label is returned, not copied
 
 
 class TestResolution:

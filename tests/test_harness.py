@@ -372,6 +372,30 @@ class TestRunEvaluation:
         assert len(spaces) == len(street_scene.PREDICTIONS)
         assert len(report.rows) == len(spaces) * len(config.top_ks)
 
+    def test_ledger_space_holds_the_truths_own_strings(self, monkeypatch, fixture_files,
+                                                       fixture_model_file):
+        """A truth label that is already clean is the string the reader read,
+        and each ledger space holds the truths' strings, not copies of them."""
+        from labeleval import harness
+
+        runs = []
+        score = harness._score_units
+
+        def spy(units, truths, *rest):
+            runs.append((truths, score(units, truths, *rest)))
+            return runs[-1][1]
+        monkeypatch.setattr(harness, "_score_units", spy)
+        run_evaluation(self.make_config(fixture_files, fixture_model_file))
+        [(truths, cells)] = runs
+        for truth in truths.values():
+            for label in truth.labels:
+                if label in truth.raw:
+                    assert any(label is raw for raw in truth.raw)
+        held = {id(label) for truth in truths.values() for label in truth.labels}
+        for cell in cells.values():
+            assert cell.ledger.label_space
+            assert {id(label) for label in cell.ledger.label_space} <= held
+
     def test_model_is_read_once_keeping_the_run_rows(self, monkeypatch,
                                                       fixture_files,
                                                       fixture_model_file):
