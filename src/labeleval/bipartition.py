@@ -143,9 +143,19 @@ class ConfusionLedger:
     """
 
     def __init__(self, label_space: Iterable[str]):
-        self.label_space = tuple(_first_cleanings(label_space, clean_label))
-        self._index = {label: j for j, label in enumerate(self.label_space)}
+        self._over(tuple(_first_cleanings(label_space, clean_label)))
+
+    @classmethod
+    def _of_cleaned(cls, label_space: Sequence[str]) -> "ConfusionLedger":
+        """A ledger over labels that are already cleaned, non-empty and
+        distinct, such as a run's interned truth labels: none is cleaned again."""
+        return cls.__new__(cls)._over(tuple(label_space))
+
+    def _over(self, label_space: tuple[str, ...]) -> "ConfusionLedger":
+        self.label_space = label_space
+        self._index = {label: j for j, label in enumerate(label_space)}
         self._zero()
+        return self
 
     def _zero(self) -> None:
         q = len(self.label_space)

@@ -12,15 +12,19 @@ whole binary records each read completes are checked as one block. Given
 thousand rows its labels can resolve to, not the whole model.
 
 ``load_model`` keeps what a text parse has checked in a cache entry keyed by
-the file's digest: the float32 rows, in file order, then the tokens. The
-entry is written only if the parse read the bytes the key was hashed from.
-A repeat load of the same bytes hashes the file and takes its rows from the
-entry, with no parse; a read re-checks the entry's header and size, that it
-holds V tokens, and that the rows it takes are finite. An entry that fails
-a check is ignored and written again. The entries live in
-``$XDG_CACHE_HOME/labeleval/models`` (``~/.cache/labeleval/models`` when
-that is unset). Binary models, ``load_text_model`` and ``load_binary_model``
-always parse.
+the file's digest: the float32 rows, in file order, then the tokens, then an
+index of the tokens' CRC-32s. The entry is written only if the parse read
+the bytes the key was hashed from, and it replaces the entry an older layout
+kept for the same bytes. A repeat load of the same bytes hashes the file and
+takes its rows from the entry, with no parse: given ``wanted``, it looks up
+each wanted token's CRC-32 in the index, decodes only the tokens filed there
+and reads only the rows it keeps. A read re-checks the entry's header and size, that its table is
+UTF-8 and holds V tokens, that no token it keeps is there twice, that the
+index's rows (when it looks them up) are below V, and that the rows it takes
+are finite. An entry that fails a check is ignored and written again. The
+entries live in ``$XDG_CACHE_HOME/labeleval/models``
+(``~/.cache/labeleval/models`` when that is unset). Binary models,
+``load_text_model`` and ``load_binary_model`` always parse.
 
 A run resolves its labels once, into a ``Vocabulary``; the scalar ``cosine``
 and ``euclidean`` stay as the reference the vectorised scoring is checked
@@ -40,6 +44,7 @@ import re
 import sys
 import tempfile
 import warnings
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import AbstractSet, Collection, Iterable, Iterator, Mapping, Sequence
@@ -517,7 +522,7 @@ def load_model(path: str | Path, fmt: str = "auto", *,
         return load_binary_model(path, wanted=wanted)
     path = Path(path)
     digest = sha256(path)
-    entry = _cache_dir() / f"{digest}.text.v{_ENTRY_VERSION}"
+    entry = _cache_dir() / _entry_name(digest, _ENTRY_VERSION)
     store = _cached_store(entry, path, digest, wanted)
     if store is None:
         writer = _EntryWriter(entry, digest)
@@ -530,11 +535,19 @@ def load_model(path: str | Path, fmt: str = "auto", *,
 
 # A cache entry: a header of _HEADER_BYTES, then the V x D little-endian
 # float32 rows in file order, then every token followed by "\n", in UTF-8
-# (a text model's token holds no line break). The header is one ASCII line,
-# padded with spaces, naming the layout version, the model's digest, V, D and
-# the size of the token table.
-_ENTRY_VERSION = 1
+# (a text model's token holds no line break), in file order. Then comes the
+# table's index: the CRC-32 of each token's UTF-8 bytes, sorted, then each
+# one's row, both as little-endian uint32. A read given ``wanted`` looks up
+# each wanted token's CRC-32 and keeps a row only if the table holds that very
+# token there, so a shared CRC-32 costs one more token decoded, never a wrong
+# row. The header is one ASCII line, padded with spaces, naming the layout
+# version, the model's digest, V, D and the size of the token table.
+_ENTRY_VERSION = 2
 _HEADER_BYTES = 128
+
+
+def _entry_name(digest: str, version: int) -> str:
+    return f"{digest}.text.v{version}"
 
 
 def _entry_header(digest: str, vocab: int, dim: int, table_bytes: int) -> bytes:
@@ -583,18 +596,33 @@ def _read_entry(handle: io.BufferedReader, path: Path, digest: str,
     if head != _entry_header(digest, vocab, dim, table_bytes):
         raise _BadEntry("header does not name this model")
     rows_end = _HEADER_BYTES + 4 * vocab * dim
+    expected = rows_end + table_bytes + 8 * vocab
     size = os.fstat(handle.fileno()).st_size
-    if size != rows_end + table_bytes:
-        raise _BadEntry(f"{size} bytes, expected {rows_end + table_bytes}")
+    if size != expected:
+        raise _BadEntry(f"{size} bytes, expected {expected}")
     handle.seek(rows_end)
-    try:
-        tokens = handle.read().decode("utf-8").split("\n")
-    except UnicodeDecodeError:
-        raise _BadEntry("token table is not UTF-8") from None
-    if len(tokens) != vocab + 1 or tokens.pop():
+    table = handle.read(table_bytes)
+    if not table.isascii():  # ASCII is UTF-8; other text is decoded to check
+        try:
+            table.decode("utf-8")
+        except UnicodeDecodeError:
+            raise _BadEntry("token table is not UTF-8") from None
+    ends = np.flatnonzero(np.frombuffer(table, dtype=np.uint8) == 0x0A) + 1
+    if len(ends) != vocab or table_bytes != (ends[-1] if vocab else 0):
         raise _BadEntry(f"token table does not hold {vocab} tokens")
-    kept = {token: place for place, token in enumerate(tokens)
-            if wanted is None or token in wanted}
+    if wanted is None:
+        tokens = table.decode("utf-8").split("\n")[:-1]
+        kept = {token: place for place, token in enumerate(tokens)}
+        if len(kept) != vocab:
+            raise _BadEntry("a token is in the table twice")
+    else:
+        kept = {}
+        for place in _index_rows(handle, vocab, wanted):
+            token = table[ends[place - 1] if place else 0:ends[place] - 1].decode("utf-8")
+            if token in wanted:
+                if token in kept:
+                    raise _BadEntry("a token is in the table twice")
+                kept[token] = place
     index = list(kept.values())
     matrix = np.empty((len(index), dim), dtype="<f4")
     if wanted is None:
@@ -612,14 +640,33 @@ def _read_entry(handle: io.BufferedReader, path: Path, digest: str,
                                        str(path), digest)
 
 
+def _index_rows(handle: io.BufferedReader, vocab: int,
+                wanted: AbstractSet[str]) -> list[int]:
+    """The rows, in file order, that the entry's index files under the CRC-32
+    of a wanted token; ``handle`` is at the index."""
+    index = np.empty((2, vocab), dtype="<u4")  # each CRC-32, sorted, and its row
+    handle.readinto(index)
+    crcs, rows = index
+    if vocab and rows.max() >= vocab:
+        raise _BadEntry(f"a row index is not below {vocab}")
+    # a lone surrogate encodes to bytes that are not UTF-8, so it is not found
+    probes = np.fromiter((zlib.crc32(token.encode("utf-8", "surrogatepass"))
+                          for token in wanted), dtype=np.uint32, count=len(wanted))
+    starts = np.searchsorted(crcs, probes, side="left").tolist()
+    stops = np.searchsorted(crcs, probes, side="right").tolist()
+    return sorted({place for start, stop in zip(starts, stops)
+                   for place in rows[start:stop].tolist()})
+
+
 class _EntryWriter:
     """The cache entry of one text load, written as the load goes.
 
     Rows go to a temporary file beside the entry as each block is checked;
-    ``commit`` adds the tokens and the header and moves the file into place,
-    if the load read the bytes the entry is keyed by. A write that fails is
-    logged once, and the load goes on without the entry; ``discard`` removes
-    what was not committed.
+    ``commit`` adds the token table and its index and the header, moves the
+    file into place, if the load read the bytes the entry is keyed by, and
+    removes the entry an older layout kept for the same bytes. A write that
+    fails is logged once, and the load goes on without the entry;
+    ``discard`` removes what was not committed.
     """
 
     def __init__(self, entry: Path, digest: str):
@@ -647,8 +694,9 @@ class _EntryWriter:
             self._fail(exc)
 
     def commit(self, tokens: Collection[str], dim: int, digest: str) -> None:
-        """Write the tokens and the header, and put the entry in place, unless
-        the load's ``digest`` shows the file changed since it was keyed."""
+        """Write the tokens, their index and the header, and put the entry in
+        place, unless the load's ``digest`` shows the file changed since it
+        was keyed."""
         if self._handle is None:
             return
         if digest != self._digest:
@@ -656,7 +704,12 @@ class _EntryWriter:
             return
         try:
             table = "\n".join([*tokens, ""]).encode("utf-8")
+            crcs = np.fromiter(map(zlib.crc32, map(str.encode, tokens)), dtype="<u4",
+                               count=len(tokens))
+            order = np.argsort(crcs)
             self._handle.write(table)
+            self._handle.write(crcs[order])
+            self._handle.write(order.astype("<u4"))
             self._handle.seek(0)
             self._handle.write(_entry_header(digest, len(tokens), dim, len(table)))
             self._handle.close()
@@ -666,6 +719,13 @@ class _EntryWriter:
             return
         self._handle = self._temp = None
         logger.debug("model cache entry written: %s", self._entry)
+        for version in range(1, _ENTRY_VERSION):  # what an older layout kept
+            superseded = self._entry.with_name(_entry_name(digest, version))
+            try:
+                superseded.unlink(missing_ok=True)
+            except OSError as exc:
+                logger.debug("superseded model cache entry %s not removed (%s)",
+                             superseded, exc)
 
     def _fail(self, why: object) -> None:
         logger.warning("model cache entry %s not written (%s)", self._entry, why)

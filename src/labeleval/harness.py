@@ -590,8 +590,9 @@ def _score_units(units: Sequence[tuple[str, int, str]],
     spaces: dict[str, set[str]] = {}  # each API's confusion-ledger label space
     for api_id, _, image_id in units:
         spaces.setdefault(api_id, set()).update(truths[image_id].labels)
-    # the label space is cleaned once per API; each k's ledger starts empty
-    blanks = ({api_id: ConfusionLedger(sorted(space)) for api_id, space in spaces.items()}
+    # the truths' labels are cleaned and distinct already; each k's ledger starts empty
+    blanks = ({api_id: ConfusionLedger._of_cleaned(sorted(space))
+               for api_id, space in spaces.items()}
               if config.include_label_based else {})
     cells = {(api_id, k): _Cell(blanks[api_id].fresh() if blanks else None)
              for api_id, k in dict.fromkeys((api_id, k) for api_id, k, _ in units)}

@@ -359,18 +359,24 @@ class TestRunEvaluation:
         for row_a, row_b in zip(reports[0].rows, reports[1].rows):
             assert row_a == row_b
 
-    def test_ledger_space_is_cleaned_once_per_api(self, monkeypatch, fixture_files,
-                                                  fixture_model_file):
-        from labeleval.bipartition import ConfusionLedger
+    def test_a_runs_ledgers_clean_no_label(self, monkeypatch, fixture_files,
+                                           fixture_model_file):
+        """Each API's ledger space is its truths' labels, which the run's
+        Vocabulary has cleaned already, so no ledger cleans a label again."""
+        from labeleval import bipartition
 
-        spaces = []
-        build = ConfusionLedger.__init__
-        monkeypatch.setattr(ConfusionLedger, "__init__", lambda ledger, space:
-                            spaces.append(space) or build(ledger, space))
+        calls = []
+        clean = bipartition.clean_label
+        monkeypatch.setattr(bipartition, "clean_label",
+                            lambda raw: calls.append(raw) or clean(raw))
         config = self.make_config(fixture_files, fixture_model_file)
         report = run_evaluation(config)
-        assert len(spaces) == len(street_scene.PREDICTIONS)
-        assert len(report.rows) == len(spaces) * len(config.top_ks)
+        assert calls == []
+        assert len(report.rows) == len(street_scene.PREDICTIONS) * len(config.top_ks)
+        assert all("macro_f1" in row.cells for row in report.rows)
+        # the public constructor still cleans what it is given
+        assert bipartition.ConfusionLedger(["Lamp Post"]).label_space == ("lamp post",)
+        assert calls == ["Lamp Post"]
 
     def test_ledger_space_holds_the_truths_own_strings(self, monkeypatch, fixture_files,
                                                        fixture_model_file):
@@ -840,6 +846,31 @@ def test_annotated_error_keeps_class_and_attributes(monkeypatch, fixture_files,
     assert info.value.token == "zzz"
     assert str(info.value) == ("clarifai/<dataset>: "
                                "token not present in embedding store: 'zzz'")
+
+
+def test_one_solve_per_wmd_pair_used(tmp_path, monkeypatch):
+    """A run calls ``solve_transport`` once per (api, image, k) whose two WMD
+    sides are non-empty, and never otherwise: the count of calls is the sum
+    of ``DatasetWmd.used`` over the (api, k) cells. The benchmark's
+    ``wmd.solve_calls == wmd.pairs_used`` rests on this."""
+    config_path = bench_module("gen").generate("grid", 1, tmp_path, images=8)
+    monkeypatch.chdir(tmp_path)  # the config's paths are relative to it
+    config = RunConfig.from_file(config_path)
+    # one record with no objects: its pairs are skipped, not solved
+    first = Path(config.prediction_paths[0])
+    lines = first.read_text(encoding="utf-8").splitlines()
+    lines[0] = json.dumps({**json.loads(lines[0]), "objects": []})
+    first.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    solves, cells = [], []
+    solve, reduce = harness.solve_transport, harness.dataset_wmd
+    monkeypatch.setattr(harness, "solve_transport",
+                        lambda *args, **kwargs: solves.append(args) or solve(*args, **kwargs))
+    monkeypatch.setattr(harness, "dataset_wmd",
+                        lambda distances: cells.append(reduce(distances)) or cells[-1])
+    report = run_evaluation(config)
+    assert len(cells) == len(report.rows) == len(config.prediction_paths) * len(config.top_ks)
+    assert sum(cell.skipped for cell in cells) == len(config.top_ks)
+    assert len(solves) == sum(cell.used for cell in cells) > 0
 
 
 @pytest.mark.parametrize("workload", ["grid", "labels-sentence"])

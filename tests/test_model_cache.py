@@ -15,6 +15,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import zlib
 from pathlib import Path
 from unittest import mock
 
@@ -51,7 +52,7 @@ def cache_files(home: Path) -> list[str]:
 
 def entry_path(home: Path, path: Path) -> Path:
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    return home / "labeleval" / "models" / f"{digest}.text.v1"
+    return home / "labeleval" / "models" / f"{digest}.text.v2"
 
 
 def assert_same_store(got: EmbeddingStore, expected: EmbeddingStore) -> None:
@@ -116,6 +117,30 @@ def _models(draw):
     return fmt, blob, wanted
 
 
+# each UTF-8 length, code points on both sides of the surrogates, and
+# control characters
+_index_char = st.sampled_from("ab\x00\t\x7f\x80é€\uffff😀")
+
+
+@st.composite
+def _indexed_models(draw):
+    """A well-formed text model whose tokens include prefixes of each other,
+    and a ``wanted`` set of present and absent tokens."""
+    words = draw(st.lists(st.text(_index_char, max_size=4), max_size=6))
+    tokens = list(dict.fromkeys(
+        word[:draw(st.integers(0, len(word)))] if draw(st.booleans()) else word
+        for word in words + words))
+    dim = draw(st.integers(1, 3))
+    blob = f"{len(tokens)} {dim}\n".encode() + b"".join(
+        " ".join([token, *(repr(float(c)) for c in draw(
+            st.lists(_component, min_size=dim, max_size=dim)))]).encode() + b"\n"
+        for token in tokens)
+    present = draw(st.sets(st.sampled_from(tokens), max_size=4)) if tokens else set()
+    absent = draw(st.sets(st.text(_index_char, max_size=5) | st.sampled_from(
+        ["zz", "a b", "a\nb", "\ud800"]), max_size=3))
+    return blob, present | absent
+
+
 class TestBitIdentity:
     @settings(max_examples=150, deadline=None)
     @given(model=_models())
@@ -144,6 +169,37 @@ class TestBitIdentity:
                 assert_same_store(load_model(path, fmt, wanted=wanted), expected)
                 # the entry holds every row, whichever rows the cold load kept
                 assert_same_store(load_model(path, fmt, wanted=None), every_row)
+
+    @settings(max_examples=150, deadline=None)
+    @given(model=_indexed_models())
+    def test_the_index_finds_what_the_parser_keeps(self, model):
+        """A warm load looks up each wanted token's CRC-32 in the entry's index:
+        it keeps what a parse keeps, in file order, whether the tokens are
+        non-ASCII, empty or prefixes of each other, and whatever else is wanted."""
+        blob, wanted = model
+        with tempfile.TemporaryDirectory() as directory, \
+                mock.patch.dict(os.environ, {"XDG_CACHE_HOME": directory}):
+            path = Path(directory) / "model.txt"
+            path.write_bytes(blob)
+            every_row = load_text_model(path)
+            kept = load_text_model(path, wanted=wanted)
+            assert_same_store(load_model(path), every_row)  # cold: writes the entry
+            with no_parse():
+                assert_same_store(load_model(path, wanted=wanted), kept)
+                assert_same_store(load_model(path), every_row)
+
+    @pytest.mark.parametrize("wanted", [{"uejgtcuo"}, {"iiwucoup"},
+                                        {"uejgtcuo", "iiwucoup", "cat"}, None])
+    def test_tokens_that_share_a_crc(self, tmp_path, cache_home, wanted):
+        """Two tokens with one CRC-32 are both filed under it: each keeps its
+        own row."""
+        assert zlib.crc32(b"uejgtcuo") == zlib.crc32(b"iiwucoup")
+        path = write_model(tmp_path, "text", EmbeddingStore(
+            [("uejgtcuo", [1.0]), ("cat", [2.0]), ("iiwucoup", [3.0])], dim=1))
+        expected = load_text_model(path, wanted=wanted)
+        load_model(path)
+        with no_parse():
+            assert_same_store(load_model(path, wanted=wanted), expected)
 
     def test_a_warm_load_is_logged_and_does_not_parse(self, cache_home, caplog,
                                                        fixture_model_file):
@@ -212,12 +268,21 @@ class TestKeying:
         assert cache_files(cache_home) == [entry_path(cache_home, path).name]
 
 
+def _index(data: bytes) -> tuple[int, int]:
+    """Where the entry's CRC-32 and row arrays start; the token table ends at
+    the first."""
+    vocab = int(data[:embeddings._HEADER_BYTES].split()[3])
+    return len(data) - 8 * vocab, len(data) - 4 * vocab
+
+
 def _truncate(entry: Path, data: bytes) -> bytes:
     return data[:-5]
 
 
 def _garble_table(entry: Path, data: bytes) -> bytes:
-    return data[:-1] + bytes([data[-1] ^ 0x01])
+    """The token table's last byte, its last newline, made another byte."""
+    end, _ = _index(data)
+    return data[:end - 1] + bytes([data[end - 1] ^ 0x01]) + data[end:]
 
 
 def _garble_token(entry: Path, data: bytes) -> bytes:
@@ -244,10 +309,17 @@ def _non_finite_row(entry: Path, data: bytes) -> bytes:
     return data[:start] + np.float32(np.nan).tobytes() + data[start + 4:]
 
 
+def _row_out_of_range(entry: Path, data: bytes) -> bytes:
+    """Every row the index names, past the last row."""
+    _, rows = _index(data)
+    return data[:rows] + np.array([2, 2], dtype="<u4").tobytes()
+
+
 class TestBadEntries:
     @pytest.mark.parametrize("damage", [_truncate, _garble_table, _garble_token,
                                         _garble_header,
-                                        _other_models_entry, _non_finite_row])
+                                        _other_models_entry, _non_finite_row,
+                                        _row_out_of_range])
     def test_is_ignored_and_rewritten(self, tmp_path, cache_home, caplog, damage):
         store = EmbeddingStore([("cat", [1.0, 2.0]), ("dog", [3.0, 4.0])], dim=2)
         path = write_model(tmp_path, "text", store)
@@ -264,11 +336,56 @@ class TestBadEntries:
         assert entry.read_bytes() == good
         assert entry.name in cache_files(cache_home)
 
+    @pytest.mark.parametrize("wanted", [None, {"cat", "dog"}])
+    def test_a_token_twice_in_the_table(self, tmp_path, cache_home, caplog, wanted):
+        """A table whose second token is overwritten with the first is rebuilt,
+        not read with the first token at two rows."""
+        path = write_model(tmp_path, "text", EmbeddingStore(
+            [("cat", [1.0, 2.0]), ("dog", [3.0, 4.0])], dim=2))
+        load_model(path)
+        entry = entry_path(cache_home, path)
+        good = entry.read_bytes()
+        entry.write_bytes(good.replace(b"cat\ndog\n", b"cat\ncat\n"))
+        with caplog.at_level(logging.WARNING, logger="labeleval.embeddings"):
+            assert_same_store(load_model(path, wanted=wanted),
+                              load_text_model(path, wanted=wanted))
+        assert [record.levelno for record in caplog.records] == [logging.WARNING]
+        assert "twice" in caplog.records[0].getMessage()
+        assert entry.read_bytes() == good
+
     def test_an_unreadable_entry_counts_as_a_miss(self, tmp_path, cache_home):
         path = write_model(tmp_path, "text", EmbeddingStore([("cat", [1.0])], dim=1))
         entry = entry_path(cache_home, path)
         entry.mkdir(parents=True)  # opening it fails with an OSError
         assert_same_store(load_model(path), load_text_model(path))
+
+
+class TestSupersededEntries:
+    def test_the_models_older_entry_goes_and_no_other(self, tmp_path, cache_home):
+        path = write_model(tmp_path, "text", EmbeddingStore([("cat", [1.0, 2.0])], dim=2))
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        directory = cache_home / "labeleval" / "models"
+        directory.mkdir(parents=True)
+        others = [f"{'0' * 64}.text.v1", f"{'0' * 64}.text.v2", f"{digest}.text.v1.x"]
+        for name in [f"{digest}.text.v1", *others]:
+            (directory / name).write_bytes(b"an older entry")
+        assert_same_store(load_model(path), load_text_model(path))
+        assert cache_files(cache_home) == sorted([entry_path(cache_home, path).name,
+                                                  *others])
+        for name in others:
+            assert (directory / name).read_bytes() == b"an older entry"
+
+    def test_an_older_entry_that_cannot_go_is_left(self, tmp_path, cache_home, caplog):
+        path = write_model(tmp_path, "text", EmbeddingStore([("cat", [1.0, 2.0])], dim=2))
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        older = cache_home / "labeleval" / "models" / f"{digest}.text.v1"
+        (older / "inside").mkdir(parents=True)  # unlinking a directory fails
+        caplog.set_level(logging.DEBUG, logger="labeleval.embeddings")
+        assert_same_store(load_model(path), load_text_model(path))
+        assert entry_path(cache_home, path).is_file() and older.is_dir()
+        assert {record.levelno for record in caplog.records} == {logging.DEBUG}
+        assert any(f"{older} not removed" in record.getMessage()
+                   for record in caplog.records)
 
 
 class TestFailingModels:
