@@ -9,7 +9,11 @@ A parse reads the file once, 4 MB (binary) or 8 KB (text) at a time: the
 same bytes feed the store's SHA-256 digest, and every row is checked; the
 whole binary records each read completes are checked as one block. Given
 ``wanted`` tokens, a load keeps only their rows, so a run holds the few
-thousand rows its labels can resolve to, not the whole model.
+thousand rows its labels can resolve to, not the whole model. The rules
+every row keeps, a token seen once and finite components, live in one
+``_RowSink``, which the text parse, the binary parse and a cache read all
+fill; each names a fault's place its own way (``<file> line <n>``,
+``<file>: record <i>``, ``row <r>`` of a cache entry).
 
 ``load_model`` keeps what a text parse has checked in a cache entry keyed by
 the file's digest: the float32 rows, in file order, then the tokens, then an
@@ -18,13 +22,14 @@ the bytes the key was hashed from, and it replaces the entry an older layout
 kept for the same bytes. A repeat load of the same bytes hashes the file and
 takes its rows from the entry, with no parse: given ``wanted``, it looks up
 each wanted token's CRC-32 in the index, decodes only the tokens filed there
-and reads only the rows it keeps. A read re-checks the entry's header and size, that its table is
-UTF-8 and holds V tokens, that no token it keeps is there twice, that the
-index's rows (when it looks them up) are below V, and that the rows it takes
-are finite. An entry that fails a check is ignored and written again. The
-entries live in ``$XDG_CACHE_HOME/labeleval/models``
-(``~/.cache/labeleval/models`` when that is unset). Binary models,
-``load_text_model`` and ``load_binary_model`` always parse.
+and reads only the rows it keeps. A read re-checks the entry's header and
+size, that its table is UTF-8 and holds V tokens, and that the index's rows
+(when it looks them up) are below V; the tokens and rows it keeps go through
+the sink, so none is there twice and each is finite. An entry that fails a
+check is ignored and written again. The entries live in
+``$XDG_CACHE_HOME/labeleval/models`` (``~/.cache/labeleval/models`` when
+that is unset). Binary models, ``load_text_model`` and ``load_binary_model``
+always parse.
 
 A run resolves its labels once, into a ``Vocabulary``; the scalar ``cosine``
 and ``euclidean`` stay as the reference the vectorised scoring is checked
@@ -47,7 +52,7 @@ import warnings
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import AbstractSet, Collection, Iterable, Iterator, Mapping, Sequence
+from typing import AbstractSet, Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -129,7 +134,9 @@ class EmbeddingStore:
         row: dict[str, int] = {}
         vectors: list[np.ndarray] = []
         for token, vector in entries:
-            _add_token(row, token)
+            if token in row:
+                raise DuplicateTokenError(token)
+            row[token] = len(row)
             arr = np.asarray(vector, dtype=np.float32)
             if arr.shape != (dim,):
                 raise DimensionMismatchError(
@@ -185,13 +192,6 @@ class EmbeddingStore:
         known = index >= 0
         gathered[known] = self._matrix[index[known]]
         return gathered
-
-
-def _add_token(row: dict[str, int], token: str) -> None:
-    """Give a token the next row; a token seen before is an error."""
-    if token in row:
-        raise DuplicateTokenError(token)
-    row[token] = len(row)
 
 
 def _parse_header(line: str, path: Path) -> tuple[int, int]:
@@ -262,22 +262,27 @@ def sha256(path: str | Path) -> str:
 
 
 class _RowSink:
-    """The rows a load keeps, taken one parsed block at a time.
+    """The rows a load keeps, taken one parsed block at a time: the one home
+    of the rules every model row keeps, for a parse and a cache read alike.
 
-    Every token of the file is recorded, so a duplicate is caught on any row,
-    and every block is checked for NaN and infinities before its rows are
-    copied out: all of them, or, given ``wanted``, those whose token is in it.
-    ``first_bad`` is the place (line or record) of the first non-finite row.
-    Given an ``_EntryWriter``, every row also goes to it, a block at a time,
-    and the tokens once the load has passed every check.
+    ``add`` records every token of the file, so a duplicate is caught on any
+    row, and raised at the place (line, record or row) that ``where`` names.
+    Every block is checked for NaN and infinities before its rows are copied
+    out: all of them, or, given ``wanted``, those whose token is in it.
+    ``store`` raises the first non-finite row, then a count of rows other
+    than ``vocab``. Given an ``_EntryWriter``, every row also goes to it, a
+    block at a time, and the tokens once the load has passed every check.
     """
 
-    __slots__ = ("seen", "first_bad", "_kept", "_wanted", "_matrix", "_entry")
+    __slots__ = ("seen", "_vocab", "_where", "_first_bad", "_kept", "_wanted",
+                 "_matrix", "_entry")
 
     def __init__(self, vocab: int, fits: int, dim: int,
-                 wanted: AbstractSet[str] | None, entry: _EntryWriter | None = None):
+                 wanted: AbstractSet[str] | None, where: Callable[[int], str],
+                 entry: _EntryWriter | None = None):
         self.seen: dict[str, int] = {}  # every token read -> its row in the file
-        self.first_bad: int | None = None
+        self._vocab, self._where = vocab, where
+        self._first_bad: int | None = None  # the place of the first non-finite row
         self._kept = self.seen if wanted is None else {}
         self._wanted = wanted
         self._entry = entry
@@ -285,12 +290,19 @@ class _RowSink:
         capacity = min(vocab, fits, len(wanted) if wanted is not None else vocab)
         self._matrix = np.zeros((capacity, dim), dtype=np.float32)
 
+    def add(self, token: str, place: int) -> None:
+        """Give a token the next row; a token seen before is an error at ``place``."""
+        if token in self.seen:
+            raise DuplicateTokenError(token, f"{self._where(place)}: ")
+        self.seen[token] = len(self.seen)
+
     def block(self, tokens: Sequence[str], rows: np.ndarray,
               places: Sequence[int]) -> None:
-        """Keep a block's rows; ``places`` names each row in an error."""
+        """Keep the rows of a block's tokens, the last ones added; ``places``
+        names each row in an error."""
         bad = _first_bad_row(rows)
-        if bad is not None and self.first_bad is None:
-            self.first_bad = places[bad]
+        if bad is not None and self._first_bad is None:
+            self._first_bad = places[bad]
         if self._entry is not None:
             self._entry.rows(rows)
         if self._wanted is None:
@@ -303,8 +315,14 @@ class _RowSink:
                     self._kept[token] = len(self._kept)
 
     def store(self, path: Path, digest: str) -> EmbeddingStore:
-        """The kept rows as a store; called once the load has passed every check,
-        with the digest of the bytes it read."""
+        """The kept rows as a store, once the rows pass the sink's last checks;
+        called when the load has passed its own, with the digest of the bytes
+        it read."""
+        if self._first_bad is not None:
+            raise DataError(f"{self._where(self._first_bad)}: non-finite vector component")
+        if len(self.seen) != self._vocab:
+            raise MalformedHeaderError(
+                f"{path}: header declares {self._vocab} rows, found {len(self.seen)}")
         if self._entry is not None:
             self._entry.commit(self.seen, self._matrix.shape[1], digest)
         return EmbeddingStore._from_matrix(
@@ -386,7 +404,8 @@ def _load_text(path: Path, wanted: AbstractSet[str] | None,
         if vocab and not fits:
             raise MalformedHeaderError(
                 f"{path}: a row of {dim} components cannot fit in the file")
-        sink = _RowSink(vocab, fits, dim, wanted, entry)
+        sink = _RowSink(vocab, fits, dim, wanted, lambda line_no: f"{path} line {line_no}",
+                        entry)
         seen = sink.seen
         # Each line is checked as it is decoded; its numbers wait in a block
         # of about _READ_BYTES, parsed at once.
@@ -408,10 +427,7 @@ def _load_text(path: Path, wanted: AbstractSet[str] | None,
                     raise MalformedHeaderError(
                         f"{path} line {line_no}: header declares only {vocab} rows")
                 token, _, numbers = line.partition(" ")
-                try:
-                    _add_token(seen, token)
-                except DuplicateTokenError:
-                    raise DuplicateTokenError(token, f"{path} line {line_no}: ") from None
+                sink.add(token, line_no)
                 tokens.append(token)
                 fields.append(numbers)
                 line_nos.append(line_no)
@@ -423,11 +439,6 @@ def _load_text(path: Path, wanted: AbstractSet[str] | None,
             _parse_block(fields, dim, line_nos, path)  # an earlier bad number first
             raise
         sink.block(tokens, _parse_block(fields, dim, line_nos, path), line_nos)
-    if sink.first_bad is not None:
-        raise DataError(f"{path} line {sink.first_bad}: non-finite vector component")
-    if len(seen) != vocab:
-        raise MalformedHeaderError(
-            f"{path}: header declares {vocab} rows, found {len(seen)}")
     return sink.store(path, binary.raw.sha256.hexdigest())
 
 
@@ -460,7 +471,7 @@ def load_binary_model(path: str | Path, *,
         fits = (source.raw.size - len(header)) // (record_bytes + 1)
         if vocab and not fits:
             raise TruncatedRecordError(0, path)
-        sink = _RowSink(vocab, fits, dim, wanted)
+        sink = _RowSink(vocab, fits, dim, wanted, lambda index: f"{path}: record {index}")
         # Each read is walked for the records it completes, which go to the
         # sink as one block; only the bytes of an unfinished record are held.
         data, index = b"", 0
@@ -476,10 +487,7 @@ def load_binary_model(path: str | Path, *,
                 if space < 0 or space + 1 + record_bytes > len(data):
                     break
                 token = _record_token(data[start:space], index, path)
-                try:
-                    _add_token(sink.seen, token)
-                except DuplicateTokenError:
-                    raise DuplicateTokenError(token, f"{path}: record {index}: ") from None
+                sink.add(token, index)
                 tokens.append(token)
                 end = space + 1 + record_bytes
                 vectors.append(view[space + 1:end])
@@ -498,8 +506,6 @@ def load_binary_model(path: str | Path, *,
             trailing += len(chunk if trailing else chunk.lstrip(b"\n"))
         if trailing:
             raise DataError(f"{path}: {trailing} trailing bytes after last record")
-    if sink.first_bad is not None:
-        raise DataError(f"{path}: non-finite vector component in record {sink.first_bad}")
     return sink.store(path, source.raw.sha256.hexdigest())
 
 
@@ -578,7 +584,7 @@ def _cached_store(entry: Path, path: Path, digest: str,
     except (FileNotFoundError, NotADirectoryError):
         logger.debug("model cache miss: %s", path)
         return None
-    except (OSError, _BadEntry) as exc:
+    except (OSError, _BadEntry, DataError) as exc:  # a DataError is the sink's
         logger.warning("model cache entry %s ignored (%s); loading %s again",
                        entry, exc, path)
         return None
@@ -612,32 +618,30 @@ def _read_entry(handle: io.BufferedReader, path: Path, digest: str,
         raise _BadEntry(f"token table does not hold {vocab} tokens")
     if wanted is None:
         tokens = table.decode("utf-8").split("\n")[:-1]
-        kept = {token: place for place, token in enumerate(tokens)}
-        if len(kept) != vocab:
-            raise _BadEntry("a token is in the table twice")
+        places: Sequence[int] = range(vocab)
     else:
-        kept = {}
+        tokens, places = [], []
         for place in _index_rows(handle, vocab, wanted):
             token = table[ends[place - 1] if place else 0:ends[place] - 1].decode("utf-8")
             if token in wanted:
-                if token in kept:
-                    raise _BadEntry("a token is in the table twice")
-                kept[token] = place
-    index = list(kept.values())
-    matrix = np.empty((len(index), dim), dtype="<f4")
-    if wanted is None:
-        handle.seek(_HEADER_BYTES)
-        handle.readinto(matrix)
-    else:  # only the rows taken are read
-        for kept_row, place in enumerate(index):
-            handle.seek(_HEADER_BYTES + 4 * dim * place)
-            handle.readinto(matrix[kept_row])
-    bad = _first_bad_row(matrix)
-    if bad is not None:
-        raise _BadEntry(f"non-finite component in row {index[bad]}")
-    row = {token: kept_row for kept_row, token in enumerate(kept)}
-    return EmbeddingStore._from_matrix(row, matrix.astype(np.float32, copy=False),
-                                       str(path), digest)
+                tokens.append(token)
+                places.append(place)
+    sink = _RowSink(len(tokens), len(tokens), dim, None, "row {}".format)
+    step = max(1, _READ_BYTES // max(1, 4 * dim))  # the rows of about one read
+    for start in range(0, len(tokens), step):
+        block, at = tokens[start:start + step], places[start:start + step]
+        for token, place in zip(block, at):
+            sink.add(token, place)
+        rows = np.empty((len(block), dim), dtype="<f4")
+        if wanted is None:
+            handle.seek(_HEADER_BYTES + 4 * dim * start)
+            handle.readinto(rows)
+        else:  # only the rows kept are read
+            for kept_row, place in enumerate(at):
+                handle.seek(_HEADER_BYTES + 4 * dim * place)
+                handle.readinto(rows[kept_row])
+        sink.block(block, rows, at)
+    return sink.store(path, digest)
 
 
 def _index_rows(handle: io.BufferedReader, vocab: int,

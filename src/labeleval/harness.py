@@ -388,23 +388,41 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
-        """A config from its JSON file; an absent key keeps its field's default."""
+        """A config from its JSON file; an absent key keeps its field's default.
+
+        A relative path the file names is taken from the file's directory, so
+        a config named without one keeps its paths as written.
+        """
         payload = _parse_json(Path(path).read_bytes())
         if not isinstance(payload, dict):
             raise ValueError("a config file must hold a JSON object")
+        base = os.path.dirname(path)
+
+        def beside(value):  # what is not a path is left for the checks to name
+            return os.path.join(base, value) if isinstance(value, str) and value else value
+
         settings = {field: payload[key] for key, field in _CONFIG_FIELDS.items()
                     if key in payload}
         if settings.get("sentence") is not None:  # null turns the provider off
-            settings["sentence"] = _from_json(ProviderConfig, settings["sentence"],
+            block = settings["sentence"]
+            if isinstance(block, Mapping):
+                block = {key: beside(value) if key in ("path", "cache_dir") else value
+                         for key, value in block.items()}
+            settings["sentence"] = _from_json(ProviderConfig, block,
                                               "a sentence block", "sentence.")
         output = payload.get("output", {})
         if not isinstance(output, dict):
             raise ValueError(f"output must be an object, got {output!r}")
-        settings.update((f"output_{key}", output[key]) for key in ("path", "format")
-                        if key in output)
-        return cls(ground_truth_path=payload["ground_truth"],
-                   prediction_paths=payload["predictions"],
-                   embeddings_path=payload["embeddings"], **settings)
+        if "path" in output:
+            settings["output_path"] = beside(output["path"])
+        if "format" in output:
+            settings["output_format"] = output["format"]
+        truth, predictions, model = (payload[key] for key in
+                                     ("ground_truth", "predictions", "embeddings"))
+        if isinstance(predictions, list):
+            predictions = list(map(beside, predictions))
+        return cls(ground_truth_path=beside(truth), prediction_paths=predictions,
+                   embeddings_path=beside(model), **settings)
 
 
 @dataclass(slots=True)

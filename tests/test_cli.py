@@ -41,6 +41,33 @@ class TestEvaluateCommand:
         assert all("ranks" in record and "colors" in record
                    for record in records)
 
+    def test_config_run_from_another_directory(self, capsys, tmp_path, monkeypatch,
+                                               fixture_files, fixture_model_file):
+        """A config's relative paths are read from its own directory, wherever
+        the run starts; the scores are those of a run started there."""
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        names = []
+        for path in [fixture_files["truth"], *fixture_files["predictions"],
+                     fixture_model_file]:
+            (inputs / path.name).write_bytes(path.read_bytes())
+            names.append(path.name)
+        (inputs / "config.json").write_text(json.dumps({
+            "ground_truth": names[0], "predictions": names[1:-1],
+            "embeddings": names[-1], "top_ks": [1, 3], "output": {"path": "report"}}),
+            encoding="utf-8")
+        scores = []
+        for cwd, config, report in ((tmp_path, "inputs/config.json", "inputs/report"),
+                                    (inputs, "config.json", "report")):
+            monkeypatch.chdir(cwd)
+            code, stdout, err = run_cli(capsys, "evaluate", "--config", config)
+            assert (code, stdout, err) == (0, f"wrote {report}.jsonl\n", "")
+            scores.append([(record["api_id"], record["k"], record["metrics"])
+                           for record in parse_json_lines(inputs / "report.jsonl")])
+            (inputs / "report.jsonl").unlink()
+        assert scores[0] == scores[1]
+        assert len(scores[0]) == len(street_scene.PREDICTIONS) * 2
+
     def test_csv_and_html_formats(self, capsys, tmp_path, fixture_files,
                                   fixture_model_file):
         for fmt, expected in (("csv", "grid_k5.csv"), ("html", "page.html")):
@@ -541,6 +568,21 @@ class TestUsageErrors:
                                "--embeddings", str(fixture_model_file), "--top-k", ",")
         assert code == 1
         assert err.splitlines() == ["Error: --top-k must name at least one level"]
+
+    def test_an_interrupted_run_is_aborted(self, capsys, monkeypatch, fixture_files,
+                                           fixture_model_file):
+        """click turns a Ctrl-C inside a command into an Abort."""
+        from labeleval import cli
+
+        def interrupted(config):
+            raise KeyboardInterrupt
+        monkeypatch.setattr(cli, "run_evaluation", interrupted)
+        code, _, err = run_cli(capsys, "evaluate",
+                               "--ground-truth", str(fixture_files["truth"]),
+                               "--predictions", str(fixture_files["predictions"][0]),
+                               "--embeddings", str(fixture_model_file))
+        assert code == 1
+        assert err.split() == ["aborted"]
 
     def test_evaluate_without_inputs(self, capsys):
         code, _, err = run_cli(capsys, "evaluate")

@@ -67,6 +67,17 @@ class TestTextLoader:
         with pytest.raises(DuplicateTokenError):
             load_text_model(path)
 
+    def test_negative_header_fields(self, tmp_path):
+        path = write_text(tmp_path, "-1 3\n")
+        with pytest.raises(MalformedHeaderError) as info:
+            load_text_model(path)
+        assert str(info.value) == f"{path}: negative header fields: '-1 3'"
+
+    def test_unknown_format(self, tmp_path):
+        path = write_text(tmp_path, "1 1\ncat 1\n")
+        with pytest.raises(ValueError, match="unknown model format: 'npz'"):
+            load_model(path, "npz")
+
     def test_row_count_must_match_header(self, tmp_path):
         path = write_text(tmp_path, "3 1\ncat 1\ndog 2\n")
         with pytest.raises(MalformedHeaderError):
@@ -115,7 +126,7 @@ class TestBinaryLoader:
             token + b" " + np.array(values, dtype="<f4").tobytes() + b"\n"
             for token, values in records)
         path.write_bytes(blob)
-        with pytest.raises(DataError, match=r"non-finite vector component in record 2"):
+        with pytest.raises(DataError, match=r": record 2: non-finite vector component$"):
             load_binary_model(path)
 
     def test_non_utf8_token_names_record(self, tmp_path):
@@ -531,7 +542,7 @@ class TestRestrictedLoad:
 
     @pytest.mark.parametrize("blob,error,message", [
         (binary_model(2, 1, [(b"cat", [1]), (b"dog", [np.nan])]), DataError,
-         "non-finite vector component in record 1"),
+         "record 1: non-finite vector component"),
         (binary_model(2, 1, [(b"cat", [1]), (b"cat", [2])]), DuplicateTokenError,
          "'cat'"),
         (binary_model(2, 1, [(b"cat", [1]), (b"\xff", [2])]), DataError,

@@ -663,6 +663,39 @@ class TestRunEvaluation:
         report = run_evaluation(config)
         assert len(report.rows) == len(street_scene.PREDICTIONS)
 
+    def test_config_paths_are_taken_from_its_directory(self, tmp_path, monkeypatch):
+        """A relative path a config names is joined to the config's directory;
+        an absolute one, and one a config named without a directory names,
+        stay as written."""
+        payload = {
+            "ground_truth": "truth.jsonl", "predictions": ["a.jsonl", "/abs/b.jsonl"],
+            "embeddings": "models/m.txt", "output": {"path": "out/report"},
+            "sentence": {"mode": "file", "model": "m", "path": "vectors.jsonl",
+                         "cache_dir": "cache"},
+        }
+        (tmp_path / "runs").mkdir()
+        for name in ("runs/run.json", "run.json"):
+            (tmp_path / name).write_text(json.dumps(payload), encoding="utf-8")
+        config = RunConfig.from_file(tmp_path / "runs" / "run.json")
+        runs = str(tmp_path / "runs")
+        assert (config.ground_truth_path, config.prediction_paths,
+                config.embeddings_path, config.output_path,
+                config.sentence.path, config.sentence.cache_dir) == (
+            f"{runs}/truth.jsonl", (f"{runs}/a.jsonl", "/abs/b.jsonl"),
+            f"{runs}/models/m.txt", f"{runs}/out/report",
+            f"{runs}/vectors.jsonl", f"{runs}/cache")
+        monkeypatch.chdir(tmp_path)
+        config = RunConfig.from_file("run.json")
+        assert (config.ground_truth_path, config.prediction_paths,
+                config.embeddings_path, config.output_path,
+                config.sentence.path, config.sentence.cache_dir) == (
+            "truth.jsonl", ("a.jsonl", "/abs/b.jsonl"), "models/m.txt",
+            "out/report", "vectors.jsonl", "cache")
+        del payload["output"]  # a default is not a path the file names
+        (tmp_path / "runs" / "run.json").write_text(json.dumps(payload),
+                                                     encoding="utf-8")
+        assert RunConfig.from_file(tmp_path / "runs" / "run.json").output_path == "report"
+
 
 class TestSentencePass:
     """The run embeds every distinct text of every (api, k) in one call."""

@@ -295,6 +295,12 @@ def _garble_header(entry: Path, data: bytes) -> bytes:
     return b"X" + data[1:]
 
 
+def _header_without_numbers(entry: Path, data: bytes) -> bytes:
+    """A header line that does not end in V, D and the table's size."""
+    header = b"labeleval-model-cache".ljust(embeddings._HEADER_BYTES - 1) + b"\n"
+    return header + data[embeddings._HEADER_BYTES:]
+
+
 def _other_models_entry(entry: Path, data: bytes) -> bytes:
     """The entry of a model of the same shape, at this model's key."""
     other = entry.parent.parent.parent.parent / "other.txt"
@@ -317,7 +323,7 @@ def _row_out_of_range(entry: Path, data: bytes) -> bytes:
 
 class TestBadEntries:
     @pytest.mark.parametrize("damage", [_truncate, _garble_table, _garble_token,
-                                        _garble_header,
+                                        _garble_header, _header_without_numbers,
                                         _other_models_entry, _non_finite_row,
                                         _row_out_of_range])
     def test_is_ignored_and_rewritten(self, tmp_path, cache_home, caplog, damage):
@@ -350,7 +356,9 @@ class TestBadEntries:
             assert_same_store(load_model(path, wanted=wanted),
                               load_text_model(path, wanted=wanted))
         assert [record.levelno for record in caplog.records] == [logging.WARNING]
-        assert "twice" in caplog.records[0].getMessage()
+        # the reason alone: the entry's path holds the test's name
+        reason = caplog.records[0].getMessage().split(" ignored (", 1)[1]
+        assert reason.startswith("row 1: duplicate token in model: 'cat'); ")
         assert entry.read_bytes() == good
 
     def test_an_unreadable_entry_counts_as_a_miss(self, tmp_path, cache_home):

@@ -31,6 +31,24 @@ def write_precomputed(path, model, vectors_by_text):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+class TestProviderConfig:
+    @pytest.mark.parametrize("settings,message", [
+        ({"mode": "grpc", "model": "m"}, "unknown provider mode: 'grpc'"),
+        ({"mode": "file", "model": "m"}, "file provider requires a path"),
+        ({"mode": "remote", "model": "m", "path": "v.jsonl"},
+         "remote provider requires an endpoint"),
+    ], ids=["mode", "file-path", "remote-endpoint"])
+    def test_rejected(self, settings, message):
+        with pytest.raises(ValueError) as info:
+            ProviderConfig(**settings)
+        assert str(info.value) == message
+
+    def test_no_texts(self, tmp_path):
+        config = ProviderConfig(mode="file", model="m", path=str(tmp_path / "v.jsonl"))
+        with pytest.raises(ValueError, match="texts must be non-empty"):
+            fetch_embeddings(config, [])
+
+
 class TestRendering:
     def test_truth_labels_in_order(self):
         assert render_bow_text(["street", "city"]) == "street city"
