@@ -15,21 +15,21 @@ every row keeps, a token seen once and finite components, live in one
 fill; each names a fault's place its own way (``<file> line <n>``,
 ``<file>: record <i>``, ``row <r>`` of a cache entry).
 
-``load_model`` keeps what a text parse has checked in a cache entry keyed by
-the file's digest: the float32 rows, in file order, then the tokens, then an
-index of the tokens' CRC-32s. The entry is written only if the parse read
-the bytes the key was hashed from, and it replaces the entry an older layout
-kept for the same bytes. A repeat load of the same bytes hashes the file and
-takes its rows from the entry, with no parse: given ``wanted``, it looks up
-each wanted token's CRC-32 in the index, decodes only the tokens filed there
-and reads only the rows it keeps. A read re-checks the entry's header and
-size, that its table is UTF-8 and holds V tokens, and that the index's rows
-(when it looks them up) are below V; the tokens and rows it keeps go through
-the sink, so none is there twice and each is finite. An entry that fails a
-check is ignored and written again. The entries live in
-``$XDG_CACHE_HOME/labeleval/models`` (``~/.cache/labeleval/models`` when
-that is unset). Binary models, ``load_text_model`` and ``load_binary_model``
-always parse.
+``load_model`` keeps what a parse of either format has checked in a cache
+entry keyed by the file's digest and format: the float32 rows, in file
+order, then the tokens, then an index of the tokens' CRC-32s. The entry is
+written only if the parse read the bytes the key was hashed from, and it
+replaces the entries older layouts kept for the same bytes. A repeat load of
+the same bytes in the same format hashes the file and takes its rows from
+the entry, with no parse: given ``wanted``, it looks up each wanted token's
+CRC-32 in the index, decodes only the tokens filed there and reads only the
+rows it keeps. A read re-checks the entry's header and size, that its table
+is UTF-8 and holds V tokens, and that the index's rows (when it looks them
+up) are below V; the tokens and rows it keeps go through the sink, so none
+is there twice and each is finite. An entry that fails a check is ignored
+and written again. The entries live in ``$XDG_CACHE_HOME/labeleval/models``
+(``~/.cache/labeleval/models`` when that is unset). ``load_text_model`` and
+``load_binary_model`` always parse.
 
 A run resolves its labels once, into a ``Vocabulary``; the scalar ``cosine``
 and ``euclidean`` stay as the reference the vectorised scoring is checked
@@ -456,7 +456,11 @@ def load_binary_model(path: str | Path, *,
     With ``wanted``, only the rows of those tokens are kept, but every record
     is still checked.
     """
-    path = Path(path)
+    return _load_binary(Path(path), wanted)
+
+
+def _load_binary(path: Path, wanted: AbstractSet[str] | None,
+                 entry: _EntryWriter | None = None) -> EmbeddingStore:
     with _open_hashed(path) as source:
         header = source.readline()
         if not header.endswith(b"\n"):
@@ -471,7 +475,8 @@ def load_binary_model(path: str | Path, *,
         fits = (source.raw.size - len(header)) // (record_bytes + 1)
         if vocab and not fits:
             raise TruncatedRecordError(0, path)
-        sink = _RowSink(vocab, fits, dim, wanted, lambda index: f"{path}: record {index}")
+        sink = _RowSink(vocab, fits, dim, wanted, lambda index: f"{path}: record {index}",
+                        entry)
         # Each read is walked for the records it completes, which go to the
         # sink as one block; only the bytes of an unfinished record are held.
         data, index = b"", 0
@@ -516,48 +521,50 @@ def load_model(path: str | Path, fmt: str = "auto", *,
                wanted: AbstractSet[str] | None = None) -> EmbeddingStore:
     """Dispatch on format; 'auto' treats a .bin suffix as binary.
 
-    With ``wanted``, the store keeps only the rows of those tokens. A text
-    model whose bytes were loaded before is read from its cache entry (see
-    the module docstring); the store is the same either way.
+    With ``wanted``, the store keeps only the rows of those tokens. A model
+    whose bytes were loaded before in the same format is read from its cache
+    entry; any other is parsed, and leaves an entry (see the module
+    docstring). The store is the same either way.
     """
     if fmt not in MODEL_FORMATS:
         raise ValueError(f"unknown model format: {fmt!r}")
     if fmt == "auto":
         fmt = "binary" if Path(path).suffix == ".bin" else "text"
-    if fmt == "binary":
-        return load_binary_model(path, wanted=wanted)
     path = Path(path)
     digest = sha256(path)
-    entry = _cache_dir() / _entry_name(digest, _ENTRY_VERSION)
-    store = _cached_store(entry, path, digest, wanted)
+    entry = _cache_dir() / _entry_name(digest, fmt)
+    store = _cached_store(entry, path, fmt, digest, wanted)
     if store is None:
-        writer = _EntryWriter(entry, digest)
+        writer = _EntryWriter(entry, fmt, digest)
         try:
-            store = _load_text(path, wanted, writer)
+            store = (_load_binary if fmt == "binary" else _load_text)(path, wanted, writer)
         finally:
             writer.discard()
     return store
 
 
 # A cache entry: a header of _HEADER_BYTES, then the V x D little-endian
-# float32 rows in file order, then every token followed by "\n", in UTF-8
-# (a text model's token holds no line break), in file order. Then comes the
-# table's index: the CRC-32 of each token's UTF-8 bytes, sorted, then each
-# one's row, both as little-endian uint32. A read given ``wanted`` looks up
-# each wanted token's CRC-32 and keeps a row only if the table holds that very
-# token there, so a shared CRC-32 costs one more token decoded, never a wrong
-# row. The header is one ASCII line, padded with spaces, naming the layout
-# version, the model's digest, V, D and the size of the token table.
-_ENTRY_VERSION = 2
+# float32 rows in file order, then every token followed by " ", in UTF-8 (no
+# token of either format holds a space; a binary one may hold a line break),
+# in file order. Then comes the table's index: the CRC-32 of each token's
+# UTF-8 bytes, sorted, then each one's row, both as little-endian uint32. A
+# read given ``wanted`` looks up each wanted token's CRC-32 and keeps a row
+# only if the table holds that very token there, so a shared CRC-32 costs one
+# more token decoded, never a wrong row. The header is one ASCII line, padded
+# with spaces, naming the layout version, the model's format and digest, V, D
+# and the size of the token table. The same bytes can be a valid model in
+# both formats, with other rows, so each format has its own entry.
+_ENTRY_VERSION = 3
 _HEADER_BYTES = 128
 
 
-def _entry_name(digest: str, version: int) -> str:
-    return f"{digest}.text.v{version}"
+def _entry_name(digest: str, fmt: str, version: int = _ENTRY_VERSION) -> str:
+    return f"{digest}.{fmt}.v{version}"
 
 
-def _entry_header(digest: str, vocab: int, dim: int, table_bytes: int) -> bytes:
-    line = f"labeleval-model-cache {_ENTRY_VERSION} {digest} {vocab} {dim} {table_bytes}"
+def _entry_header(fmt: str, digest: str, vocab: int, dim: int, table_bytes: int) -> bytes:
+    line = (f"labeleval-model-cache {_ENTRY_VERSION} {fmt} {digest} "
+            f"{vocab} {dim} {table_bytes}")
     return line.encode("ascii").ljust(_HEADER_BYTES - 1) + b"\n"
 
 
@@ -574,13 +581,13 @@ class _BadEntry(Exception):
     """A cache entry that fails a check on read."""
 
 
-def _cached_store(entry: Path, path: Path, digest: str,
+def _cached_store(entry: Path, path: Path, fmt: str, digest: str,
                   wanted: AbstractSet[str] | None) -> EmbeddingStore | None:
     """The store the model's cache entry holds, or None when there is none,
     or it cannot be read, or it fails a check."""
     try:
         with entry.open("rb") as handle:
-            store = _read_entry(handle, path, digest, wanted)
+            store = _read_entry(handle, path, fmt, digest, wanted)
     except (FileNotFoundError, NotADirectoryError):
         logger.debug("model cache miss: %s", path)
         return None
@@ -592,14 +599,14 @@ def _cached_store(entry: Path, path: Path, digest: str,
     return store
 
 
-def _read_entry(handle: io.BufferedReader, path: Path, digest: str,
+def _read_entry(handle: io.BufferedReader, path: Path, fmt: str, digest: str,
                 wanted: AbstractSet[str] | None) -> EmbeddingStore:
     head = handle.read(_HEADER_BYTES)
     try:
         vocab, dim, table_bytes = (int(field) for field in head.split()[-3:])
     except ValueError:
         raise _BadEntry("unreadable header") from None
-    if head != _entry_header(digest, vocab, dim, table_bytes):
+    if head != _entry_header(fmt, digest, vocab, dim, table_bytes):
         raise _BadEntry("header does not name this model")
     rows_end = _HEADER_BYTES + 4 * vocab * dim
     expected = rows_end + table_bytes + 8 * vocab
@@ -613,11 +620,11 @@ def _read_entry(handle: io.BufferedReader, path: Path, digest: str,
             table.decode("utf-8")
         except UnicodeDecodeError:
             raise _BadEntry("token table is not UTF-8") from None
-    ends = np.flatnonzero(np.frombuffer(table, dtype=np.uint8) == 0x0A) + 1
+    ends = np.flatnonzero(np.frombuffer(table, dtype=np.uint8) == 0x20) + 1
     if len(ends) != vocab or table_bytes != (ends[-1] if vocab else 0):
         raise _BadEntry(f"token table does not hold {vocab} tokens")
     if wanted is None:
-        tokens = table.decode("utf-8").split("\n")[:-1]
+        tokens = table.decode("utf-8").split(" ")[:-1]
         places: Sequence[int] = range(vocab)
     else:
         tokens, places = [], []
@@ -663,18 +670,18 @@ def _index_rows(handle: io.BufferedReader, vocab: int,
 
 
 class _EntryWriter:
-    """The cache entry of one text load, written as the load goes.
+    """The cache entry of one model load, written as the load goes.
 
     Rows go to a temporary file beside the entry as each block is checked;
     ``commit`` adds the token table and its index and the header, moves the
     file into place, if the load read the bytes the entry is keyed by, and
-    removes the entry an older layout kept for the same bytes. A write that
+    removes the entries older layouts kept for the same bytes. A write that
     fails is logged once, and the load goes on without the entry;
     ``discard`` removes what was not committed.
     """
 
-    def __init__(self, entry: Path, digest: str):
-        self._entry, self._digest = entry, digest
+    def __init__(self, entry: Path, fmt: str, digest: str):
+        self._entry, self._fmt, self._digest = entry, fmt, digest
         self._handle: io.BufferedWriter | None = None
         self._temp: Path | None = None
         try:
@@ -707,7 +714,7 @@ class _EntryWriter:
             self._fail(f"the model file changed while it was read, to {digest}")
             return
         try:
-            table = "\n".join([*tokens, ""]).encode("utf-8")
+            table = " ".join([*tokens, ""]).encode("utf-8")
             crcs = np.fromiter(map(zlib.crc32, map(str.encode, tokens)), dtype="<u4",
                                count=len(tokens))
             order = np.argsort(crcs)
@@ -715,7 +722,8 @@ class _EntryWriter:
             self._handle.write(crcs[order])
             self._handle.write(order.astype("<u4"))
             self._handle.seek(0)
-            self._handle.write(_entry_header(digest, len(tokens), dim, len(table)))
+            self._handle.write(_entry_header(self._fmt, digest, len(tokens), dim,
+                                             len(table)))
             self._handle.close()
             os.replace(self._temp, self._entry)
         except OSError as exc:
@@ -723,8 +731,8 @@ class _EntryWriter:
             return
         self._handle = self._temp = None
         logger.debug("model cache entry written: %s", self._entry)
-        for version in range(1, _ENTRY_VERSION):  # what an older layout kept
-            superseded = self._entry.with_name(_entry_name(digest, version))
+        for version in (1, 2):  # what an older layout kept, all of it as text
+            superseded = self._entry.with_name(_entry_name(digest, "text", version))
             try:
                 superseded.unlink(missing_ok=True)
             except OSError as exc:

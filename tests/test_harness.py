@@ -498,6 +498,47 @@ class TestRunEvaluation:
         assert warm.rows == cold.rows
         assert warm.provenance == cold.provenance
 
+    def test_a_repeat_run_reads_a_binary_models_entry(self, monkeypatch, tmp_path,
+                                                      capsys, fixture_files,
+                                                      fixture_store):
+        """A binary model goes through the model cache too: a warm run emits
+        the cold run's bytes, and it and ``stats`` read the entry, not the model."""
+        from unittest import mock
+
+        from labeleval import cli, embeddings
+        from labeleval import report as reporting
+        from labeleval.embeddings import save_binary_model
+
+        model = tmp_path / "model.bin"
+        save_binary_model(fixture_store, model)
+        config = self.make_config(fixture_files, model)
+
+        def emitted(name):
+            result = run_evaluation(config)
+            reporting.rank_and_colorize(result)
+            [path] = reporting.emit(result, tmp_path / name, "json_lines")
+            return path.read_bytes()
+
+        def stats():
+            argv = ["stats", "--embeddings", str(model), "--json"]
+            for path in fixture_files["predictions"]:
+                argv += ["--predictions", str(path)]
+            assert cli.main(argv) == 0
+            return capsys.readouterr().out
+
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        cold = emitted("cold.jsonl")
+        digest = hashlib.sha256(model.read_bytes()).hexdigest()
+        assert [entry.name for entry in (tmp_path / "cache" / "labeleval" / "models")
+                .iterdir()] == [f"{digest}.binary.v3"]
+        failing = mock.Mock(side_effect=AssertionError("the model was parsed"))
+        with mock.patch.object(embeddings, "_load_binary", failing):
+            assert emitted("warm.jsonl") == cold
+            warm_stats = stats()
+        failing.assert_not_called()
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "empty"))
+        assert warm_stats == stats()  # parsed
+
     def test_k1_equals_k5_for_single_object_records(self, tmp_path,
                                                     fixture_model_file):
         truth = [GroundTruthRecord(image_id="1.jpg", labels=("car", "tree"))]

@@ -1,5 +1,6 @@
-"""The model cache of ``load_model``: a repeat load of the same text model
-bytes reads the checked rows from an entry keyed by the file's SHA-256.
+"""The model cache of ``load_model``: a repeat load of the same model bytes,
+text or binary, reads the checked rows from an entry keyed by the file's
+SHA-256 and format.
 
 Every cached store must equal what the uncached loader gives, bit for bit;
 an entry that fails a check, or cannot be written, changes nothing but the
@@ -8,6 +9,7 @@ time a load takes.
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import hashlib
 import logging
@@ -21,7 +23,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from labeleval import embeddings
 from labeleval.embeddings import (
@@ -50,9 +52,9 @@ def cache_files(home: Path) -> list[str]:
     return sorted(p.name for p in directory.iterdir()) if directory.is_dir() else []
 
 
-def entry_path(home: Path, path: Path) -> Path:
+def entry_path(home: Path, path: Path, fmt: str = "text") -> Path:
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    return home / "labeleval" / "models" / f"{digest}.text.v2"
+    return home / "labeleval" / "models" / f"{digest}.{fmt}.v3"
 
 
 def assert_same_store(got: EmbeddingStore, expected: EmbeddingStore) -> None:
@@ -65,11 +67,14 @@ def assert_same_store(got: EmbeddingStore, expected: EmbeddingStore) -> None:
         (expected.dim, expected.digest, expected.source_path)
 
 
+@contextlib.contextmanager
 def no_parse():
-    """The text parser, patched to fail: a load must come from the cache."""
+    """Both parsers, patched to fail: a load must come from the cache."""
     def parse(*args, **kwargs):
         raise AssertionError("the model was parsed")
-    return mock.patch.object(embeddings, "_load_text", parse)
+    with mock.patch.object(embeddings, "_load_text", parse), \
+            mock.patch.object(embeddings, "_load_binary", parse):
+        yield
 
 
 def outcome(load, *args, **kwargs):
@@ -85,10 +90,18 @@ def write_model(directory: Path, fmt: str, store: EmbeddingStore) -> Path:
     return path
 
 
-# a space ends a token early, which mostly fails the load; a binary model's
-# token may hold a line break
-_token = st.text(alphabet="abü\t\x00 \n", max_size=4)
+# a space ends a token early, which mostly fails the load; U+2028 breaks a
+# line for ``str.splitlines`` but not in a model file; a binary model's token
+# may hold a line break, anywhere but first
+_token = st.text(alphabet="abü\t\x00  \n", max_size=4) | st.sampled_from(
+    ["a\nb", "b\n", "é€", "😀"])
 _component = st.floats(width=32, allow_nan=False, allow_infinity=False)
+
+
+def _binary_blob(tokens: list[str], vectors: list[list[float]], dim: int) -> bytes:
+    return f"{len(tokens)} {dim}\n".encode() + b"".join(
+        token.encode() + b" " + np.array(vector, dtype="<f4").tobytes() + b"\n"
+        for token, vector in zip(tokens, vectors))
 
 
 @st.composite
@@ -106,14 +119,14 @@ def _models(draw):
     if vectors and dim and draw(st.integers(0, 3)) == 0:
         vectors[-1][0] = draw(st.sampled_from([np.nan, np.inf]))  # fails the load
     if fmt == "binary":
-        blob = f"{len(tokens)} {dim}\n".encode() + b"".join(
-            token.encode() + b" " + np.array(vector, dtype="<f4").tobytes() + b"\n"
-            for token, vector in zip(tokens, vectors))
+        blob = _binary_blob(tokens, vectors, dim)
     else:
         blob = f"{len(tokens)} {dim}\n".encode() + b"".join(
             " ".join([token, *(repr(float(c)) for c in vector)]).encode() + b"\n"
             for token, vector in zip(tokens, vectors))
-    wanted = draw(st.none() | st.sets(_token | st.just("zz"), max_size=4))
+    # a lone surrogate is never a token: it is not UTF-8
+    wanted = draw(st.none() | st.sets(_token | st.sampled_from(["zz", "\ud800"]),
+                                      max_size=4))
     return fmt, blob, wanted
 
 
@@ -144,6 +157,12 @@ def _indexed_models(draw):
 class TestBitIdentity:
     @settings(max_examples=150, deadline=None)
     @given(model=_models())
+    @example(model=("binary", _binary_blob([], [], 3), None))
+    @example(model=("binary", _binary_blob([], [], 3), {"\ud800"}))
+    @example(model=("binary", _binary_blob(["a\nü"], [[1.0, -2.0]], 2), None))
+    @example(model=("binary", _binary_blob(["a\nü", "😀"], [[1.0], [2.0]], 1),
+                    {"😀", "a\nü", "a", "\ud800"}))
+    @example(model=("binary", _binary_blob(["é"], [[0.5]], 1), {"zz"}))
     def test_cold_and_warm_loads_equal_the_uncached_loader(self, model):
         fmt, blob, wanted = model
         with tempfile.TemporaryDirectory() as scratch, \
@@ -159,12 +178,9 @@ class TestBitIdentity:
                 assert outcome(load_model, path, fmt, wanted=wanted) == expected
                 return
             assert_same_store(cold, expected)
-            if fmt == "binary":  # parsed every time, and never cached
-                assert cache_files(Path(scratch)) == []
-                assert_same_store(load_model(path, fmt, wanted=wanted), expected)
-                return
-            assert cache_files(Path(scratch)) == [entry_path(Path(scratch), path).name]
-            every_row = load_text_model(path)
+            assert cache_files(Path(scratch)) == [
+                entry_path(Path(scratch), path, fmt).name]
+            every_row = UNCACHED[fmt](path)
             with no_parse():
                 assert_same_store(load_model(path, fmt, wanted=wanted), expected)
                 # the entry holds every row, whichever rows the cold load kept
@@ -255,23 +271,42 @@ class TestKeying:
 
     def test_the_same_bytes_as_binary_never_read_the_text_entry(self, tmp_path,
                                                                 cache_home):
+        """Each format has an entry of its own, which serves only its store."""
         # valid both ways: text reads 1234, binary reads the bytes b"1234"
         path = tmp_path / "model"
         path.write_bytes(b"1 1\nab 1234\n")
         as_text = load_model(path, "text")
         assert as_text.get("ab").tolist() == [1234.0]
-        assert cache_files(cache_home) == [entry_path(cache_home, path).name]
+        assert cache_files(cache_home) == [entry_path(cache_home, path, "text").name]
+        as_binary = load_model(path, "binary")
+        assert as_binary.get("ab").tobytes() == b"1234"
+        assert_same_store(as_binary, load_binary_model(path))
+        assert cache_files(cache_home) == sorted(
+            entry_path(cache_home, path, fmt).name for fmt in ("text", "binary"))
         with no_parse():
-            assert_same_store(load_model(path, "binary"), load_binary_model(path))
-            assert load_model(path, "binary").get("ab").tobytes() == b"1234"
-            assert_same_store(load_model(path, "text"), as_text)
-        assert cache_files(cache_home) == [entry_path(cache_home, path).name]
+            for _ in range(2):
+                assert_same_store(load_model(path, "binary"), as_binary)
+                assert_same_store(load_model(path, "text"), as_text)
+        # neither entry serves the other format, even under its name
+        text_entry, binary_entry = (entry_path(cache_home, path, fmt)
+                                    for fmt in ("text", "binary"))
+        binary_entry.write_bytes(text_entry.read_bytes())
+        assert_same_store(load_model(path, "binary"), as_binary)
+        assert binary_entry.read_bytes() != text_entry.read_bytes()
+
+
+def each_format(argname: str, values: list, ids: list[str]):
+    """Parametrize ``fmt`` and ``argname`` over both formats and ``values``; a
+    text case is named by its id alone, a binary one by ``binary-<id>``."""
+    return pytest.mark.parametrize(f"fmt, {argname}", [
+        pytest.param(fmt, value, id=name if fmt == "text" else f"binary-{name}")
+        for fmt in ("text", "binary") for value, name in zip(values, ids)])
 
 
 def _index(data: bytes) -> tuple[int, int]:
     """Where the entry's CRC-32 and row arrays start; the token table ends at
     the first."""
-    vocab = int(data[:embeddings._HEADER_BYTES].split()[3])
+    vocab = int(data[:embeddings._HEADER_BYTES].split()[-3])
     return len(data) - 8 * vocab, len(data) - 4 * vocab
 
 
@@ -280,14 +315,15 @@ def _truncate(entry: Path, data: bytes) -> bytes:
 
 
 def _garble_table(entry: Path, data: bytes) -> bytes:
-    """The token table's last byte, its last newline, made another byte."""
+    """The token table's last byte, the space that ends its last token, made
+    another byte."""
     end, _ = _index(data)
     return data[:end - 1] + bytes([data[end - 1] ^ 0x01]) + data[end:]
 
 
 def _garble_token(entry: Path, data: bytes) -> bytes:
     """The first token's first byte, made one that is not UTF-8."""
-    start = data.rindex(b"cat\n")
+    start = data.rindex(b"cat ")
     return data[:start] + b"\xff" + data[start + 1:]
 
 
@@ -302,12 +338,14 @@ def _header_without_numbers(entry: Path, data: bytes) -> bytes:
 
 
 def _other_models_entry(entry: Path, data: bytes) -> bytes:
-    """The entry of a model of the same shape, at this model's key."""
-    other = entry.parent.parent.parent.parent / "other.txt"
-    save_text_model(EmbeddingStore([("cat", [9.0, 9.0]), ("dog", [8.0, 8.0])],
-                                   dim=2), other)
+    """The entry of a model of the same shape and format, at this model's key."""
+    fmt = entry.name.split(".")[1]
+    directory = entry.parents[3] / "other"
+    directory.mkdir()
+    other = write_model(directory, fmt, EmbeddingStore(
+        [("cat", [9.0, 9.0]), ("dog", [8.0, 8.0])], dim=2))
     load_model(other)
-    return entry_path(entry.parents[2], other).read_bytes()
+    return entry_path(entry.parents[2], other, fmt).read_bytes()
 
 
 def _non_finite_row(entry: Path, data: bytes) -> bytes:
@@ -321,40 +359,43 @@ def _row_out_of_range(entry: Path, data: bytes) -> bytes:
     return data[:rows] + np.array([2, 2], dtype="<u4").tobytes()
 
 
+_DAMAGES = [_truncate, _garble_table, _garble_token, _garble_header,
+            _header_without_numbers, _other_models_entry, _non_finite_row,
+            _row_out_of_range]
+
+
 class TestBadEntries:
-    @pytest.mark.parametrize("damage", [_truncate, _garble_table, _garble_token,
-                                        _garble_header, _header_without_numbers,
-                                        _other_models_entry, _non_finite_row,
-                                        _row_out_of_range])
-    def test_is_ignored_and_rewritten(self, tmp_path, cache_home, caplog, damage):
+    @each_format("damage", _DAMAGES, [damage.__name__ for damage in _DAMAGES])
+    def test_is_ignored_and_rewritten(self, tmp_path, cache_home, caplog, fmt, damage):
         store = EmbeddingStore([("cat", [1.0, 2.0]), ("dog", [3.0, 4.0])], dim=2)
-        path = write_model(tmp_path, "text", store)
+        path = write_model(tmp_path, fmt, store)
         load_model(path)
-        entry = entry_path(cache_home, path)
+        entry = entry_path(cache_home, path, fmt)
         good = entry.read_bytes()
         entry.write_bytes(damage(entry, good))
         assert entry.read_bytes() != good
         with caplog.at_level(logging.WARNING, logger="labeleval.embeddings"):
             assert_same_store(load_model(path, wanted={"cat"}),
-                              load_text_model(path, wanted={"cat"}))
+                              UNCACHED[fmt](path, wanted={"cat"}))
         assert [record.levelno for record in caplog.records] == [logging.WARNING]
         assert str(entry) in caplog.records[0].getMessage()
         assert entry.read_bytes() == good
         assert entry.name in cache_files(cache_home)
 
-    @pytest.mark.parametrize("wanted", [None, {"cat", "dog"}])
-    def test_a_token_twice_in_the_table(self, tmp_path, cache_home, caplog, wanted):
+    @each_format("wanted", [None, {"cat", "dog"}], ["None", "wanted1"])
+    def test_a_token_twice_in_the_table(self, tmp_path, cache_home, caplog, fmt,
+                                        wanted):
         """A table whose second token is overwritten with the first is rebuilt,
         not read with the first token at two rows."""
-        path = write_model(tmp_path, "text", EmbeddingStore(
+        path = write_model(tmp_path, fmt, EmbeddingStore(
             [("cat", [1.0, 2.0]), ("dog", [3.0, 4.0])], dim=2))
         load_model(path)
-        entry = entry_path(cache_home, path)
+        entry = entry_path(cache_home, path, fmt)
         good = entry.read_bytes()
-        entry.write_bytes(good.replace(b"cat\ndog\n", b"cat\ncat\n"))
+        entry.write_bytes(good.replace(b"cat dog ", b"cat cat "))
         with caplog.at_level(logging.WARNING, logger="labeleval.embeddings"):
             assert_same_store(load_model(path, wanted=wanted),
-                              load_text_model(path, wanted=wanted))
+                              UNCACHED[fmt](path, wanted=wanted))
         assert [record.levelno for record in caplog.records] == [logging.WARNING]
         # the reason alone: the entry's path holds the test's name
         reason = caplog.records[0].getMessage().split(" ignored (", 1)[1]
@@ -368,20 +409,32 @@ class TestBadEntries:
         assert_same_store(load_model(path), load_text_model(path))
 
 
+def _older_entries_go(tmp_path: Path, cache_home: Path, fmt: str) -> None:
+    """A load in ``fmt`` removes the model's layout 1 and 2 entries (all of
+    them text), and leaves every other file, the other format's entry too."""
+    path = write_model(tmp_path, fmt, EmbeddingStore([("cat", [1.0, 2.0])], dim=2))
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    directory = cache_home / "labeleval" / "models"
+    directory.mkdir(parents=True)
+    other_fmt = "binary" if fmt == "text" else "text"
+    others = [f"{'0' * 64}.text.v1", f"{'0' * 64}.text.v2", f"{digest}.text.v1.x",
+              f"{digest}.{other_fmt}.v3", f"{digest}.binary.v2"]
+    for name in [f"{digest}.text.v1", f"{digest}.text.v2", *others]:
+        (directory / name).write_bytes(b"an older entry")
+    assert_same_store(load_model(path), UNCACHED[fmt](path))
+    assert cache_files(cache_home) == sorted([entry_path(cache_home, path, fmt).name,
+                                              *others])
+    for name in others:
+        assert (directory / name).read_bytes() == b"an older entry"
+
+
 class TestSupersededEntries:
     def test_the_models_older_entry_goes_and_no_other(self, tmp_path, cache_home):
-        path = write_model(tmp_path, "text", EmbeddingStore([("cat", [1.0, 2.0])], dim=2))
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        directory = cache_home / "labeleval" / "models"
-        directory.mkdir(parents=True)
-        others = [f"{'0' * 64}.text.v1", f"{'0' * 64}.text.v2", f"{digest}.text.v1.x"]
-        for name in [f"{digest}.text.v1", *others]:
-            (directory / name).write_bytes(b"an older entry")
-        assert_same_store(load_model(path), load_text_model(path))
-        assert cache_files(cache_home) == sorted([entry_path(cache_home, path).name,
-                                                  *others])
-        for name in others:
-            assert (directory / name).read_bytes() == b"an older entry"
+        _older_entries_go(tmp_path, cache_home, "text")
+
+    def test_a_binary_entry_supersedes_the_same_older_entries(self, tmp_path,
+                                                              cache_home):
+        _older_entries_go(tmp_path, cache_home, "binary")
 
     def test_an_older_entry_that_cannot_go_is_left(self, tmp_path, cache_home, caplog):
         path = write_model(tmp_path, "text", EmbeddingStore([("cat", [1.0, 2.0])], dim=2))
@@ -396,19 +449,37 @@ class TestSupersededEntries:
                    for record in caplog.records)
 
 
+def _fails_alike_and_leaves_no_entry(path: Path, blob: bytes, fmt: str,
+                                     cache_home: Path) -> None:
+    path.write_bytes(blob)
+    with pytest.raises(DataError) as uncached:
+        UNCACHED[fmt](path)
+    for _ in range(2):
+        with pytest.raises(type(uncached.value)) as cached:
+            load_model(path)
+        assert str(cached.value) == str(uncached.value)
+        assert cache_files(cache_home) == []
+
+
 class TestFailingModels:
     @pytest.mark.parametrize("blob", [b"2 2\ncat 1 2\ncat 3 4\n", b"1 2\ncat 1 nan\n",
                                       b"3 2\ncat 1 2\n", b"1 2\ncat 1 2 3\n"])
     def test_leave_no_entry_and_fail_alike_again(self, tmp_path, cache_home, blob):
-        path = tmp_path / "model.txt"
-        path.write_bytes(blob)
-        with pytest.raises(DataError) as uncached:
-            load_text_model(path)
-        for _ in range(2):
-            with pytest.raises(type(uncached.value)) as cached:
-                load_model(path)
-            assert str(cached.value) == str(uncached.value)
-            assert cache_files(cache_home) == []
+        _fails_alike_and_leaves_no_entry(tmp_path / "model.txt", blob, "text",
+                                         cache_home)
+
+    @pytest.mark.parametrize("blob", [
+        b"2 1\ncat \x00\x00\x80?\ncat \x00\x00\x80?\n",  # a token twice
+        b"1 1\ncat \x00\x00\xc0\x7f\n",                     # NaN
+        b"2 1\ncat \x00\x00\x80?\ndo",                      # truncated
+        b"1 1\ncat \x00\x00\x80?\nextra",                   # trailing bytes
+        b"1 1\n\xff \x00\x00\x80?\n",                       # not UTF-8
+        b"1 1 1\ncat \x00\x00\x80?\n",                      # header
+    ], ids=["duplicate", "nan", "truncated", "trailing", "not-utf8", "header"])
+    def test_a_binary_model_leaves_no_entry_and_fails_alike_again(self, tmp_path,
+                                                                  cache_home, blob):
+        _fails_alike_and_leaves_no_entry(tmp_path / "model.bin", blob, "binary",
+                                         cache_home)
 
     def test_a_missing_file_raises_as_before(self, tmp_path, cache_home):
         with pytest.raises(FileNotFoundError, match="nothing.txt"):
@@ -416,17 +487,24 @@ class TestFailingModels:
         assert cache_files(cache_home) == []
 
 
+def _each_load_warns_once(tmp_path: Path, monkeypatch, caplog, fmt: str) -> None:
+    blocker = tmp_path / "not_a_directory"
+    blocker.write_text("", encoding="utf-8")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+    path = write_model(tmp_path, fmt, EmbeddingStore([("cat", [1.0, 2.0])], dim=2))
+    with caplog.at_level(logging.WARNING, logger="labeleval.embeddings"):
+        for _ in range(2):
+            assert_same_store(load_model(path), UNCACHED[fmt](path))
+    assert [record.levelno for record in caplog.records] == [logging.WARNING] * 2
+
+
 class TestUnwritableCache:
     def test_a_cache_that_cannot_be_made(self, tmp_path, monkeypatch, caplog):
-        blocker = tmp_path / "not_a_directory"
-        blocker.write_text("", encoding="utf-8")
-        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
-        path = write_model(tmp_path, "text", EmbeddingStore(
-            [("cat", [1.0, 2.0])], dim=2))
-        with caplog.at_level(logging.WARNING, logger="labeleval.embeddings"):
-            for _ in range(2):
-                assert_same_store(load_model(path), load_text_model(path))
-        assert [record.levelno for record in caplog.records] == [logging.WARNING] * 2
+        _each_load_warns_once(tmp_path, monkeypatch, caplog, "text")
+
+    def test_a_binary_load_with_a_cache_that_cannot_be_made(self, tmp_path,
+                                                            monkeypatch, caplog):
+        _each_load_warns_once(tmp_path, monkeypatch, caplog, "binary")
 
     def test_a_full_disk_midway(self, tmp_path, cache_home, caplog, monkeypatch):
         rows = [(f"t{i}", [float(i)] * 4) for i in range(10)]
