@@ -16,20 +16,23 @@ fill; each names a fault's place its own way (``<file> line <n>``,
 ``<file>: record <i>``, ``row <r>`` of a cache entry).
 
 ``load_model`` keeps what a parse of either format has checked in a cache
-entry keyed by the file's digest and format: the float32 rows, in file
-order, then the tokens, then an index of the tokens' CRC-32s. The entry is
-written only if the parse read the bytes the key was hashed from, and it
-replaces the entries older layouts kept for the same bytes. A repeat load of
-the same bytes in the same format hashes the file and takes its rows from
-the entry, with no parse: given ``wanted``, it looks up each wanted token's
-CRC-32 in the index, decodes only the tokens filed there and reads only the
-rows it keeps. A read re-checks the entry's header and size, that its table
-is UTF-8 and holds V tokens, and that the index's rows (when it looks them
-up) are below V; the tokens and rows it keeps go through the sink, so none
-is there twice and each is finite. An entry that fails a check is ignored
-and written again. The entries live in ``$XDG_CACHE_HOME/labeleval/models``
-(``~/.cache/labeleval/models`` when that is unset). ``load_text_model`` and
-``load_binary_model`` always parse.
+entry named by the digest of the bytes the parse read, the file's size and
+the format: the float32 rows, in file order, then the tokens, then an index
+of the tokens' CRC-32s. The entry replaces the entries older layouts kept
+for the same bytes. Only when the cache holds an entry of the file's size
+and format does a load hash the file first; if the entry of those bytes is
+there, the load takes its rows from it, with no parse: given ``wanted``, it
+looks up each wanted token's CRC-32 in the index, decodes only the tokens
+filed there and reads only the rows it keeps. Any other load reads the file
+once, as a parse, and writes the entry as it goes. A read re-checks the
+entry's header and size, that its table is UTF-8 and holds V tokens, and
+that the index's rows (when it looks them up) are below V; the tokens and
+rows it keeps go through the sink, so none is there twice and each is
+finite. An entry that fails a check is ignored and written again. The
+entries live in ``$XDG_CACHE_HOME/labeleval/models``
+(``~/.cache/labeleval/models`` when that is unset); with
+``LABELEVAL_MODEL_CACHE=off`` every load parses and the cache is not
+touched. ``load_text_model`` and ``load_binary_model`` always parse.
 
 A run resolves its labels once, into a ``Vocabulary``; the scalar ``cosine``
 and ``euclidean`` stay as the reference the vectorised scoring is checked
@@ -516,6 +519,10 @@ def _load_binary(path: Path, wanted: AbstractSet[str] | None,
 
 #: The formats ``load_model`` takes; "auto" picks by the file suffix.
 MODEL_FORMATS = ("auto", "text", "binary")
+#: Set to "off", ``load_model`` parses every model and neither reads nor
+#: writes the model cache.
+MODEL_CACHE_ENV_VAR = "LABELEVAL_MODEL_CACHE"
+
 
 def load_model(path: str | Path, fmt: str = "auto", *,
                wanted: AbstractSet[str] | None = None) -> EmbeddingStore:
@@ -524,23 +531,33 @@ def load_model(path: str | Path, fmt: str = "auto", *,
     With ``wanted``, the store keeps only the rows of those tokens. A model
     whose bytes were loaded before in the same format is read from its cache
     entry; any other is parsed, and leaves an entry (see the module
-    docstring). The store is the same either way.
+    docstring), unless ``MODEL_CACHE_ENV_VAR`` is "off". The store is the
+    same either way.
     """
     if fmt not in MODEL_FORMATS:
         raise ValueError(f"unknown model format: {fmt!r}")
     if fmt == "auto":
         fmt = "binary" if Path(path).suffix == ".bin" else "text"
     path = Path(path)
-    digest = sha256(path)
-    entry = _cache_dir() / _entry_name(digest, fmt)
-    store = _cached_store(entry, path, fmt, digest, wanted)
-    if store is None:
-        writer = _EntryWriter(entry, fmt, digest)
-        try:
-            store = (_load_binary if fmt == "binary" else _load_text)(path, wanted, writer)
-        finally:
-            writer.discard()
-    return store
+    parse = _load_binary if fmt == "binary" else _load_text
+    if os.environ.get(MODEL_CACHE_ENV_VAR) == "off":
+        return parse(path, wanted)
+    size, directory = path.stat().st_size, _cache_dir()
+    # Only an entry of this size and format can be this file's; without one,
+    # the file is not hashed twice.
+    if _holds_entry_of(directory, size, fmt):
+        digest = sha256(path)
+        store = _cached_store(directory / _entry_name(digest, size, fmt), path, fmt,
+                              digest, wanted)
+        if store is not None:
+            return store
+    else:
+        logger.debug("model cache miss: %s", path)
+    writer = _EntryWriter(directory, path, fmt, size)
+    try:
+        return parse(path, wanted, writer)
+    finally:
+        writer.discard()
 
 
 # A cache entry: a header of _HEADER_BYTES, then the V x D little-endian
@@ -553,13 +570,25 @@ def load_model(path: str | Path, fmt: str = "auto", *,
 # more token decoded, never a wrong row. The header is one ASCII line, padded
 # with spaces, naming the layout version, the model's format and digest, V, D
 # and the size of the token table. The same bytes can be a valid model in
-# both formats, with other rows, so each format has its own entry.
+# both formats, with other rows, so each format has its own entry. The
+# entry's name also holds the model file's size, so that a load can tell from
+# the directory's listing alone that no entry is its file's.
 _ENTRY_VERSION = 3
 _HEADER_BYTES = 128
 
 
-def _entry_name(digest: str, fmt: str, version: int = _ENTRY_VERSION) -> str:
-    return f"{digest}.{fmt}.v{version}"
+def _entry_name(digest: str, size: int, fmt: str) -> str:
+    return f"{digest}.{size}.{fmt}.v{_ENTRY_VERSION}"
+
+
+def _holds_entry_of(directory: Path, size: int, fmt: str) -> bool:
+    """Whether the cache holds an entry of a model file of ``size`` bytes read
+    in ``fmt``; one it cannot list holds none."""
+    suffix = f".{size}.{fmt}.v{_ENTRY_VERSION}"
+    try:
+        return any(name.endswith(suffix) for name in os.listdir(directory))
+    except OSError:
+        return False
 
 
 def _entry_header(fmt: str, digest: str, vocab: int, dim: int, table_bytes: int) -> bytes:
@@ -674,22 +703,23 @@ class _EntryWriter:
 
     Rows go to a temporary file beside the entry as each block is checked;
     ``commit`` adds the token table and its index and the header, moves the
-    file into place, if the load read the bytes the entry is keyed by, and
-    removes the entries older layouts kept for the same bytes. A write that
+    file into place under the digest of the bytes the load read, unless the
+    file's size changed meanwhile, and removes the entries older layouts
+    kept for the same bytes. A write that
     fails is logged once, and the load goes on without the entry;
     ``discard`` removes what was not committed.
     """
 
-    def __init__(self, entry: Path, fmt: str, digest: str):
-        self._entry, self._fmt, self._digest = entry, fmt, digest
+    def __init__(self, directory: Path, model: Path, fmt: str, size: int):
+        self._directory, self._model, self._fmt, self._size = directory, model, fmt, size
         self._handle: io.BufferedWriter | None = None
         self._temp: Path | None = None
         try:
             # the cache base, labeleval and models: each made private if missing
-            for directory in (entry.parents[2], entry.parents[1], entry.parent):
-                directory.mkdir(mode=0o700, parents=True, exist_ok=True)
-            fd, name = tempfile.mkstemp(prefix=entry.name + ".", suffix=".tmp",
-                                        dir=entry.parent)
+            for made in (directory.parents[1], directory.parent, directory):
+                made.mkdir(mode=0o700, parents=True, exist_ok=True)
+            fd, name = tempfile.mkstemp(prefix=f"{size}.{fmt}.", suffix=".tmp",
+                                        dir=directory)
             self._temp = Path(name)
             self._handle = os.fdopen(fd, "wb")
             self._handle.write(bytes(_HEADER_BYTES))
@@ -706,13 +736,18 @@ class _EntryWriter:
 
     def commit(self, tokens: Collection[str], dim: int, digest: str) -> None:
         """Write the tokens, their index and the header, and put the entry in
-        place, unless the load's ``digest`` shows the file changed since it
-        was keyed."""
+        place under the ``digest`` of the bytes the load read, unless the
+        file's size has changed since the load began."""
         if self._handle is None:
             return
-        if digest != self._digest:
-            self._fail(f"the model file changed while it was read, to {digest}")
+        try:
+            changed = self._model.stat().st_size != self._size
+        except OSError:
+            changed = True
+        if changed:
+            self._fail("the model file changed while it was read")
             return
+        entry = self._directory / _entry_name(digest, self._size, self._fmt)
         try:
             table = " ".join([*tokens, ""]).encode("utf-8")
             crcs = np.fromiter(map(zlib.crc32, map(str.encode, tokens)), dtype="<u4",
@@ -725,14 +760,14 @@ class _EntryWriter:
             self._handle.write(_entry_header(self._fmt, digest, len(tokens), dim,
                                              len(table)))
             self._handle.close()
-            os.replace(self._temp, self._entry)
+            os.replace(self._temp, entry)
         except OSError as exc:
             self._fail(exc)
             return
         self._handle = self._temp = None
-        logger.debug("model cache entry written: %s", self._entry)
+        logger.debug("model cache entry written: %s", entry)
         for version in (1, 2):  # what an older layout kept, all of it as text
-            superseded = self._entry.with_name(_entry_name(digest, "text", version))
+            superseded = self._directory / f"{digest}.text.v{version}"
             try:
                 superseded.unlink(missing_ok=True)
             except OSError as exc:
@@ -740,7 +775,7 @@ class _EntryWriter:
                              superseded, exc)
 
     def _fail(self, why: object) -> None:
-        logger.warning("model cache entry %s not written (%s)", self._entry, why)
+        logger.warning("model cache entry for %s not written (%s)", self._model, why)
         self.discard()
 
     def discard(self) -> None:

@@ -528,9 +528,9 @@ class TestRunEvaluation:
 
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
         cold = emitted("cold.jsonl")
-        digest = hashlib.sha256(model.read_bytes()).hexdigest()
+        blob = model.read_bytes()
         assert [entry.name for entry in (tmp_path / "cache" / "labeleval" / "models")
-                .iterdir()] == [f"{digest}.binary.v3"]
+                .iterdir()] == [f"{hashlib.sha256(blob).hexdigest()}.{len(blob)}.binary.v3"]
         failing = mock.Mock(side_effect=AssertionError("the model was parsed"))
         with mock.patch.object(embeddings, "_load_binary", failing):
             assert emitted("warm.jsonl") == cold

@@ -1,6 +1,6 @@
 """The model cache of ``load_model``: a repeat load of the same model bytes,
 text or binary, reads the checked rows from an entry keyed by the file's
-SHA-256 and format.
+SHA-256, size and format.
 
 Every cached store must equal what the uncached loader gives, bit for bit;
 an entry that fails a check, or cannot be written, changes nothing but the
@@ -53,8 +53,9 @@ def cache_files(home: Path) -> list[str]:
 
 
 def entry_path(home: Path, path: Path, fmt: str = "text") -> Path:
-    digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    return home / "labeleval" / "models" / f"{digest}.{fmt}.v3"
+    blob = path.read_bytes()
+    digest = hashlib.sha256(blob).hexdigest()
+    return home / "labeleval" / "models" / f"{digest}.{len(blob)}.{fmt}.v3"
 
 
 def assert_same_store(got: EmbeddingStore, expected: EmbeddingStore) -> None:
@@ -232,7 +233,7 @@ class TestBitIdentity:
 
     def test_a_file_rewritten_between_the_key_and_the_parse(self, tmp_path,
                                                             cache_home, caplog):
-        # the key is hashed from the first bytes, the parse reads the second
+        # the load begins with the first bytes' size, the parse reads the second
         path = write_model(tmp_path, "text", EmbeddingStore(
             [("cat", [1.0, 2.0])], dim=2))
         first = path.read_bytes()
@@ -257,6 +258,101 @@ class TestBitIdentity:
             path.write_bytes(blob)
             assert load_model(path).get("cat").tolist() == vector
             assert load_model(path).digest == hashlib.sha256(blob).hexdigest()
+
+    def test_an_entry_is_named_by_the_bytes_the_parse_read(self, tmp_path, cache_home):
+        """A file rewritten to the same size while it is parsed leaves the entry
+        of the bytes that were parsed, which serves those bytes alone."""
+        path = tmp_path / "model.txt"
+        first, second = b"1 2\ncat 1 2\n", b"1 2\ncat 3 4\n"
+        path.write_bytes(first)
+        real_load_text = embeddings._load_text
+
+        def rewritten(*args):
+            path.write_bytes(second)
+            return real_load_text(*args)
+
+        with mock.patch.object(embeddings, "_load_text", rewritten):
+            assert load_model(path).get("cat").tolist() == [3.0, 4.0]
+        assert cache_files(cache_home) == [entry_path(cache_home, path).name]
+        with no_parse():
+            assert load_model(path).get("cat").tolist() == [3.0, 4.0]
+        path.write_bytes(first)
+        assert load_model(path).get("cat").tolist() == [1.0, 2.0]
+        assert len(cache_files(cache_home)) == 2
+
+
+@contextlib.contextmanager
+def hash_passes():
+    """Counts the hash passes ``load_model`` makes before it parses or reads."""
+    spy = mock.Mock(wraps=embeddings.sha256)
+    with mock.patch.object(embeddings, "sha256", spy):
+        yield spy
+
+
+class TestHashPasses:
+    @pytest.mark.parametrize("fmt", ["text", "binary"])
+    def test_a_first_load_reads_the_file_once(self, tmp_path, cache_home, fmt):
+        path = write_model(tmp_path, fmt, EmbeddingStore([("cat", [1.0, 2.0])], dim=2))
+        with hash_passes() as spy:
+            cold = load_model(path)
+        spy.assert_not_called()  # the parse hashes what it reads
+        assert cache_files(cache_home) == [entry_path(cache_home, path, fmt).name]
+        with hash_passes() as spy, no_parse():
+            assert_same_store(load_model(path), cold)
+        spy.assert_called_once_with(path)
+
+    def test_only_an_entry_of_the_same_size_and_format_costs_a_hash(self, tmp_path,
+                                                                    cache_home):
+        path, other = tmp_path / "model.bin", tmp_path / "other.bin"
+        path.write_bytes(_binary_blob(["cat"], [[1.0]], 1))
+        other.write_bytes(_binary_blob(["dog"], [[2.0]], 1))  # the same size
+        directory = cache_home / "labeleval" / "models"
+        directory.mkdir(parents=True)
+        size = path.stat().st_size
+        for name in (f"{'0' * 64}.{size}.text.v3", f"{'0' * 64}.{size + 1}.binary.v3",
+                     f"{'0' * 64}.1{size}.binary.v3"):
+            (directory / name).write_bytes(b"another file's entry")
+        with hash_passes() as spy:
+            assert_same_store(load_model(path), load_binary_model(path))
+        spy.assert_not_called()
+        # model.bin's entry now costs other.bin a hash pass, then a parse
+        with hash_passes() as spy:
+            assert_same_store(load_model(other), load_binary_model(other))
+        spy.assert_called_once_with(other)
+        expected = [load_binary_model(path), load_binary_model(other)]
+        with hash_passes() as spy, no_parse():
+            assert_same_store(load_model(path), expected[0])
+            assert_same_store(load_model(other), expected[1])
+        assert spy.call_count == 2
+
+
+class TestTurnedOff:
+    @pytest.mark.parametrize("fmt", ["text", "binary"])
+    def test_every_load_parses_and_the_cache_is_not_touched(self, tmp_path,
+                                                            cache_home, monkeypatch,
+                                                            fmt):
+        path = write_model(tmp_path, fmt, EmbeddingStore([("cat", [1.0, 2.0])], dim=2))
+        load_model(path)  # an entry the loads below must not read
+        entry = entry_path(cache_home, path, fmt)
+        before = entry.stat().st_mtime_ns
+        monkeypatch.setenv(embeddings.MODEL_CACHE_ENV_VAR, "off")
+        expected = [UNCACHED[fmt](path, wanted=wanted) for wanted in (None, {"cat"})]
+        parse = mock.Mock(wraps=embeddings._load_binary if fmt == "binary"
+                          else embeddings._load_text)
+        with hash_passes() as spy, \
+                mock.patch.object(embeddings, f"_load_{fmt}", parse):
+            for wanted, store in zip((None, {"cat"}), expected):
+                assert_same_store(load_model(path, wanted=wanted), store)
+        spy.assert_not_called()
+        assert [call.args for call in parse.call_args_list] == [
+            (path, None), (path, {"cat"})]
+        assert cache_files(cache_home) == [entry.name]
+        assert entry.stat().st_mtime_ns == before
+
+    def test_no_cache_directory_is_made(self, tmp_path, cache_home, monkeypatch):
+        monkeypatch.setenv(embeddings.MODEL_CACHE_ENV_VAR, "off")
+        load_model(write_model(tmp_path, "text", EmbeddingStore([("a", [1.0])], dim=1)))
+        assert not cache_home.exists()
 
 
 class TestKeying:
@@ -339,7 +435,7 @@ def _header_without_numbers(entry: Path, data: bytes) -> bytes:
 
 def _other_models_entry(entry: Path, data: bytes) -> bytes:
     """The entry of a model of the same shape and format, at this model's key."""
-    fmt = entry.name.split(".")[1]
+    fmt = entry.name.split(".")[2]
     directory = entry.parents[3] / "other"
     directory.mkdir()
     other = write_model(directory, fmt, EmbeddingStore(
@@ -418,7 +514,7 @@ def _older_entries_go(tmp_path: Path, cache_home: Path, fmt: str) -> None:
     directory.mkdir(parents=True)
     other_fmt = "binary" if fmt == "text" else "text"
     others = [f"{'0' * 64}.text.v1", f"{'0' * 64}.text.v2", f"{digest}.text.v1.x",
-              f"{digest}.{other_fmt}.v3", f"{digest}.binary.v2"]
+              entry_path(cache_home, path, other_fmt).name, f"{digest}.binary.v2"]
     for name in [f"{digest}.text.v1", f"{digest}.text.v2", *others]:
         (directory / name).write_bytes(b"an older entry")
     assert_same_store(load_model(path), UNCACHED[fmt](path))
@@ -492,10 +588,12 @@ def _each_load_warns_once(tmp_path: Path, monkeypatch, caplog, fmt: str) -> None
     blocker.write_text("", encoding="utf-8")
     monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
     path = write_model(tmp_path, fmt, EmbeddingStore([("cat", [1.0, 2.0])], dim=2))
-    with caplog.at_level(logging.WARNING, logger="labeleval.embeddings"):
+    with caplog.at_level(logging.WARNING, logger="labeleval.embeddings"), \
+            hash_passes() as spy:
         for _ in range(2):
             assert_same_store(load_model(path), UNCACHED[fmt](path))
     assert [record.levelno for record in caplog.records] == [logging.WARNING] * 2
+    spy.assert_not_called()  # no entry can be there, so only the parse reads
 
 
 class TestUnwritableCache:
