@@ -13,23 +13,24 @@ thousand rows its labels can resolve to, not the whole model. The rules
 every row keeps, a token seen once and finite components, live in one
 ``_RowSink``, which the text parse, the binary parse and a cache read all
 fill; each names a fault's place its own way (``<file> line <n>``,
-``<file>: record <i>``, ``row <r>`` of a cache entry).
+``<file>: record <i>``, ``<file> byte <b>`` of a record a cache read found).
 
-``load_model`` keeps what a parse of either format has checked in a cache
-entry named by the digest of the bytes the parse read, the file's size and
-the format: the float32 rows, in file order, then the tokens, then an index
-of the tokens' CRC-32s. The entry replaces the entries older layouts kept
-for the same bytes. Only when the cache holds an entry of the file's size
-and format does a load hash the file first; if the entry of those bytes is
-there, the load takes its rows from it, with no parse: given ``wanted``, it
-looks up each wanted token's CRC-32 in the index, decodes only the tokens
-filed there and reads only the rows it keeps. Any other load reads the file
-once, as a parse, and writes the entry as it goes. A read re-checks the
-entry's header and size, that its table is UTF-8 and holds V tokens, and
-that the index's rows (when it looks them up) are below V; the tokens and
-rows it keeps go through the sink, so none is there twice and each is
-finite. An entry that fails a check is ignored and written again. The
-entries live in ``$XDG_CACHE_HOME/labeleval/models``
+``load_model`` keeps an index of what a parse of either format has checked
+in a cache entry named by the digest of the bytes the parse read, the file's
+size and the format: for each token, its CRC-32 and the span of its record
+in the model file, sorted by CRC-32. An entry holds no rows. Only when the
+cache holds an entry of the file's size and format does a load given
+``wanted`` hash the file first; if the entry of those bytes is there, it
+looks up each wanted token's CRC-32, reads each record filed there from the
+model file, through the descriptor it hashed, and keeps those that hold a
+wanted token, with no parse. Any other load, and every load of all rows,
+reads the file once, as a parse, and writes the entry once the parse has
+passed every check. A read re-checks the entry's header, size and the
+CRC-32 of its index, that each record it keeps is whole and converts as the
+parse converts it, and that the file's size and modification time did not
+change while it was read; the rows it keeps go through the sink, so none is
+there twice and each is finite. An entry that fails a check is ignored and
+written again. The entries live in ``$XDG_CACHE_HOME/labeleval/models``
 (``~/.cache/labeleval/models`` when that is unset); with
 ``LABELEVAL_MODEL_CACHE=off`` every load parses and the cache is not
 touched. ``load_text_model`` and ``load_binary_model`` always parse.
@@ -55,7 +56,7 @@ import warnings
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import AbstractSet, Callable, Collection, Iterable, Iterator, Mapping, Sequence
+from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -257,11 +258,17 @@ def _open_hashed(path: Path) -> io.BufferedReader:
 
 def sha256(path: str | Path) -> str:
     """The SHA-256 hex digest of a file's bytes, read ``_READ_BYTES`` at a time."""
+    with Path(path).open("rb", buffering=0) as handle:
+        return _digest(handle)
+
+
+def _digest(handle: io.RawIOBase) -> str:
+    """The SHA-256 hex digest of the bytes from an unbuffered file's position on."""
+    digest = hashlib.sha256()
     buffer = bytearray(_READ_BYTES)
-    with _HashingFile(Path(path)) as handle:
-        while handle.readinto(buffer):
-            pass
-        return handle.sha256.hexdigest()
+    while count := handle.readinto(buffer):
+        digest.update(memoryview(buffer)[:count])
+    return digest.hexdigest()
 
 
 class _RowSink:
@@ -273,22 +280,19 @@ class _RowSink:
     Every block is checked for NaN and infinities before its rows are copied
     out: all of them, or, given ``wanted``, those whose token is in it.
     ``store`` raises the first non-finite row, then a count of rows other
-    than ``vocab``. Given an ``_EntryWriter``, every row also goes to it, a
-    block at a time, and the tokens once the load has passed every check.
+    than ``vocab``.
     """
 
     __slots__ = ("seen", "_vocab", "_where", "_first_bad", "_kept", "_wanted",
-                 "_matrix", "_entry")
+                 "_matrix")
 
     def __init__(self, vocab: int, fits: int, dim: int,
-                 wanted: AbstractSet[str] | None, where: Callable[[int], str],
-                 entry: _EntryWriter | None = None):
+                 wanted: AbstractSet[str] | None, where: Callable[[int], str]):
         self.seen: dict[str, int] = {}  # every token read -> its row in the file
         self._vocab, self._where = vocab, where
         self._first_bad: int | None = None  # the place of the first non-finite row
         self._kept = self.seen if wanted is None else {}
         self._wanted = wanted
-        self._entry = entry
         # kept rows have distinct tokens, all wanted, and the file holds them
         capacity = min(vocab, fits, len(wanted) if wanted is not None else vocab)
         self._matrix = np.zeros((capacity, dim), dtype=np.float32)
@@ -306,8 +310,6 @@ class _RowSink:
         bad = _first_bad_row(rows)
         if bad is not None and self._first_bad is None:
             self._first_bad = places[bad]
-        if self._entry is not None:
-            self._entry.rows(rows)
         if self._wanted is None:
             first = len(self.seen) - len(tokens)
             self._matrix[first:first + len(tokens)] = rows
@@ -326,8 +328,6 @@ class _RowSink:
         if len(self.seen) != self._vocab:
             raise MalformedHeaderError(
                 f"{path}: header declares {self._vocab} rows, found {len(self.seen)}")
-        if self._entry is not None:
-            self._entry.commit(self.seen, self._matrix.shape[1], digest)
         return EmbeddingStore._from_matrix(
             self._kept, self._matrix[:len(self._kept)], str(path), digest)
 
@@ -407,8 +407,7 @@ def _load_text(path: Path, wanted: AbstractSet[str] | None,
         if vocab and not fits:
             raise MalformedHeaderError(
                 f"{path}: a row of {dim} components cannot fit in the file")
-        sink = _RowSink(vocab, fits, dim, wanted, lambda line_no: f"{path} line {line_no}",
-                        entry)
+        sink = _RowSink(vocab, fits, dim, wanted, lambda line_no: f"{path} line {line_no}")
         seen = sink.seen
         # Each line is checked as it is decoded; its numbers wait in a block
         # of about _READ_BYTES, parsed at once.
@@ -416,6 +415,9 @@ def _load_text(path: Path, wanted: AbstractSet[str] | None,
         fields: list[str] = []
         line_nos: list[int] = []
         held = 0
+        # for the entry: each row's line and the bytes of its line after its token
+        row_lines: list[int] = []
+        tails: list[int] = []
         try:
             for line_no, line in enumerate(lines, start=2):
                 line = line.rstrip("\n")
@@ -437,12 +439,38 @@ def _load_text(path: Path, wanted: AbstractSet[str] | None,
                 held += len(numbers)
                 if held >= _READ_BYTES:
                     sink.block(tokens, _parse_block(fields, dim, line_nos, path), line_nos)
+                    if entry is not None:
+                        row_lines += line_nos
+                        tails += _byte_lengths(fields)
                     tokens, fields, line_nos, held = [], [], [], 0
         except DataError:
             _parse_block(fields, dim, line_nos, path)  # an earlier bad number first
             raise
         sink.block(tokens, _parse_block(fields, dim, line_nos, path), line_nos)
-    return sink.store(path, binary.raw.sha256.hexdigest())
+        store = sink.store(path, binary.raw.sha256.hexdigest())
+        if entry is not None:
+            # Universal newlines hide how each line ended; offsets that count
+            # raw bytes hold only if every line ended alike.
+            ending = {None: 1, "\n": 1, "\r": 1, "\r\n": 2}.get(text.newlines)
+            if ending is None:
+                entry.fail("its lines end in more than one way")
+                return store
+            keys = [token.encode("utf-8") for token in seen]
+            lengths = np.fromiter(map(len, keys), np.int64, len(keys)) + np.array(
+                [*tails, *_byte_lengths(fields)], dtype=np.int64)
+            if dim:
+                lengths += 1  # the space after the token
+            line_at = np.array([*row_lines, *line_nos], dtype=np.int64)
+            offsets = (len(header.rstrip("\n").encode("utf-8")) + ending
+                       + (line_at - 2) * ending + np.cumsum(lengths) - lengths)
+            entry.commit(keys, offsets, lengths, dim, store.digest)
+    return store
+
+
+def _byte_lengths(texts: list[str]) -> Iterator[int]:
+    """Each text's length in UTF-8 bytes; ASCII text is not encoded to count."""
+    return map(len, texts if all(map(str.isascii, texts)) else
+               (text.encode("utf-8") for text in texts))
 
 
 def _record_token(raw: bytes, index: int, path: Path) -> str:
@@ -478,11 +506,11 @@ def _load_binary(path: Path, wanted: AbstractSet[str] | None,
         fits = (source.raw.size - len(header)) // (record_bytes + 1)
         if vocab and not fits:
             raise TruncatedRecordError(0, path)
-        sink = _RowSink(vocab, fits, dim, wanted, lambda index: f"{path}: record {index}",
-                        entry)
+        sink = _RowSink(vocab, fits, dim, wanted, lambda index: f"{path}: record {index}")
         # Each read is walked for the records it completes, which go to the
-        # sink as one block; only the bytes of an unfinished record are held.
-        data, index = b"", 0
+        # sink as one block; only the bytes of an unfinished record are held,
+        # from byte ``base`` of the file.
+        data, index, base, offsets = b"", 0, len(header), []
         while index < vocab and (chunk := source.read(_READ_BYTES)):
             data += chunk
             view = memoryview(data)
@@ -497,13 +525,14 @@ def _load_binary(path: Path, wanted: AbstractSet[str] | None,
                 token = _record_token(data[start:space], index, path)
                 sink.add(token, index)
                 tokens.append(token)
+                offsets.append(base + start)
                 end = space + 1 + record_bytes
                 vectors.append(view[space + 1:end])
                 index += 1
             rows = np.frombuffer(b"".join(vectors), dtype="<f4")
             sink.block(tokens, rows.reshape(len(tokens), dim),
                        range(index - len(tokens), index))
-            data = data[end:]
+            data, base = data[end:], base + end
         if index < vocab:  # the file ends inside this record
             token, space, _ = data.lstrip(b"\n").partition(b" ")
             if space:  # its token is checked first
@@ -514,7 +543,12 @@ def _load_binary(path: Path, wanted: AbstractSet[str] | None,
             trailing += len(chunk if trailing else chunk.lstrip(b"\n"))
         if trailing:
             raise DataError(f"{path}: {trailing} trailing bytes after last record")
-    return sink.store(path, source.raw.sha256.hexdigest())
+    store = sink.store(path, source.raw.sha256.hexdigest())
+    if entry is not None:
+        keys = [token.encode("utf-8") for token in sink.seen]
+        lengths = np.fromiter(map(len, keys), np.int64, len(keys)) + 1 + record_bytes
+        entry.commit(keys, np.array(offsets, dtype=np.int64), lengths, dim, store.digest)
+    return store
 
 
 #: The formats ``load_model`` takes; "auto" picks by the file suffix.
@@ -528,11 +562,11 @@ def load_model(path: str | Path, fmt: str = "auto", *,
                wanted: AbstractSet[str] | None = None) -> EmbeddingStore:
     """Dispatch on format; 'auto' treats a .bin suffix as binary.
 
-    With ``wanted``, the store keeps only the rows of those tokens. A model
-    whose bytes were loaded before in the same format is read from its cache
-    entry; any other is parsed, and leaves an entry (see the module
-    docstring), unless ``MODEL_CACHE_ENV_VAR`` is "off". The store is the
-    same either way.
+    With ``wanted``, the store keeps only the rows of those tokens, and a
+    model whose bytes were loaded before in the same format is read through
+    its cache entry; any other load parses, and leaves an entry (see the
+    module docstring), unless ``MODEL_CACHE_ENV_VAR`` is "off". The store
+    is the same either way.
     """
     if fmt not in MODEL_FORMATS:
         raise ValueError(f"unknown model format: {fmt!r}")
@@ -544,36 +578,32 @@ def load_model(path: str | Path, fmt: str = "auto", *,
         return parse(path, wanted)
     size, directory = path.stat().st_size, _cache_dir()
     # Only an entry of this size and format can be this file's; without one,
-    # the file is not hashed twice.
-    if _holds_entry_of(directory, size, fmt):
-        digest = sha256(path)
-        store = _cached_store(directory / _entry_name(digest, size, fmt), path, fmt,
-                              digest, wanted)
+    # the file is not hashed twice. An entry holds no rows, so a load of
+    # every row parses.
+    if wanted is not None and _holds_entry_of(directory, size, fmt):
+        store = _cached_store(directory, path, fmt, wanted)
         if store is not None:
             return store
     else:
         logger.debug("model cache miss: %s", path)
-    writer = _EntryWriter(directory, path, fmt, size)
-    try:
-        return parse(path, wanted, writer)
-    finally:
-        writer.discard()
+    return parse(path, wanted, _EntryWriter(directory, path, fmt, size))
 
 
-# A cache entry: a header of _HEADER_BYTES, then the V x D little-endian
-# float32 rows in file order, then every token followed by " ", in UTF-8 (no
-# token of either format holds a space; a binary one may hold a line break),
-# in file order. Then comes the table's index: the CRC-32 of each token's
-# UTF-8 bytes, sorted, then each one's row, both as little-endian uint32. A
-# read given ``wanted`` looks up each wanted token's CRC-32 and keeps a row
-# only if the table holds that very token there, so a shared CRC-32 costs one
-# more token decoded, never a wrong row. The header is one ASCII line, padded
-# with spaces, naming the layout version, the model's format and digest, V, D
-# and the size of the token table. The same bytes can be a valid model in
-# both formats, with other rows, so each format has its own entry. The
-# entry's name also holds the model file's size, so that a load can tell from
-# the directory's listing alone that no entry is its file's.
-_ENTRY_VERSION = 3
+# A cache entry: a header of _HEADER_BYTES, then three arrays of V items in
+# one order: the CRC-32 of each token's UTF-8 bytes, sorted, as little-endian
+# uint32; the byte offset in the model file of the token's record, as uint64;
+# and the record's length, as uint32. A binary record runs from its token to
+# its vector's last byte; a text record is its line, from the token, without
+# the line end. A read given ``wanted`` looks up each wanted token's CRC-32
+# and keeps a record only if it holds that very token, so a shared CRC-32
+# costs one more record read, never a wrong row. The header is one ASCII
+# line, padded with spaces, naming the layout version, the model's format and
+# digest, V, D and the CRC-32 of the arrays. The digest ties the offsets to
+# the bytes they index. The same bytes can be a valid model in both formats,
+# with other rows, so each format has its own entry. The entry's name also
+# holds the model file's size, so that a load can tell from the directory's
+# listing alone that no entry is its file's.
+_ENTRY_VERSION = 4
 _HEADER_BYTES = 128
 
 
@@ -591,9 +621,8 @@ def _holds_entry_of(directory: Path, size: int, fmt: str) -> bool:
         return False
 
 
-def _entry_header(fmt: str, digest: str, vocab: int, dim: int, table_bytes: int) -> bytes:
-    line = (f"labeleval-model-cache {_ENTRY_VERSION} {fmt} {digest} "
-            f"{vocab} {dim} {table_bytes}")
+def _entry_header(fmt: str, digest: str, vocab: int, dim: int, crc: int) -> bytes:
+    line = f"labeleval-model-cache {_ENTRY_VERSION} {fmt} {digest} {vocab} {dim} {crc}"
     return line.encode("ascii").ljust(_HEADER_BYTES - 1) + b"\n"
 
 
@@ -610,183 +639,154 @@ class _BadEntry(Exception):
     """A cache entry that fails a check on read."""
 
 
-def _cached_store(entry: Path, path: Path, fmt: str, digest: str,
-                  wanted: AbstractSet[str] | None) -> EmbeddingStore | None:
-    """The store the model's cache entry holds, or None when there is none,
-    or it cannot be read, or it fails a check."""
-    try:
-        with entry.open("rb") as handle:
-            store = _read_entry(handle, path, fmt, digest, wanted)
-    except (FileNotFoundError, NotADirectoryError):
-        logger.debug("model cache miss: %s", path)
-        return None
-    except (OSError, _BadEntry, DataError) as exc:  # a DataError is the sink's
-        logger.warning("model cache entry %s ignored (%s); loading %s again",
-                       entry, exc, path)
+def _cached_store(directory: Path, path: Path, fmt: str,
+                  wanted: AbstractSet[str]) -> EmbeddingStore | None:
+    """The store the model's cache entry finds in the model file, or None when
+    there is no entry, or it cannot be read, or it fails a check, or the file
+    changed while it was read. The file is hashed and its records read
+    through one descriptor."""
+    with path.open("rb", buffering=0) as model:
+        before = os.fstat(model.fileno())
+        digest = _digest(model)
+        entry = directory / _entry_name(digest, before.st_size, fmt)
+        try:
+            with entry.open("rb") as handle:
+                store = _read_entry(handle, model.fileno(), path, fmt, digest, wanted)
+        except (FileNotFoundError, NotADirectoryError):
+            logger.debug("model cache miss: %s", path)
+            return None
+        except (OSError, _BadEntry, DataError) as exc:  # a DataError is the sink's
+            logger.warning("model cache entry %s ignored (%s); loading %s again",
+                           entry, exc, path)
+            return None
+        after = os.fstat(model.fileno())
+    if (after.st_size, after.st_mtime_ns) != (before.st_size, before.st_mtime_ns):
+        logger.warning("model file %s changed while it was read; loading it again", path)
         return None
     logger.debug("model cache hit: %s from %s", path, entry)
     return store
 
 
-def _read_entry(handle: io.BufferedReader, path: Path, fmt: str, digest: str,
-                wanted: AbstractSet[str] | None) -> EmbeddingStore:
+def _read_entry(handle: io.BufferedReader, model: int, path: Path, fmt: str,
+                digest: str, wanted: AbstractSet[str]) -> EmbeddingStore:
     head = handle.read(_HEADER_BYTES)
     try:
-        vocab, dim, table_bytes = (int(field) for field in head.split()[-3:])
+        vocab, dim, crc = (int(field) for field in head.split()[-3:])
     except ValueError:
         raise _BadEntry("unreadable header") from None
-    if head != _entry_header(fmt, digest, vocab, dim, table_bytes):
+    if head != _entry_header(fmt, digest, vocab, dim, crc):
         raise _BadEntry("header does not name this model")
-    rows_end = _HEADER_BYTES + 4 * vocab * dim
-    expected = rows_end + table_bytes + 8 * vocab
+    expected = _HEADER_BYTES + 16 * vocab
     size = os.fstat(handle.fileno()).st_size
     if size != expected:
         raise _BadEntry(f"{size} bytes, expected {expected}")
-    handle.seek(rows_end)
-    table = handle.read(table_bytes)
-    if not table.isascii():  # ASCII is UTF-8; other text is decoded to check
-        try:
-            table.decode("utf-8")
-        except UnicodeDecodeError:
-            raise _BadEntry("token table is not UTF-8") from None
-    ends = np.flatnonzero(np.frombuffer(table, dtype=np.uint8) == 0x20) + 1
-    if len(ends) != vocab or table_bytes != (ends[-1] if vocab else 0):
-        raise _BadEntry(f"token table does not hold {vocab} tokens")
-    if wanted is None:
-        tokens = table.decode("utf-8").split(" ")[:-1]
-        places: Sequence[int] = range(vocab)
+    index = handle.read(16 * vocab)
+    if zlib.crc32(index) != crc:
+        raise _BadEntry("index does not match its CRC-32")
+    crcs = np.frombuffer(index, "<u4", vocab)
+    # a lone surrogate encodes to bytes that are not UTF-8, so it is not found
+    keys = {token: token.encode("utf-8", "surrogatepass") for token in wanted}
+    probes = np.fromiter(map(zlib.crc32, keys.values()), dtype=np.uint32,
+                         count=len(keys))
+    starts = np.searchsorted(crcs, probes, side="left").tolist()
+    stops = np.searchsorted(crcs, probes, side="right").tolist()
+    filed = [(at, token) for token, first, stop in zip(keys, starts, stops)
+             for at in range(first, stop)]
+    at = np.array([at for at, _ in filed], dtype=np.intp)
+    offsets = np.frombuffer(index, "<u8", vocab, 4 * vocab)[at].tolist()
+    lengths = np.frombuffer(index, "<u4", vocab, 12 * vocab)[at].tolist()
+    candidates = sorted(zip(offsets, lengths, (token for _, token in filed)))
+    # A record is the token, then a space and its vector; a text line of no
+    # components is the token alone.
+    spaced = fmt == "binary" or dim > 0
+    tokens, places, vectors = [], [], []
+    for offset, length, token in candidates:
+        record = os.pread(model, length, offset)
+        if len(record) != length:
+            raise _BadEntry(f"a record runs past the end of {path}")
+        name, space, vector = record.partition(b" ")
+        if name != keys[token]:
+            continue  # another token of the same CRC-32
+        if bool(space) != spaced or fmt == "binary" and len(vector) != 4 * dim:
+            raise _BadEntry(f"the record at byte {offset} is not a row")
+        tokens.append(token)
+        places.append(offset)
+        vectors.append(vector)
+    if fmt == "binary":
+        rows = np.frombuffer(b"".join(vectors), dtype="<f4").reshape(len(tokens), dim)
     else:
-        tokens, places = [], []
-        for place in _index_rows(handle, vocab, wanted):
-            token = table[ends[place - 1] if place else 0:ends[place] - 1].decode("utf-8")
-            if token in wanted:
-                tokens.append(token)
-                places.append(place)
-    sink = _RowSink(len(tokens), len(tokens), dim, None, "row {}".format)
-    step = max(1, _READ_BYTES // max(1, 4 * dim))  # the rows of about one read
-    for start in range(0, len(tokens), step):
-        block, at = tokens[start:start + step], places[start:start + step]
-        for token, place in zip(block, at):
-            sink.add(token, place)
-        rows = np.empty((len(block), dim), dtype="<f4")
-        if wanted is None:
-            handle.seek(_HEADER_BYTES + 4 * dim * start)
-            handle.readinto(rows)
-        else:  # only the rows kept are read
-            for kept_row, place in enumerate(at):
-                handle.seek(_HEADER_BYTES + 4 * dim * place)
-                handle.readinto(rows[kept_row])
-        sink.block(block, rows, at)
+        try:
+            numbers = [vector.decode("utf-8") for vector in vectors]
+        except UnicodeDecodeError:
+            raise _BadEntry("a record is not UTF-8") from None
+        rows = _parse_block(numbers, dim, places, path)  # as the parse converts it
+    sink = _RowSink(len(tokens), len(tokens), dim, None, lambda offset: f"{path} byte {offset}")
+    for token, offset in zip(tokens, places):
+        sink.add(token, offset)
+    sink.block(tokens, rows, places)
     return sink.store(path, digest)
 
 
-def _index_rows(handle: io.BufferedReader, vocab: int,
-                wanted: AbstractSet[str]) -> list[int]:
-    """The rows, in file order, that the entry's index files under the CRC-32
-    of a wanted token; ``handle`` is at the index."""
-    index = np.empty((2, vocab), dtype="<u4")  # each CRC-32, sorted, and its row
-    handle.readinto(index)
-    crcs, rows = index
-    if vocab and rows.max() >= vocab:
-        raise _BadEntry(f"a row index is not below {vocab}")
-    # a lone surrogate encodes to bytes that are not UTF-8, so it is not found
-    probes = np.fromiter((zlib.crc32(token.encode("utf-8", "surrogatepass"))
-                          for token in wanted), dtype=np.uint32, count=len(wanted))
-    starts = np.searchsorted(crcs, probes, side="left").tolist()
-    stops = np.searchsorted(crcs, probes, side="right").tolist()
-    return sorted({place for start, stop in zip(starts, stops)
-                   for place in rows[start:stop].tolist()})
-
-
 class _EntryWriter:
-    """The cache entry of one model load, written as the load goes.
+    """The cache entry of one parse, written whole once the parse has passed
+    every check.
 
-    Rows go to a temporary file beside the entry as each block is checked;
-    ``commit`` adds the token table and its index and the header, moves the
-    file into place under the digest of the bytes the load read, unless the
-    file's size changed meanwhile, and removes the entries older layouts
-    kept for the same bytes. A write that
-    fails is logged once, and the load goes on without the entry;
-    ``discard`` removes what was not committed.
+    ``commit`` puts it in place under the digest of the bytes the parse read,
+    unless the file's size changed meanwhile, and removes the entries of
+    other layout versions kept for the same bytes. A write that fails is
+    logged once, and the load goes on without the entry.
     """
 
     def __init__(self, directory: Path, model: Path, fmt: str, size: int):
         self._directory, self._model, self._fmt, self._size = directory, model, fmt, size
-        self._handle: io.BufferedWriter | None = None
-        self._temp: Path | None = None
-        try:
-            # the cache base, labeleval and models: each made private if missing
-            for made in (directory.parents[1], directory.parent, directory):
-                made.mkdir(mode=0o700, parents=True, exist_ok=True)
-            fd, name = tempfile.mkstemp(prefix=f"{size}.{fmt}.", suffix=".tmp",
-                                        dir=directory)
-            self._temp = Path(name)
-            self._handle = os.fdopen(fd, "wb")
-            self._handle.write(bytes(_HEADER_BYTES))
-        except OSError as exc:
-            self._fail(exc)
 
-    def rows(self, rows: np.ndarray) -> None:
-        if self._handle is None:
-            return
-        try:
-            self._handle.write(np.ascontiguousarray(rows, dtype="<f4"))
-        except OSError as exc:
-            self._fail(exc)
+    def fail(self, why: object) -> None:
+        logger.warning("model cache entry for %s not written (%s)", self._model, why)
 
-    def commit(self, tokens: Collection[str], dim: int, digest: str) -> None:
-        """Write the tokens, their index and the header, and put the entry in
-        place under the ``digest`` of the bytes the load read, unless the
-        file's size has changed since the load began."""
-        if self._handle is None:
-            return
+    def commit(self, keys: Sequence[bytes], offsets: np.ndarray, lengths: np.ndarray,
+               dim: int, digest: str) -> None:
+        """Write the entry of the records of ``keys``, the tokens' UTF-8 bytes,
+        in file order, at ``offsets`` and of ``lengths`` bytes."""
         try:
             changed = self._model.stat().st_size != self._size
         except OSError:
             changed = True
         if changed:
-            self._fail("the model file changed while it was read")
+            self.fail("the model file changed while it was read")
             return
+        crcs = np.fromiter(map(zlib.crc32, keys), dtype="<u4", count=len(keys))
+        order = np.argsort(crcs, kind="stable")
+        index = b"".join([crcs[order].tobytes(), offsets[order].astype("<u8").tobytes(),
+                          lengths[order].astype("<u4").tobytes()])
         entry = self._directory / _entry_name(digest, self._size, self._fmt)
+        temp = None
         try:
-            table = " ".join([*tokens, ""]).encode("utf-8")
-            crcs = np.fromiter(map(zlib.crc32, map(str.encode, tokens)), dtype="<u4",
-                               count=len(tokens))
-            order = np.argsort(crcs)
-            self._handle.write(table)
-            self._handle.write(crcs[order])
-            self._handle.write(order.astype("<u4"))
-            self._handle.seek(0)
-            self._handle.write(_entry_header(self._fmt, digest, len(tokens), dim,
-                                             len(table)))
-            self._handle.close()
-            os.replace(self._temp, entry)
+            # the cache base, labeleval and models: each made private if missing
+            for made in (self._directory.parents[1], self._directory.parent,
+                         self._directory):
+                made.mkdir(mode=0o700, parents=True, exist_ok=True)
+            fd, temp = tempfile.mkstemp(prefix=f"{self._size}.{self._fmt}.",
+                                        suffix=".tmp", dir=self._directory)
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(_entry_header(self._fmt, digest, len(keys), dim,
+                                           zlib.crc32(index)))
+                handle.write(index)
+            os.replace(temp, entry)
         except OSError as exc:
-            self._fail(exc)
+            self.fail(exc)
+            if temp is not None:
+                with contextlib.suppress(OSError):  # the load's own outcome stands
+                    os.unlink(temp)
             return
-        self._handle = self._temp = None
         logger.debug("model cache entry written: %s", entry)
-        for version in (1, 2):  # what an older layout kept, all of it as text
-            superseded = self._directory / f"{digest}.text.v{version}"
-            try:
-                superseded.unlink(missing_ok=True)
-            except OSError as exc:
-                logger.debug("superseded model cache entry %s not removed (%s)",
-                             superseded, exc)
-
-    def _fail(self, why: object) -> None:
-        logger.warning("model cache entry for %s not written (%s)", self._model, why)
-        self.discard()
-
-    def discard(self) -> None:
-        """Close and remove the temporary file, unless it was committed."""
-        with contextlib.suppress(OSError):  # the load's own outcome stands
-            if self._handle is not None:
-                self._handle.close()
-        with contextlib.suppress(OSError):
-            if self._temp is not None:
-                self._temp.unlink(missing_ok=True)
-        self._handle = self._temp = None
+        for superseded in self._directory.glob(f"{digest}.*"):
+            version = superseded.name.rpartition(".v")[2]
+            if version.isdigit() and int(version) != _ENTRY_VERSION:
+                try:
+                    superseded.unlink()
+                except OSError as exc:
+                    logger.debug("superseded model cache entry %s not removed (%s)",
+                                 superseded, exc)
 
 
 def _check_serializable(store: EmbeddingStore, breaks: str = " \n") -> None:

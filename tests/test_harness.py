@@ -530,7 +530,8 @@ class TestRunEvaluation:
         cold = emitted("cold.jsonl")
         blob = model.read_bytes()
         assert [entry.name for entry in (tmp_path / "cache" / "labeleval" / "models")
-                .iterdir()] == [f"{hashlib.sha256(blob).hexdigest()}.{len(blob)}.binary.v3"]
+                .iterdir()] == [f"{hashlib.sha256(blob).hexdigest()}.{len(blob)}"
+                                f".binary.v{embeddings._ENTRY_VERSION}"]
         failing = mock.Mock(side_effect=AssertionError("the model was parsed"))
         with mock.patch.object(embeddings, "_load_binary", failing):
             assert emitted("warm.jsonl") == cold

@@ -1,6 +1,6 @@
-"""The model cache of ``load_model``: a repeat load of the same model bytes,
-text or binary, reads the checked rows from an entry keyed by the file's
-SHA-256, size and format.
+"""The model cache of ``load_model``: a repeat restricted load of the same
+model bytes, text or binary, finds its rows in the model file through an
+entry keyed by the file's SHA-256, size and format.
 
 Every cached store must equal what the uncached loader gives, bit for bit;
 an entry that fails a check, or cannot be written, changes nothing but the
@@ -55,7 +55,7 @@ def cache_files(home: Path) -> list[str]:
 def entry_path(home: Path, path: Path, fmt: str = "text") -> Path:
     blob = path.read_bytes()
     digest = hashlib.sha256(blob).hexdigest()
-    return home / "labeleval" / "models" / f"{digest}.{len(blob)}.{fmt}.v3"
+    return home / "labeleval" / "models" / f"{digest}.{len(blob)}.{fmt}.v{embeddings._ENTRY_VERSION}"
 
 
 def assert_same_store(got: EmbeddingStore, expected: EmbeddingStore) -> None:
@@ -105,6 +105,10 @@ def _binary_blob(tokens: list[str], vectors: list[list[float]], dim: int) -> byt
         for token, vector in zip(tokens, vectors))
 
 
+# a record's offset counts raw bytes, whichever way a text model's lines end
+_line_end = st.sampled_from(["\n", "\r\n", "\r"])
+
+
 @st.composite
 def _models(draw):
     """A small model file's bytes and format, usually well-formed."""
@@ -122,8 +126,9 @@ def _models(draw):
     if fmt == "binary":
         blob = _binary_blob(tokens, vectors, dim)
     else:
-        blob = f"{len(tokens)} {dim}\n".encode() + b"".join(
-            " ".join([token, *(repr(float(c)) for c in vector)]).encode() + b"\n"
+        end = draw(_line_end)
+        blob = f"{len(tokens)} {dim}{end}".encode() + b"".join(
+            (" ".join([token, *(repr(float(c)) for c in vector)]) + end).encode()
             for token, vector in zip(tokens, vectors))
     # a lone surrogate is never a token: it is not UTF-8
     wanted = draw(st.none() | st.sets(_token | st.sampled_from(["zz", "\ud800"]),
@@ -144,10 +149,13 @@ def _indexed_models(draw):
     tokens = list(dict.fromkeys(
         word[:draw(st.integers(0, len(word)))] if draw(st.booleans()) else word
         for word in words + words))
-    dim = draw(st.integers(1, 3))
-    blob = f"{len(tokens)} {dim}\n".encode() + b"".join(
-        " ".join([token, *(repr(float(c)) for c in draw(
-            st.lists(_component, min_size=dim, max_size=dim)))]).encode() + b"\n"
+    dim = draw(st.integers(0, 3))
+    if not dim:
+        tokens = [token for token in tokens if token]  # an empty line is skipped
+    end = draw(_line_end)
+    blob = f"{len(tokens)} {dim}{end}".encode() + b"".join(
+        (" ".join([token, *(repr(float(c)) for c in draw(
+            st.lists(_component, min_size=dim, max_size=dim)))]) + end).encode()
         for token in tokens)
     present = draw(st.sets(st.sampled_from(tokens), max_size=4)) if tokens else set()
     absent = draw(st.sets(st.text(_index_char, max_size=5) | st.sampled_from(
@@ -181,11 +189,9 @@ class TestBitIdentity:
             assert_same_store(cold, expected)
             assert cache_files(Path(scratch)) == [
                 entry_path(Path(scratch), path, fmt).name]
-            every_row = UNCACHED[fmt](path)
-            with no_parse():
-                assert_same_store(load_model(path, fmt, wanted=wanted), expected)
-                # the entry holds every row, whichever rows the cold load kept
-                assert_same_store(load_model(path, fmt, wanted=None), every_row)
+            if wanted is not None:  # an entry holds no rows: a full load parses
+                with no_parse():
+                    assert_same_store(load_model(path, fmt, wanted=wanted), expected)
 
     @settings(max_examples=150, deadline=None)
     @given(model=_indexed_models())
@@ -203,7 +209,6 @@ class TestBitIdentity:
             assert_same_store(load_model(path), every_row)  # cold: writes the entry
             with no_parse():
                 assert_same_store(load_model(path, wanted=wanted), kept)
-                assert_same_store(load_model(path), every_row)
 
     @pytest.mark.parametrize("wanted", [{"uejgtcuo"}, {"iiwucoup"},
                                         {"uejgtcuo", "iiwucoup", "cat"}, None])
@@ -215,7 +220,7 @@ class TestBitIdentity:
             [("uejgtcuo", [1.0]), ("cat", [2.0]), ("iiwucoup", [3.0])], dim=1))
         expected = load_text_model(path, wanted=wanted)
         load_model(path)
-        with no_parse():
+        with no_parse() if wanted is not None else contextlib.nullcontext():
             assert_same_store(load_model(path, wanted=wanted), expected)
 
     def test_a_warm_load_is_logged_and_does_not_parse(self, cache_home, caplog,
@@ -275,17 +280,65 @@ class TestBitIdentity:
             assert load_model(path).get("cat").tolist() == [3.0, 4.0]
         assert cache_files(cache_home) == [entry_path(cache_home, path).name]
         with no_parse():
-            assert load_model(path).get("cat").tolist() == [3.0, 4.0]
+            assert load_model(path, wanted={"cat"}).get("cat").tolist() == [3.0, 4.0]
         path.write_bytes(first)
         assert load_model(path).get("cat").tolist() == [1.0, 2.0]
         assert len(cache_files(cache_home)) == 2
+
+    @pytest.mark.parametrize("fmt", ["text", "binary"])
+    def test_a_file_rewritten_between_the_hash_and_the_row_reads(self, tmp_path,
+                                                                 cache_home, caplog,
+                                                                 fmt):
+        """A warm read that finds the file changed under it, at the same size,
+        warns once and parses the new bytes: it never returns the rows of one
+        version under the digest of the other."""
+        path = write_model(tmp_path, fmt, EmbeddingStore([("cat", [1.0, 2.0])], dim=2))
+        load_model(path)
+        second = (save_binary_model if fmt == "binary" else save_text_model)
+        second(EmbeddingStore([("cat", [3.0, 4.0])], dim=2), tmp_path / "second")
+        second = (tmp_path / "second").read_bytes()
+        assert len(second) == path.stat().st_size
+        real_read_entry = embeddings._read_entry
+
+        def rewritten(*args):
+            before = path.stat().st_mtime_ns
+            with path.open("r+b") as handle:  # in place: the descriptor reads it
+                handle.write(second)
+            # a coarse clock may stamp the rewrite as the file was; the read
+            # can only see a change that its stat shows
+            os.utime(path, ns=(before + 10**9, before + 10**9))
+            return real_read_entry(*args)
+
+        with mock.patch.object(embeddings, "_read_entry", rewritten), \
+                caplog.at_level(logging.WARNING, logger="labeleval.embeddings"):
+            store = load_model(path, fmt, wanted={"cat"})
+        assert_same_store(store, UNCACHED[fmt](path, wanted={"cat"}))
+        assert store.get("cat").tolist() == [3.0, 4.0]
+        assert store.digest == hashlib.sha256(second).hexdigest()
+        [record] = caplog.records
+        assert record.levelno == logging.WARNING
+        assert "changed while it was read" in record.getMessage()
+
+    def test_a_text_model_whose_lines_end_in_two_ways(self, tmp_path, cache_home,
+                                                       caplog):
+        """Universal newlines hide which lines ended in "\\r\\n": such a model
+        is parsed, with a warning, and leaves no entry."""
+        path = tmp_path / "model.txt"
+        path.write_bytes(b"2 1\r\ncat 1\ndog 2\r\n")
+        for _ in range(2):
+            with caplog.at_level(logging.WARNING, logger="labeleval.embeddings"):
+                assert_same_store(load_model(path, wanted={"dog"}),
+                                  load_text_model(path, wanted={"dog"}))
+        assert [record.levelno for record in caplog.records] == [logging.WARNING] * 2
+        assert "more than one way" in caplog.records[0].getMessage()
+        assert cache_files(cache_home) == []
 
 
 @contextlib.contextmanager
 def hash_passes():
     """Counts the hash passes ``load_model`` makes before it parses or reads."""
-    spy = mock.Mock(wraps=embeddings.sha256)
-    with mock.patch.object(embeddings, "sha256", spy):
+    spy = mock.Mock(wraps=embeddings._digest)
+    with mock.patch.object(embeddings, "_digest", spy):
         yield spy
 
 
@@ -298,8 +351,9 @@ class TestHashPasses:
         spy.assert_not_called()  # the parse hashes what it reads
         assert cache_files(cache_home) == [entry_path(cache_home, path, fmt).name]
         with hash_passes() as spy, no_parse():
-            assert_same_store(load_model(path), cold)
-        spy.assert_called_once_with(path)
+            assert_same_store(load_model(path, wanted={"cat"}), cold)
+        [call] = spy.call_args_list
+        assert call.args[0].name == str(path)
 
     def test_only_an_entry_of_the_same_size_and_format_costs_a_hash(self, tmp_path,
                                                                     cache_home):
@@ -309,20 +363,26 @@ class TestHashPasses:
         directory = cache_home / "labeleval" / "models"
         directory.mkdir(parents=True)
         size = path.stat().st_size
-        for name in (f"{'0' * 64}.{size}.text.v3", f"{'0' * 64}.{size + 1}.binary.v3",
-                     f"{'0' * 64}.1{size}.binary.v3"):
+        version = embeddings._ENTRY_VERSION
+        for name in (f"{'0' * 64}.{size}.text.v{version}",
+                     f"{'0' * 64}.{size + 1}.binary.v{version}",
+                     f"{'0' * 64}.1{size}.binary.v{version}"):
             (directory / name).write_bytes(b"another file's entry")
+        wanted = {"cat", "dog"}
         with hash_passes() as spy:
-            assert_same_store(load_model(path), load_binary_model(path))
+            assert_same_store(load_model(path, wanted=wanted),
+                              load_binary_model(path, wanted=wanted))
         spy.assert_not_called()
         # model.bin's entry now costs other.bin a hash pass, then a parse
         with hash_passes() as spy:
-            assert_same_store(load_model(other), load_binary_model(other))
-        spy.assert_called_once_with(other)
-        expected = [load_binary_model(path), load_binary_model(other)]
+            assert_same_store(load_model(other, wanted=wanted),
+                              load_binary_model(other, wanted=wanted))
+        assert spy.call_args.args[0].name == str(other)
+        expected = [load_binary_model(path, wanted=wanted),
+                    load_binary_model(other, wanted=wanted)]
         with hash_passes() as spy, no_parse():
-            assert_same_store(load_model(path), expected[0])
-            assert_same_store(load_model(other), expected[1])
+            assert_same_store(load_model(path, wanted=wanted), expected[0])
+            assert_same_store(load_model(other, wanted=wanted), expected[1])
         assert spy.call_count == 2
 
 
@@ -381,13 +441,13 @@ class TestKeying:
             entry_path(cache_home, path, fmt).name for fmt in ("text", "binary"))
         with no_parse():
             for _ in range(2):
-                assert_same_store(load_model(path, "binary"), as_binary)
-                assert_same_store(load_model(path, "text"), as_text)
+                assert_same_store(load_model(path, "binary", wanted={"ab"}), as_binary)
+                assert_same_store(load_model(path, "text", wanted={"ab"}), as_text)
         # neither entry serves the other format, even under its name
         text_entry, binary_entry = (entry_path(cache_home, path, fmt)
                                     for fmt in ("text", "binary"))
         binary_entry.write_bytes(text_entry.read_bytes())
-        assert_same_store(load_model(path, "binary"), as_binary)
+        assert_same_store(load_model(path, "binary", wanted={"ab"}), as_binary)
         assert binary_entry.read_bytes() != text_entry.read_bytes()
 
 
@@ -399,11 +459,23 @@ def each_format(argname: str, values: list, ids: list[str]):
         for fmt in ("text", "binary") for value, name in zip(values, ids)])
 
 
-def _index(data: bytes) -> tuple[int, int]:
-    """Where the entry's CRC-32 and row arrays start; the token table ends at
-    the first."""
+def _arrays(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entry's CRC-32s, record offsets and record lengths, as copies."""
     vocab = int(data[:embeddings._HEADER_BYTES].split()[-3])
-    return len(data) - 8 * vocab, len(data) - 4 * vocab
+    index = data[embeddings._HEADER_BYTES:]
+    return (np.frombuffer(index, "<u4", vocab).copy(),
+            np.frombuffer(index, "<u8", vocab, 4 * vocab).copy(),
+            np.frombuffer(index, "<u4", vocab, 12 * vocab).copy())
+
+
+def _forged(data: bytes, crcs, offsets, lengths) -> bytes:
+    """An entry of other arrays, its header's CRC-32 made to match them."""
+    index = crcs.astype("<u4").tobytes() + offsets.astype("<u8").tobytes() + \
+        lengths.astype("<u4").tobytes()
+    fields = data[:embeddings._HEADER_BYTES].split()
+    header = b" ".join([*fields[:-3], str(len(crcs)).encode(), fields[-2],
+                        str(zlib.crc32(index)).encode()])
+    return header.ljust(embeddings._HEADER_BYTES - 1) + b"\n" + index
 
 
 def _truncate(entry: Path, data: bytes) -> bytes:
@@ -411,16 +483,15 @@ def _truncate(entry: Path, data: bytes) -> bytes:
 
 
 def _garble_table(entry: Path, data: bytes) -> bytes:
-    """The token table's last byte, the space that ends its last token, made
-    another byte."""
-    end, _ = _index(data)
-    return data[:end - 1] + bytes([data[end - 1] ^ 0x01]) + data[end:]
+    """The index's last byte, a record's length, made another byte."""
+    return data[:-1] + bytes([data[-1] ^ 0x01])
 
 
 def _garble_token(entry: Path, data: bytes) -> bytes:
-    """The first token's first byte, made one that is not UTF-8."""
-    start = data.rindex(b"cat ")
-    return data[:start] + b"\xff" + data[start + 1:]
+    """A CRC-32 of the index made another; the header's CRC-32 no longer
+    matches."""
+    start = embeddings._HEADER_BYTES
+    return data[:start] + bytes([data[start] ^ 0x80]) + data[start + 1:]
 
 
 def _garble_header(entry: Path, data: bytes) -> bytes:
@@ -428,7 +499,7 @@ def _garble_header(entry: Path, data: bytes) -> bytes:
 
 
 def _header_without_numbers(entry: Path, data: bytes) -> bytes:
-    """A header line that does not end in V, D and the table's size."""
+    """A header line that does not end in V, D and the index's CRC-32."""
     header = b"labeleval-model-cache".ljust(embeddings._HEADER_BYTES - 1) + b"\n"
     return header + data[embeddings._HEADER_BYTES:]
 
@@ -444,20 +515,31 @@ def _other_models_entry(entry: Path, data: bytes) -> bytes:
     return entry_path(entry.parents[2], other, fmt).read_bytes()
 
 
-def _non_finite_row(entry: Path, data: bytes) -> bytes:
-    start = embeddings._HEADER_BYTES
-    return data[:start] + np.float32(np.nan).tobytes() + data[start + 4:]
+def _offsets_swapped(entry: Path, data: bytes) -> bytes:
+    """The two records' offsets and lengths swapped: each token filed at the
+    other's record, so a lookup by CRC-32 alone would find neither."""
+    crcs, offsets, lengths = _arrays(data)
+    return data[:embeddings._HEADER_BYTES] + crcs.tobytes() + \
+        offsets[::-1].tobytes() + lengths[::-1].tobytes()
 
 
 def _row_out_of_range(entry: Path, data: bytes) -> bytes:
-    """Every row the index names, past the last row."""
-    _, rows = _index(data)
-    return data[:rows] + np.array([2, 2], dtype="<u4").tobytes()
+    """Every record the index names, past the model file's end, with the
+    header's CRC-32 made to match."""
+    crcs, offsets, lengths = _arrays(data)
+    return _forged(data, crcs, offsets + 10_000, lengths)
+
+
+def _record_not_a_row(entry: Path, data: bytes) -> bytes:
+    """Each record one byte shorter, with the header's CRC-32 made to match:
+    a binary vector too short, a text line cut in its last number."""
+    crcs, offsets, lengths = _arrays(data)
+    return _forged(data, crcs, offsets, lengths - 2)
 
 
 _DAMAGES = [_truncate, _garble_table, _garble_token, _garble_header,
-            _header_without_numbers, _other_models_entry, _non_finite_row,
-            _row_out_of_range]
+            _header_without_numbers, _other_models_entry, _offsets_swapped,
+            _row_out_of_range, _record_not_a_row]
 
 
 class TestBadEntries:
@@ -481,41 +563,57 @@ class TestBadEntries:
     @each_format("wanted", [None, {"cat", "dog"}], ["None", "wanted1"])
     def test_a_token_twice_in_the_table(self, tmp_path, cache_home, caplog, fmt,
                                         wanted):
-        """A table whose second token is overwritten with the first is rebuilt,
-        not read with the first token at two rows."""
+        """An index that files the first record twice, in place of the second,
+        is rebuilt, not read with the first token at two rows. A full load
+        never reads the entry, so it parses, with no warning."""
         path = write_model(tmp_path, fmt, EmbeddingStore(
             [("cat", [1.0, 2.0]), ("dog", [3.0, 4.0])], dim=2))
         load_model(path)
         entry = entry_path(cache_home, path, fmt)
         good = entry.read_bytes()
-        entry.write_bytes(good.replace(b"cat dog ", b"cat cat "))
+        crcs, offsets, lengths = _arrays(good)
+        first = int(np.argmin(offsets))
+        entry.write_bytes(_forged(good, crcs[[first, first]], offsets[[first, first]],
+                                  lengths[[first, first]]))
         with caplog.at_level(logging.WARNING, logger="labeleval.embeddings"):
             assert_same_store(load_model(path, wanted=wanted),
                               UNCACHED[fmt](path, wanted=wanted))
-        assert [record.levelno for record in caplog.records] == [logging.WARNING]
-        # the reason alone: the entry's path holds the test's name
-        reason = caplog.records[0].getMessage().split(" ignored (", 1)[1]
-        assert reason.startswith("row 1: duplicate token in model: 'cat'); ")
+        if wanted is None:
+            assert caplog.records == []
+        else:
+            [record] = caplog.records
+            assert record.levelno == logging.WARNING
+            # the reason alone: the entry's path holds the test's name
+            reason = record.getMessage().split(" ignored (", 1)[1]
+            first_byte = len(path.read_bytes().split(b"\n", 1)[0]) + 1
+            assert reason.startswith(
+                f"{path} byte {first_byte}: duplicate token in model: 'cat'); ")
         assert entry.read_bytes() == good
 
     def test_an_unreadable_entry_counts_as_a_miss(self, tmp_path, cache_home):
         path = write_model(tmp_path, "text", EmbeddingStore([("cat", [1.0])], dim=1))
         entry = entry_path(cache_home, path)
         entry.mkdir(parents=True)  # opening it fails with an OSError
-        assert_same_store(load_model(path), load_text_model(path))
+        assert_same_store(load_model(path, wanted={"cat"}),
+                          load_text_model(path, wanted={"cat"}))
 
 
 def _older_entries_go(tmp_path: Path, cache_home: Path, fmt: str) -> None:
-    """A load in ``fmt`` removes the model's layout 1 and 2 entries (all of
-    them text), and leaves every other file, the other format's entry too."""
+    """A load in ``fmt`` removes every entry of the model's bytes under another
+    layout version, and leaves every other file: other models' entries, the
+    other format's entry of the same bytes and temporary files."""
     path = write_model(tmp_path, fmt, EmbeddingStore([("cat", [1.0, 2.0])], dim=2))
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    size = path.stat().st_size
     directory = cache_home / "labeleval" / "models"
     directory.mkdir(parents=True)
     other_fmt = "binary" if fmt == "text" else "text"
+    older = [f"{digest}.text.v1", f"{digest}.text.v2", f"{digest}.binary.v2",
+             f"{digest}.{size}.text.v3", f"{digest}.{size}.binary.v3"]
     others = [f"{'0' * 64}.text.v1", f"{'0' * 64}.text.v2", f"{digest}.text.v1.x",
-              entry_path(cache_home, path, other_fmt).name, f"{digest}.binary.v2"]
-    for name in [f"{digest}.text.v1", f"{digest}.text.v2", *others]:
+              f"{'0' * 64}.{size}.{fmt}.v3", f"{size}.{fmt}.abc123.tmp",
+              entry_path(cache_home, path, other_fmt).name]
+    for name in [*older, *others]:
         (directory / name).write_bytes(b"an older entry")
     assert_same_store(load_model(path), UNCACHED[fmt](path))
     assert cache_files(cache_home) == sorted([entry_path(cache_home, path, fmt).name,
@@ -605,32 +703,32 @@ class TestUnwritableCache:
         _each_load_warns_once(tmp_path, monkeypatch, caplog, "binary")
 
     def test_a_full_disk_midway(self, tmp_path, cache_home, caplog, monkeypatch):
+        """The disk fills after the entry's header: the load warns once and
+        leaves neither the entry nor its temporary file."""
         rows = [(f"t{i}", [float(i)] * 4) for i in range(10)]
         path = write_model(tmp_path, "text", EmbeddingStore(rows, dim=4))
-        monkeypatch.setattr(embeddings, "_READ_BYTES", 16)  # blocks of one row
 
         class FullDisk:
-            """The entry's file, full after two blocks of rows."""
+            """The entry's file, full after its first write."""
 
             def __init__(self, handle):
                 self.handle, self.writes = handle, 0
 
             def write(self, data):
                 self.writes += 1
-                if self.writes == 3:
+                if self.writes == 2:
                     raise OSError(errno.ENOSPC, "No space left on device")
                 return self.handle.write(data)
 
-            def __getattr__(self, name):
-                return getattr(self.handle, name)
+            def __enter__(self):
+                return self
 
-        real_init = embeddings._EntryWriter.__init__
+            def __exit__(self, *exc):
+                self.handle.close()
 
-        def init(self, *args):
-            real_init(self, *args)
-            self._handle = FullDisk(self._handle)
-
-        monkeypatch.setattr(embeddings._EntryWriter, "__init__", init)
+        real_fdopen = os.fdopen
+        monkeypatch.setattr(embeddings.os, "fdopen",
+                            lambda *args: FullDisk(real_fdopen(*args)))
         with caplog.at_level(logging.WARNING, logger="labeleval.embeddings"):
             assert_same_store(load_model(path, wanted={"t1", "t9"}),
                               load_text_model(path, wanted={"t1", "t9"}))

@@ -1,4 +1,5 @@
-"""The README's "Run config" list names exactly the keys a config file may set.
+"""The README agrees with the code: the "Run config" list names exactly the
+keys a config file may set, and the model cache names its current layout.
 
 A key counts as named when it is backquoted before the first colon of one of
 the list's entries, as in "- `threshold`: ...". The keys a config file may
@@ -68,3 +69,15 @@ def test_readme_run_config_names_every_key_and_no_other(tmp_path, monkeypatch):
     assert read == {"ground_truth", "predictions", "embeddings",
                     *harness._CONFIG_FIELDS, "output.path", "output.format"}
     assert readme_config_keys() == read
+
+
+def test_readme_names_entries_by_the_current_layout_version():
+    """The model cache's "Key" entry names the layout version entries are
+    written under."""
+    from labeleval import embeddings
+
+    text = README.read_text(encoding="utf-8")
+    key = text[text.index("- **Key.**"):]
+    key = key[:key.index("\n- **")]
+    versions = re.findall(r"`<sha256>\.<size>\.(?:text|binary)\.v(\d+)`", key)
+    assert versions == [str(embeddings._ENTRY_VERSION)] * 2
