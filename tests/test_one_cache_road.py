@@ -1,8 +1,8 @@
 """Every model load that may use the model cache goes through ``load_model``.
 
-``load_model`` hashes the file, reads the entry of its digest and format
-with ``_cached_store`` and, on a miss, parses with an ``_EntryWriter`` that
-keeps what the parse checked. A second road to the cache could key an entry
+``load_model`` reads the entry of the file's digest and format with
+``_cached_store``, which hashes the file, and, on a miss, parses with an
+``_EntryWriter`` that indexes what the parse checked. A second road to the cache could key an entry
 by something other than the bytes it read, or serve one format's rows as the
 other's. This parses each module under ``src/labeleval`` and fails on an
 ``_EntryWriter`` built, or ``_cached_store`` called, anywhere but in
