@@ -25,12 +25,13 @@ looks up each wanted token's CRC-32, reads each record filed there from the
 model file, through the descriptor it hashed, and keeps those that hold a
 wanted token, with no parse. Any other load, and every load of all rows,
 reads the file once, as a parse, and writes the entry once the parse has
-passed every check. A read re-checks the entry's header, size and the
-CRC-32 of its index, that each record it keeps is whole and converts as the
-parse converts it, and that the file's size and modification time did not
-change while it was read; the rows it keeps go through the sink, so none is
-there twice and each is finite. An entry that fails a check is ignored and
-written again. The entries live in ``$XDG_CACHE_HOME/labeleval/models``
+passed every check, unless it is there already. A read re-checks the entry's
+header, size and the CRC-32 of its index, that each record it reads is whole
+(a text record is a line), that each it keeps converts as the parse converts
+it, and that the file's size and modification time did not change while it
+was read; the rows it keeps go through the sink, so none is there twice and
+each is finite. An entry that fails a check is ignored, removed and written
+again. The entries live in ``$XDG_CACHE_HOME/labeleval/models``
 (``~/.cache/labeleval/models`` when that is unset); with
 ``LABELEVAL_MODEL_CACHE=off`` every load parses and the cache is not
 touched. ``load_text_model`` and ``load_binary_model`` always parse.
@@ -94,11 +95,7 @@ def clean_label(raw: str) -> str:
 
 def clean_labels(labels: Iterable[str]) -> dict[str, str]:
     """Each distinct raw label, in first-seen order, mapped to its cleaned text."""
-    cleaned: dict[str, str] = {}
-    for raw in labels:
-        if raw not in cleaned:
-            cleaned[raw] = clean_label(raw)
-    return cleaned
+    return {raw: clean_label(raw) for raw in dict.fromkeys(labels)}
 
 
 class Permutation(enum.Enum):
@@ -239,6 +236,9 @@ class _HashingFile(io.RawIOBase):
     def readable(self) -> bool:
         return True
 
+    def fileno(self) -> int:
+        return self._handle.fileno()
+
     def readinto(self, buffer) -> int:
         count = self._handle.readinto(buffer)
         self.sha256.update(memoryview(buffer)[:count])
@@ -258,17 +258,11 @@ def _open_hashed(path: Path) -> io.BufferedReader:
 
 def sha256(path: str | Path) -> str:
     """The SHA-256 hex digest of a file's bytes, read ``_READ_BYTES`` at a time."""
-    with Path(path).open("rb", buffering=0) as handle:
-        return _digest(handle)
-
-
-def _digest(handle: io.RawIOBase) -> str:
-    """The SHA-256 hex digest of the bytes from an unbuffered file's position on."""
-    digest = hashlib.sha256()
     buffer = bytearray(_READ_BYTES)
-    while count := handle.readinto(buffer):
-        digest.update(memoryview(buffer)[:count])
-    return digest.hexdigest()
+    with _HashingFile(Path(path)) as handle:
+        while handle.readinto(buffer):
+            pass
+        return handle.sha256.hexdigest()
 
 
 class _RowSink:
@@ -448,7 +442,7 @@ def _load_text(path: Path, wanted: AbstractSet[str] | None,
             raise
         sink.block(tokens, _parse_block(fields, dim, line_nos, path), line_nos)
         store = sink.store(path, binary.raw.sha256.hexdigest())
-        if entry is not None:
+        if entry is not None and entry.needed(store.digest):
             # Universal newlines hide how each line ended; offsets that count
             # raw bytes hold only if every line ended alike.
             ending = {None: 1, "\n": 1, "\r": 1, "\r\n": 2}.get(text.newlines)
@@ -544,7 +538,7 @@ def _load_binary(path: Path, wanted: AbstractSet[str] | None,
         if trailing:
             raise DataError(f"{path}: {trailing} trailing bytes after last record")
     store = sink.store(path, source.raw.sha256.hexdigest())
-    if entry is not None:
+    if entry is not None and entry.needed(store.digest):
         keys = [token.encode("utf-8") for token in sink.seen]
         lengths = np.fromiter(map(len, keys), np.int64, len(keys)) + 1 + record_bytes
         entry.commit(keys, np.array(offsets, dtype=np.int64), lengths, dim, store.digest)
@@ -644,10 +638,14 @@ def _cached_store(directory: Path, path: Path, fmt: str,
     """The store the model's cache entry finds in the model file, or None when
     there is no entry, or it cannot be read, or it fails a check, or the file
     changed while it was read. The file is hashed and its records read
-    through one descriptor."""
-    with path.open("rb", buffering=0) as model:
+    through one descriptor. An entry that fails a check is removed, so that
+    the parse writes it again."""
+    buffer = bytearray(_READ_BYTES)
+    with _HashingFile(path) as model:
         before = os.fstat(model.fileno())
-        digest = _digest(model)
+        while model.readinto(buffer):
+            pass
+        digest = model.sha256.hexdigest()
         entry = directory / _entry_name(digest, before.st_size, fmt)
         try:
             with entry.open("rb") as handle:
@@ -658,6 +656,8 @@ def _cached_store(directory: Path, path: Path, fmt: str,
         except (OSError, _BadEntry, DataError) as exc:  # a DataError is the sink's
             logger.warning("model cache entry %s ignored (%s); loading %s again",
                            entry, exc, path)
+            with contextlib.suppress(OSError):
+                entry.unlink()
             return None
         after = os.fstat(model.fileno())
     if (after.st_size, after.st_mtime_ns) != (before.st_size, before.st_mtime_ns):
@@ -696,18 +696,25 @@ def _read_entry(handle: io.BufferedReader, model: int, path: Path, fmt: str,
     offsets = np.frombuffer(index, "<u8", vocab, 4 * vocab)[at].tolist()
     lengths = np.frombuffer(index, "<u4", vocab, 12 * vocab)[at].tolist()
     candidates = sorted(zip(offsets, lengths, (token for _, token in filed)))
-    # A record is the token, then a space and its vector; a text line of no
-    # components is the token alone.
-    spaced = fmt == "binary" or dim > 0
+    end = os.fstat(model).st_size
     tokens, places, vectors = [], [], []
     for offset, length, token in candidates:
-        record = os.pread(model, length, offset)
-        if len(record) != length:
+        if offset + length > end:
             raise _BadEntry(f"a record runs past the end of {path}")
+        # with the byte on each side: a text record is a whole line, between
+        # line ends or a line end and the file's end
+        edged = os.pread(model, length + 2, offset - 1)
+        record = edged[1:length + 1]
+        if fmt == "text" and not (edged[:1] in (b"\n", b"\r")
+                                  and edged[length + 1:] in (b"", b"\n", b"\r")):
+            raise _BadEntry(f"the record at byte {offset} is not a whole line")
         name, space, vector = record.partition(b" ")
         if name != keys[token]:
             continue  # another token of the same CRC-32
-        if bool(space) != spaced or fmt == "binary" and len(vector) != 4 * dim:
+        # the token, then a space and the vector; a text line of no
+        # components is the token alone
+        if bool(space) != (fmt == "binary" or dim > 0) or \
+                fmt == "binary" and len(vector) != 4 * dim:
             raise _BadEntry(f"the record at byte {offset} is not a row")
         tokens.append(token)
         places.append(offset)
@@ -731,9 +738,10 @@ class _EntryWriter:
     """The cache entry of one parse, written whole once the parse has passed
     every check.
 
-    ``commit`` puts it in place under the digest of the bytes the parse read,
-    unless the file's size changed meanwhile, and removes the entries of
-    other layout versions kept for the same bytes. A write that fails is
+    ``needed`` tells whether to build it: not when the entry of the bytes the
+    parse read is there already, nor when the file's size changed meanwhile.
+    ``commit`` puts it in place under their digest and removes the entries
+    of other layout versions kept for the same bytes. A write that fails is
     logged once, and the load goes on without the entry.
     """
 
@@ -743,17 +751,20 @@ class _EntryWriter:
     def fail(self, why: object) -> None:
         logger.warning("model cache entry for %s not written (%s)", self._model, why)
 
+    def needed(self, digest: str) -> bool:
+        try:
+            if self._model.stat().st_size == self._size:
+                return not (self._directory / _entry_name(digest, self._size,
+                                                          self._fmt)).exists()
+        except OSError:
+            pass
+        self.fail("the model file changed while it was read")
+        return False
+
     def commit(self, keys: Sequence[bytes], offsets: np.ndarray, lengths: np.ndarray,
                dim: int, digest: str) -> None:
         """Write the entry of the records of ``keys``, the tokens' UTF-8 bytes,
         in file order, at ``offsets`` and of ``lengths`` bytes."""
-        try:
-            changed = self._model.stat().st_size != self._size
-        except OSError:
-            changed = True
-        if changed:
-            self.fail("the model file changed while it was read")
-            return
         crcs = np.fromiter(map(zlib.crc32, keys), dtype="<u4", count=len(keys))
         order = np.argsort(crcs, kind="stable")
         index = b"".join([crcs[order].tobytes(), offsets[order].astype("<u8").tobytes(),
@@ -918,11 +929,8 @@ class Vocabulary:
         norms = np.array([math.sqrt(float(np.dot(v, v)))
                           for v in vectors.astype(np.float64)], dtype=np.float64)
         norms.setflags(write=False)
-        self.tokens = tuple(tokens)
-        self.vectors = vectors
-        self.norms = norms
-        self._cleaned = cleaned_of
-        self._row = row_of
+        self.tokens, self.vectors, self.norms = tuple(tokens), vectors, norms
+        self._cleaned, self._row = cleaned_of, row_of
 
     def cleaned(self, raw: str) -> str:
         return self._cleaned[raw]

@@ -336,9 +336,10 @@ class TestBitIdentity:
 
 @contextlib.contextmanager
 def hash_passes():
-    """Counts the hash passes ``load_model`` makes before it parses or reads."""
-    spy = mock.Mock(wraps=embeddings._digest)
-    with mock.patch.object(embeddings, "_digest", spy):
+    """Counts the passes ``load_model`` makes over the model file: a parse, or
+    the hash pass of a cache read. Each opens one ``_HashingFile``."""
+    spy = mock.Mock(wraps=embeddings._HashingFile)
+    with mock.patch.object(embeddings, "_HashingFile", spy):
         yield spy
 
 
@@ -348,12 +349,26 @@ class TestHashPasses:
         path = write_model(tmp_path, fmt, EmbeddingStore([("cat", [1.0, 2.0])], dim=2))
         with hash_passes() as spy:
             cold = load_model(path)
-        spy.assert_not_called()  # the parse hashes what it reads
+        spy.assert_called_once_with(path)  # the parse hashes what it reads
         assert cache_files(cache_home) == [entry_path(cache_home, path, fmt).name]
         with hash_passes() as spy, no_parse():
             assert_same_store(load_model(path, wanted={"cat"}), cold)
-        [call] = spy.call_args_list
-        assert call.args[0].name == str(path)
+        spy.assert_called_once_with(path)
+
+    @pytest.mark.parametrize("fmt", ["text", "binary"])
+    def test_a_full_load_parses_and_keeps_the_entry_there(self, tmp_path, cache_home,
+                                                          fmt):
+        path = write_model(tmp_path, fmt, EmbeddingStore([("cat", [1.0, 2.0])], dim=2))
+        load_model(path)
+        entry = entry_path(cache_home, path, fmt)
+        os.utime(entry, ns=(0, 0))
+        before = entry.stat()
+        with hash_passes() as spy:
+            assert_same_store(load_model(path), UNCACHED[fmt](path))
+        assert spy.call_args_list == [mock.call(path)] * 2  # the parse, the expected
+        after = entry.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, 0)
+        assert cache_files(cache_home) == [entry.name]
 
     def test_only_an_entry_of_the_same_size_and_format_costs_a_hash(self, tmp_path,
                                                                     cache_home):
@@ -369,21 +384,19 @@ class TestHashPasses:
                      f"{'0' * 64}.1{size}.binary.v{version}"):
             (directory / name).write_bytes(b"another file's entry")
         wanted = {"cat", "dog"}
-        with hash_passes() as spy:
-            assert_same_store(load_model(path, wanted=wanted),
-                              load_binary_model(path, wanted=wanted))
-        spy.assert_not_called()
-        # model.bin's entry now costs other.bin a hash pass, then a parse
-        with hash_passes() as spy:
-            assert_same_store(load_model(other, wanted=wanted),
-                              load_binary_model(other, wanted=wanted))
-        assert spy.call_args.args[0].name == str(other)
         expected = [load_binary_model(path, wanted=wanted),
                     load_binary_model(other, wanted=wanted)]
+        with hash_passes() as spy:
+            assert_same_store(load_model(path, wanted=wanted), expected[0])
+        spy.assert_called_once_with(path)  # the parse alone
+        # model.bin's entry now costs other.bin a hash pass, then a parse
+        with hash_passes() as spy:
+            assert_same_store(load_model(other, wanted=wanted), expected[1])
+        assert spy.call_args_list == [mock.call(other)] * 2
         with hash_passes() as spy, no_parse():
             assert_same_store(load_model(path, wanted=wanted), expected[0])
             assert_same_store(load_model(other, wanted=wanted), expected[1])
-        assert spy.call_count == 2
+        assert spy.call_args_list == [mock.call(path), mock.call(other)]
 
 
 class TestTurnedOff:
@@ -403,7 +416,7 @@ class TestTurnedOff:
                 mock.patch.object(embeddings, f"_load_{fmt}", parse):
             for wanted, store in zip((None, {"cat"}), expected):
                 assert_same_store(load_model(path, wanted=wanted), store)
-        spy.assert_not_called()
+        assert spy.call_args_list == [mock.call(path)] * 2  # the parses alone
         assert [call.args for call in parse.call_args_list] == [
             (path, None), (path, {"cat"})]
         assert cache_files(cache_home) == [entry.name]
@@ -531,15 +544,23 @@ def _row_out_of_range(entry: Path, data: bytes) -> bytes:
 
 
 def _record_not_a_row(entry: Path, data: bytes) -> bytes:
-    """Each record one byte shorter, with the header's CRC-32 made to match:
+    """Each record two bytes shorter, with the header's CRC-32 made to match:
     a binary vector too short, a text line cut in its last number."""
     crcs, offsets, lengths = _arrays(data)
     return _forged(data, crcs, offsets, lengths - 2)
 
 
+def _record_cut_at_an_exponent(entry: Path, data: bytes) -> bytes:
+    """Each record four bytes shorter, with the header's CRC-32 made to match:
+    a binary vector too short, a text line cut before its last ``e+00``, so
+    that what is left of the line still parses, to the same number."""
+    crcs, offsets, lengths = _arrays(data)
+    return _forged(data, crcs, offsets, lengths - 4)
+
+
 _DAMAGES = [_truncate, _garble_table, _garble_token, _garble_header,
             _header_without_numbers, _other_models_entry, _offsets_swapped,
-            _row_out_of_range, _record_not_a_row]
+            _row_out_of_range, _record_not_a_row, _record_cut_at_an_exponent]
 
 
 class TestBadEntries:
@@ -565,7 +586,8 @@ class TestBadEntries:
                                         wanted):
         """An index that files the first record twice, in place of the second,
         is rebuilt, not read with the first token at two rows. A full load
-        never reads the entry, so it parses, with no warning."""
+        never reads the entry, so it parses, with no warning, and leaves the
+        entry that is there as it is."""
         path = write_model(tmp_path, fmt, EmbeddingStore(
             [("cat", [1.0, 2.0]), ("dog", [3.0, 4.0])], dim=2))
         load_model(path)
@@ -578,16 +600,39 @@ class TestBadEntries:
         with caplog.at_level(logging.WARNING, logger="labeleval.embeddings"):
             assert_same_store(load_model(path, wanted=wanted),
                               UNCACHED[fmt](path, wanted=wanted))
-        if wanted is None:
+        if wanted is None:  # the entry is neither read nor written again
             assert caplog.records == []
-        else:
-            [record] = caplog.records
-            assert record.levelno == logging.WARNING
-            # the reason alone: the entry's path holds the test's name
-            reason = record.getMessage().split(" ignored (", 1)[1]
-            first_byte = len(path.read_bytes().split(b"\n", 1)[0]) + 1
-            assert reason.startswith(
-                f"{path} byte {first_byte}: duplicate token in model: 'cat'); ")
+            assert entry.read_bytes() != good
+            return
+        [record] = caplog.records
+        assert record.levelno == logging.WARNING
+        # the reason alone: the entry's path holds the test's name
+        reason = record.getMessage().split(" ignored (", 1)[1]
+        first_byte = len(path.read_bytes().split(b"\n", 1)[0]) + 1
+        assert reason.startswith(
+            f"{path} byte {first_byte}: duplicate token in model: 'cat'); ")
+        assert entry.read_bytes() == good
+
+    def test_a_text_record_inside_a_line(self, tmp_path, cache_home, caplog):
+        """An index that files ``at`` at the tail of the line of ``cat``, with
+        the header's CRC-32 made to match, is rebuilt: a text record is read
+        only as a whole line."""
+        path = write_model(tmp_path, "text", EmbeddingStore(
+            [("cat", [1.0, 2.0]), ("at", [3.0, 4.0])], dim=2))
+        load_model(path)
+        entry = entry_path(cache_home, path)
+        good = entry.read_bytes()
+        crcs, offsets, lengths = _arrays(good)
+        cat, at = (int(np.flatnonzero(crcs == zlib.crc32(token))[0])
+                   for token in (b"cat", b"at"))
+        offsets[at], lengths[at] = offsets[cat] + 1, lengths[cat] - 1
+        entry.write_bytes(_forged(good, crcs, offsets, lengths))
+        with caplog.at_level(logging.WARNING, logger="labeleval.embeddings"):
+            assert_same_store(load_model(path, wanted={"at"}),
+                              load_text_model(path, wanted={"at"}))
+        [record] = caplog.records
+        assert f"the record at byte {offsets[at]} is not a whole line" in \
+            record.getMessage()
         assert entry.read_bytes() == good
 
     def test_an_unreadable_entry_counts_as_a_miss(self, tmp_path, cache_home):
@@ -686,12 +731,14 @@ def _each_load_warns_once(tmp_path: Path, monkeypatch, caplog, fmt: str) -> None
     blocker.write_text("", encoding="utf-8")
     monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
     path = write_model(tmp_path, fmt, EmbeddingStore([("cat", [1.0, 2.0])], dim=2))
+    expected = UNCACHED[fmt](path)
     with caplog.at_level(logging.WARNING, logger="labeleval.embeddings"), \
             hash_passes() as spy:
         for _ in range(2):
-            assert_same_store(load_model(path), UNCACHED[fmt](path))
+            assert_same_store(load_model(path), expected)
     assert [record.levelno for record in caplog.records] == [logging.WARNING] * 2
-    spy.assert_not_called()  # no entry can be there, so only the parse reads
+    # no entry can be there, so only the parse reads
+    assert spy.call_args_list == [mock.call(path)] * 2
 
 
 class TestUnwritableCache:
