@@ -95,7 +95,11 @@ def clean_label(raw: str) -> str:
 
 def clean_labels(labels: Iterable[str]) -> dict[str, str]:
     """Each distinct raw label, in first-seen order, mapped to its cleaned text."""
-    return {raw: clean_label(raw) for raw in dict.fromkeys(labels)}
+    cleaned: dict[str, str] = {}
+    for raw in labels:
+        if raw not in cleaned:
+            cleaned[raw] = clean_label(raw)
+    return cleaned
 
 
 class Permutation(enum.Enum):
@@ -608,7 +612,7 @@ def _entry_name(digest: str, size: int, fmt: str) -> str:
 def _holds_entry_of(directory: Path, size: int, fmt: str) -> bool:
     """Whether the cache holds an entry of a model file of ``size`` bytes read
     in ``fmt``; one it cannot list holds none."""
-    suffix = f".{size}.{fmt}.v{_ENTRY_VERSION}"
+    suffix = _entry_name("", size, fmt)
     try:
         return any(name.endswith(suffix) for name in os.listdir(directory))
     except OSError:
@@ -721,11 +725,8 @@ def _read_entry(handle: io.BufferedReader, model: int, path: Path, fmt: str,
         vectors.append(vector)
     if fmt == "binary":
         rows = np.frombuffer(b"".join(vectors), dtype="<f4").reshape(len(tokens), dim)
-    else:
-        try:
-            numbers = [vector.decode("utf-8") for vector in vectors]
-        except UnicodeDecodeError:
-            raise _BadEntry("a record is not UTF-8") from None
+    else:  # bytes of a file changed meanwhile that are not UTF-8 fail as numbers
+        numbers = [vector.decode("utf-8", "replace") for vector in vectors]
         rows = _parse_block(numbers, dim, places, path)  # as the parse converts it
     sink = _RowSink(len(tokens), len(tokens), dim, None, lambda offset: f"{path} byte {offset}")
     for token, offset in zip(tokens, places):
@@ -752,12 +753,9 @@ class _EntryWriter:
         logger.warning("model cache entry for %s not written (%s)", self._model, why)
 
     def needed(self, digest: str) -> bool:
-        try:
+        with contextlib.suppress(OSError):
             if self._model.stat().st_size == self._size:
-                return not (self._directory / _entry_name(digest, self._size,
-                                                          self._fmt)).exists()
-        except OSError:
-            pass
+                return not (self._directory / _entry_name(digest, self._size, self._fmt)).exists()
         self.fail("the model file changed while it was read")
         return False
 
@@ -929,8 +927,11 @@ class Vocabulary:
         norms = np.array([math.sqrt(float(np.dot(v, v)))
                           for v in vectors.astype(np.float64)], dtype=np.float64)
         norms.setflags(write=False)
-        self.tokens, self.vectors, self.norms = tuple(tokens), vectors, norms
-        self._cleaned, self._row = cleaned_of, row_of
+        self.tokens = tuple(tokens)
+        self.vectors = vectors
+        self.norms = norms
+        self._cleaned = cleaned_of
+        self._row = row_of
 
     def cleaned(self, raw: str) -> str:
         return self._cleaned[raw]
