@@ -31,10 +31,11 @@ header, size and the CRC-32 of its index, that each record it reads is whole
 it, and that the file's size and modification time did not change while it
 was read; the rows it keeps go through the sink, so none is there twice and
 each is finite. An entry that fails a check is ignored, removed and written
-again. The entries live in ``$XDG_CACHE_HOME/labeleval/models``
-(``~/.cache/labeleval/models`` when that is unset); with
-``LABELEVAL_MODEL_CACHE=off`` every load parses and the cache is not
-touched. ``load_text_model`` and ``load_binary_model`` always parse.
+again. An entry is written whole by ``write_entry``, the writer of the fetch
+and sentence caches too; a cache that cannot be written is logged once per
+load, and the load goes on without it. The entries live in
+``$XDG_CACHE_HOME/labeleval/models`` (``~/.cache/labeleval/models`` when
+that is unset). ``load_text_model`` and ``load_binary_model`` always parse.
 
 A run resolves its labels once, into a ``Vocabulary``; the scalar ``cosine``
 and ``euclidean`` stay as the reference the vectorised scoring is checked
@@ -267,6 +268,21 @@ def sha256(path: str | Path) -> str:
         while handle.readinto(buffer):
             pass
         return handle.sha256.hexdigest()
+
+
+def write_entry(path: Path, data: bytes) -> None:
+    """Write a cache entry through a temporary file of its own beside it, then
+    move that into place, so writers of one entry never share a name; the
+    temporary file is removed if the write fails."""
+    fd, temp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(temp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(temp)
+        raise
 
 
 class _RowSink:
@@ -551,9 +567,6 @@ def _load_binary(path: Path, wanted: AbstractSet[str] | None,
 
 #: The formats ``load_model`` takes; "auto" picks by the file suffix.
 MODEL_FORMATS = ("auto", "text", "binary")
-#: Set to "off", ``load_model`` parses every model and neither reads nor
-#: writes the model cache.
-MODEL_CACHE_ENV_VAR = "LABELEVAL_MODEL_CACHE"
 
 
 def load_model(path: str | Path, fmt: str = "auto", *,
@@ -563,8 +576,7 @@ def load_model(path: str | Path, fmt: str = "auto", *,
     With ``wanted``, the store keeps only the rows of those tokens, and a
     model whose bytes were loaded before in the same format is read through
     its cache entry; any other load parses, and leaves an entry (see the
-    module docstring), unless ``MODEL_CACHE_ENV_VAR`` is "off". The store
-    is the same either way.
+    module docstring). The store is the same either way.
     """
     if fmt not in MODEL_FORMATS:
         raise ValueError(f"unknown model format: {fmt!r}")
@@ -572,8 +584,6 @@ def load_model(path: str | Path, fmt: str = "auto", *,
         fmt = "binary" if Path(path).suffix == ".bin" else "text"
     path = Path(path)
     parse = _load_binary if fmt == "binary" else _load_text
-    if os.environ.get(MODEL_CACHE_ENV_VAR) == "off":
-        return parse(path, wanted)
     size, directory = path.stat().st_size, _cache_dir()
     # Only an entry of this size and format can be this file's; without one,
     # the file is not hashed twice. An entry holds no rows, so a load of
@@ -741,8 +751,8 @@ class _EntryWriter:
 
     ``needed`` tells whether to build it: not when the entry of the bytes the
     parse read is there already, nor when the file's size changed meanwhile.
-    ``commit`` puts it in place under their digest and removes the entries
-    of other layout versions kept for the same bytes. A write that fails is
+    ``commit`` puts it in place under their digest, through ``write_entry``,
+    and removes the entries of other layout versions kept for the same bytes. A write that fails is
     logged once, and the load goes on without the entry.
     """
 
@@ -768,24 +778,15 @@ class _EntryWriter:
         index = b"".join([crcs[order].tobytes(), offsets[order].astype("<u8").tobytes(),
                           lengths[order].astype("<u4").tobytes()])
         entry = self._directory / _entry_name(digest, self._size, self._fmt)
-        temp = None
         try:
             # the cache base, labeleval and models: each made private if missing
             for made in (self._directory.parents[1], self._directory.parent,
                          self._directory):
                 made.mkdir(mode=0o700, parents=True, exist_ok=True)
-            fd, temp = tempfile.mkstemp(prefix=f"{self._size}.{self._fmt}.",
-                                        suffix=".tmp", dir=self._directory)
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(_entry_header(self._fmt, digest, len(keys), dim,
-                                           zlib.crc32(index)))
-                handle.write(index)
-            os.replace(temp, entry)
-        except OSError as exc:
+            write_entry(entry, _entry_header(self._fmt, digest, len(keys), dim,
+                                             zlib.crc32(index)) + index)
+        except OSError as exc:  # the load's own outcome stands
             self.fail(exc)
-            if temp is not None:
-                with contextlib.suppress(OSError):  # the load's own outcome stands
-                    os.unlink(temp)
             return
         logger.debug("model cache entry written: %s", entry)
         for superseded in self._directory.glob(f"{digest}.*"):

@@ -50,6 +50,7 @@ from .embeddings import (
     load_model,
     sha256,
     wanted_tokens,
+    write_entry,
 )
 from .errors import (
     AuthMissingError,
@@ -79,7 +80,6 @@ from .labelset import (
     prediction_to_json,
     read_ground_truth,
     read_predictions,
-    write_entry,
 )
 from .semantic import DEFAULT_THRESHOLD, semantic_intersection, similarity_matrix
 from .sentence import ProviderConfig, fetch_embeddings, render_bow_text
@@ -288,7 +288,7 @@ def fetch_predictions(spec: ApiClientSpec, refs: Sequence[ImageRef],
                 f"max_total={spec.max_total}")
         issued += 1
         record = _fetch_one(spec, ref, body, headers, transport, limiter, sleep)
-        write_entry(cache_path, prediction_to_json(record))
+        write_entry(cache_path, prediction_to_json(record).encode("utf-8"))
         records.append(record)
     return records
 

@@ -15,12 +15,9 @@ rows, never store tokens; the raw labels give the sentence text through
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
-import os
 import sys
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -126,21 +123,6 @@ def _parse_json(text: str | bytes):
         # bad syntax and undecodable bytes are ValueErrors, as is an integer
         # past the digit limit; arrays nested past the stack recurse
         raise ParseError(f"invalid JSON: {exc}") from None
-
-
-def write_entry(path: Path, text: str) -> None:
-    """Write a cache entry through a temporary file of its own beside it, then
-    move that into place, so writers of one entry never share a name; the
-    temporary file is removed if the write fails."""
-    fd, temp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(temp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(temp)
-        raise
 
 
 def read_ground_truth(path: str | Path) -> list[GroundTruthRecord]:

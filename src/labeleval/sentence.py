@@ -25,6 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .embeddings import write_entry
 from .errors import (
     CacheCorruptError,
     DimensionInconsistentError,
@@ -33,8 +34,7 @@ from .errors import (
     ProviderUnavailableError,
 )
 from .labelset import (TEXT_ONLY, InternedObjects, InternedTruth, PredictedObject,
-                       _is_int, _is_number, _parse_json, intern_bag, read_lines,
-                       write_entry)
+                       _is_int, _is_number, _parse_json, intern_bag, read_lines)
 
 #: Environment variable that overrides the remote provider endpoint.
 ENDPOINT_ENV_VAR = "LABELEVAL_SENTENCE_ENDPOINT"
@@ -148,7 +148,7 @@ class _DiskCache:
 
     def put(self, digest: str, vector: np.ndarray) -> None:
         write_entry(self._dir / f"{digest}.json",
-                    json.dumps({"vector": [float(x) for x in vector]}))
+                    json.dumps({"vector": [float(x) for x in vector]}).encode("utf-8"))
 
 
 def _post_json(endpoint: str, payload: dict, timeout: float) -> dict:

@@ -348,6 +348,10 @@ class TestStoreInvariants:
         with pytest.raises(DimensionMismatchError):
             EmbeddingStore([("bad", np.ones(3, dtype=np.float32))], dim=2)
 
+    def test_a_token_twice_is_rejected(self):
+        with pytest.raises(DuplicateTokenError, match="'a'"):
+            EmbeddingStore([("a", [1.0]), ("a", [2.0])], dim=1)
+
 
 class TestStoreMatrix:
     def test_lying_text_header_is_malformed(self, tmp_path):

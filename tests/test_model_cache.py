@@ -223,6 +223,35 @@ class TestBitIdentity:
         with no_parse() if wanted is not None else contextlib.nullcontext():
             assert_same_store(load_model(path, wanted=wanted), expected)
 
+    @pytest.mark.parametrize("read_bytes", [1, 3, 16, embeddings._READ_BYTES])
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_parse_blocks_and_wide_padding_keep_the_offsets(self, tmp_path, cache_home,
+                                                            monkeypatch, caplog,
+                                                            read_bytes, end):
+        """A text parse flushes its numbers to the sink whenever it holds
+        ``_READ_BYTES`` of them, so small reads flush blocks mid-parse; numbers
+        padded with whitespace that numpy skips but that is more than one byte
+        in UTF-8 make a line's bytes outnumber its characters. Neither moves
+        a record: the warm load equals the parse, and the entry is the one a
+        default read size writes."""
+        path = tmp_path / "model.txt"
+        path.write_bytes(end.join([
+            "5 2", "cat 1\u00a0 2", "d\u00f6g 2\u3000 -1.5", "emu 0.25 4",
+            "yak \u00a0\u30003 5", "ant 6 7\u00a0"]).encode() + end.encode())
+        wanted = {"d\u00f6g", "emu", "ant", "zzz"}
+        expected = load_text_model(path, wanted=wanted)
+        assert len(expected) == 3
+        with mock.patch.object(embeddings, "_READ_BYTES", read_bytes), \
+                caplog.at_level(logging.WARNING, logger="labeleval.embeddings"):
+            assert_same_store(load_model(path, wanted=wanted), expected)
+            with no_parse():
+                assert_same_store(load_model(path, wanted=wanted), expected)
+        assert caplog.records == []
+        entry = entry_path(cache_home, path).read_bytes()
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "default_reads"))
+        load_model(path)
+        assert entry_path(tmp_path / "default_reads", path).read_bytes() == entry
+
     def test_a_warm_load_is_logged_and_does_not_parse(self, cache_home, caplog,
                                                        fixture_model_file):
         caplog.set_level(logging.DEBUG, logger="labeleval.embeddings")
@@ -397,35 +426,6 @@ class TestHashPasses:
             assert_same_store(load_model(path, wanted=wanted), expected[0])
             assert_same_store(load_model(other, wanted=wanted), expected[1])
         assert spy.call_args_list == [mock.call(path), mock.call(other)]
-
-
-class TestTurnedOff:
-    @pytest.mark.parametrize("fmt", ["text", "binary"])
-    def test_every_load_parses_and_the_cache_is_not_touched(self, tmp_path,
-                                                            cache_home, monkeypatch,
-                                                            fmt):
-        path = write_model(tmp_path, fmt, EmbeddingStore([("cat", [1.0, 2.0])], dim=2))
-        load_model(path)  # an entry the loads below must not read
-        entry = entry_path(cache_home, path, fmt)
-        before = entry.stat().st_mtime_ns
-        monkeypatch.setenv(embeddings.MODEL_CACHE_ENV_VAR, "off")
-        expected = [UNCACHED[fmt](path, wanted=wanted) for wanted in (None, {"cat"})]
-        parse = mock.Mock(wraps=embeddings._load_binary if fmt == "binary"
-                          else embeddings._load_text)
-        with hash_passes() as spy, \
-                mock.patch.object(embeddings, f"_load_{fmt}", parse):
-            for wanted, store in zip((None, {"cat"}), expected):
-                assert_same_store(load_model(path, wanted=wanted), store)
-        assert spy.call_args_list == [mock.call(path)] * 2  # the parses alone
-        assert [call.args for call in parse.call_args_list] == [
-            (path, None), (path, {"cat"})]
-        assert cache_files(cache_home) == [entry.name]
-        assert entry.stat().st_mtime_ns == before
-
-    def test_no_cache_directory_is_made(self, tmp_path, cache_home, monkeypatch):
-        monkeypatch.setenv(embeddings.MODEL_CACHE_ENV_VAR, "off")
-        load_model(write_model(tmp_path, "text", EmbeddingStore([("a", [1.0])], dim=1)))
-        assert not cache_home.exists()
 
 
 class TestKeying:
@@ -646,7 +646,9 @@ class TestBadEntries:
 def _older_entries_go(tmp_path: Path, cache_home: Path, fmt: str) -> None:
     """A load in ``fmt`` removes every entry of the model's bytes under another
     layout version, and leaves every other file: other models' entries, the
-    other format's entry of the same bytes and temporary files."""
+    other format's entry of the same bytes and temporary files, which
+    ``write_entry`` names ``<entry name>.<random>.tmp``; such a file is not
+    an entry."""
     path = write_model(tmp_path, fmt, EmbeddingStore([("cat", [1.0, 2.0])], dim=2))
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     size = path.stat().st_size
@@ -657,9 +659,11 @@ def _older_entries_go(tmp_path: Path, cache_home: Path, fmt: str) -> None:
              f"{digest}.{size}.text.v3", f"{digest}.{size}.binary.v3"]
     others = [f"{'0' * 64}.text.v1", f"{'0' * 64}.text.v2", f"{digest}.text.v1.x",
               f"{'0' * 64}.{size}.{fmt}.v3", f"{size}.{fmt}.abc123.tmp",
+              f"{entry_path(cache_home, path, fmt).name}.v7abc_1.tmp",
               entry_path(cache_home, path, other_fmt).name]
     for name in [*older, *others]:
         (directory / name).write_bytes(b"an older entry")
+    assert not embeddings._holds_entry_of(directory, size, fmt)
     assert_same_store(load_model(path), UNCACHED[fmt](path))
     assert cache_files(cache_home) == sorted([entry_path(cache_home, path, fmt).name,
                                               *others])
@@ -750,22 +754,20 @@ class TestUnwritableCache:
         _each_load_warns_once(tmp_path, monkeypatch, caplog, "binary")
 
     def test_a_full_disk_midway(self, tmp_path, cache_home, caplog, monkeypatch):
-        """The disk fills after the entry's header: the load warns once and
-        leaves neither the entry nor its temporary file."""
+        """The disk fills once the entry's temporary file is made, as the entry
+        is written to it whole: the load warns once and leaves neither the
+        entry nor its temporary file."""
         rows = [(f"t{i}", [float(i)] * 4) for i in range(10)]
         path = write_model(tmp_path, "text", EmbeddingStore(rows, dim=4))
 
         class FullDisk:
-            """The entry's file, full after its first write."""
+            """The entry's temporary file, with no room for its bytes."""
 
             def __init__(self, handle):
-                self.handle, self.writes = handle, 0
+                self.handle = handle
 
             def write(self, data):
-                self.writes += 1
-                if self.writes == 2:
-                    raise OSError(errno.ENOSPC, "No space left on device")
-                return self.handle.write(data)
+                raise OSError(errno.ENOSPC, "No space left on device")
 
             def __enter__(self):
                 return self

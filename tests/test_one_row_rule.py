@@ -20,9 +20,13 @@ MODULES = sorted(SRC.glob("*.py"))
 
 
 def _called(node: ast.AST, name: str) -> bool:
-    return isinstance(node, ast.Call) and (
-        isinstance(node.func, ast.Name) and node.func.id == name
-        or isinstance(node.func, ast.Attribute) and node.func.attr == name)
+    """Whether ``node`` calls ``name``, bare or as any object's attribute; a
+    dotted ``owner.name`` counts only as that attribute of ``owner``."""
+    owner, _, name = name.rpartition(".")
+    func = node.func if isinstance(node, ast.Call) else None
+    if isinstance(func, ast.Attribute) and func.attr == name:
+        return not owner or isinstance(func.value, ast.Name) and func.value.id == owner
+    return not owner and isinstance(func, ast.Name) and func.id == name
 
 
 def _callers(path: Path, name: str) -> set[str]:

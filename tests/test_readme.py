@@ -1,5 +1,6 @@
 """The README agrees with the code: the "Run config" list names exactly the
-keys a config file may set, and the model cache names its current layout.
+keys a config file may set, the model cache names its current layout, and
+the environment variables it names are the ones the source reads.
 
 A key counts as named when it is backquoted before the first colon of one of
 the list's entries, as in "- `threshold`: ...". The keys a config file may
@@ -9,12 +10,14 @@ config that sets every one of them.
 
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 
 from labeleval import harness
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = README.parent / "src" / "labeleval"
 
 
 def readme_config_keys() -> set[str]:
@@ -81,3 +84,16 @@ def test_readme_names_entries_by_the_current_layout_version():
     key = key[:key.index("\n- **")]
     versions = re.findall(r"`<sha256>\.<size>\.(?:text|binary)\.v(\d+)`", key)
     assert versions == [str(embeddings._ENTRY_VERSION)] * 2
+
+
+def test_readme_names_every_environment_variable_the_source_reads():
+    """The ``LABELEVAL_*`` names README mentions are the ones a string
+    constant under ``src/labeleval`` spells, which is how the source reads
+    them."""
+    pattern = re.compile(r"LABELEVAL_[A-Z0-9_]+")
+    read = {node.value for path in SRC.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and pattern.fullmatch(node.value)}
+    assert read
+    assert set(pattern.findall(README.read_text(encoding="utf-8"))) == read
