@@ -15,7 +15,14 @@ from pathlib import Path
 import click
 
 from . import report as reporting
-from .embeddings import Vocabulary, clean_labels, load_model, resolve_label, wanted_tokens
+from .embeddings import (
+    Vocabulary,
+    clean_labels,
+    load_model,
+    model_header,
+    resolve_label,
+    wanted_tokens,
+)
 from .errors import DataError, DuplicateImageError, ParseError, UpstreamError
 from .harness import (
     ApiClientSpec,
@@ -114,6 +121,7 @@ def _run_config(config_path, ground_truth, predictions, embeddings, top_k_text,
     overrides = {
         "ground_truth_path": ground_truth,
         "prediction_paths": tuple(predictions) or None,
+        "prediction_names": tuple(predictions) or None,
         "embeddings_path": embeddings,
         "top_ks": None if top_k_text is None else _parse_top_ks(top_k_text),
         "threshold": threshold,
@@ -189,8 +197,9 @@ def wmd_command(truth_labels, predicted_labels, embeddings):
               help="Sample labels to resolve against the store.")
 def inspect_embeddings(model_path, tokens):
     """Show store shape and how sample labels resolve."""
-    store = load_model(model_path)
-    click.echo(f"vocab_size={store.vocab_size} dim={store.dim}")
+    store = load_model(model_path, wanted=wanted_tokens(clean_labels(tokens).values()))
+    vocab_size, dim = model_header(model_path)
+    click.echo(f"vocab_size={vocab_size} dim={dim}")
     for raw in tokens:
         resolution = resolve_label(store, raw)
         if resolution.is_resolved:

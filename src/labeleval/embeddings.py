@@ -23,17 +23,21 @@ cache holds an entry of the file's size and format does a load given
 ``wanted`` hash the file first; if the entry of those bytes is there, it
 looks up each wanted token's CRC-32, reads each record filed there from the
 model file, through the descriptor it hashed, and keeps those that hold a
-wanted token, with no parse. Any other load, and every load of all rows,
-reads the file once, as a parse, and writes the entry once the parse has
-passed every check, unless it is there already. A read re-checks the entry's
-header, size and the CRC-32 of its index, that each record it reads is whole
-(a text record is a line), that each it keeps converts as the parse converts
-it, and that the file's size and modification time did not change while it
-was read; the rows it keeps go through the sink, so none is there twice and
-each is finite. An entry that fails a check is ignored, removed and written
-again. An entry is written whole by ``write_entry``, the writer of the fetch
-and sentence caches too; a cache that cannot be written is logged once per
-load, and the load goes on without it. The entries live in
+wanted token, with no parse. That hash pass, like ``sha256``'s, reads ahead:
+a helper thread reads the next block while the caller hashes the last, both
+outside the interpreter lock, and is joined before the pass ends; it is the
+package's one thread besides the caller's. Any other load, and every load of
+all rows, reads the file once, as a parse that hashes what it reads, and
+writes the entry once the parse has passed every check, unless it is there
+already. A read re-checks the entry's header, size and the CRC-32 of its
+index, that each record it reads is whole (a text record is a line), that
+each it keeps converts as the parse converts it, and that the file's size
+and modification time did not change while it was read; the rows it keeps
+go through the sink, so none is there twice and each is finite. An entry
+that fails a check is ignored, removed and written again. An entry is
+written whole by ``write_entry``, the writer of the fetch and sentence
+caches too; a cache that cannot be written is logged once per load, and the
+load goes on without it. The entries live in
 ``$XDG_CACHE_HOME/labeleval/models`` (``~/.cache/labeleval/models`` when
 that is unset). ``load_text_model`` and ``load_binary_model`` always parse.
 
@@ -51,9 +55,11 @@ import io
 import logging
 import math
 import os
+import queue
 import re
 import sys
 import tempfile
+import threading
 import warnings
 import zlib
 from dataclasses import dataclass
@@ -80,6 +86,9 @@ UNKNOWN_TOKEN = "<unk>"
 #: Binary bytes read, or text parsed, at a time; the whole binary records one
 #: read completes are checked as one block.
 _READ_BYTES = 1 << 22
+
+#: Bytes a hash pass reads at a time, into each of its two buffers.
+_HASH_BYTES = 1 << 20
 
 _DISALLOWED = re.compile(r"[^a-z0-9 ]+")
 _MULTISPACE = re.compile(r" +")
@@ -229,7 +238,11 @@ def _first_bad_row(matrix: np.ndarray) -> int | None:
 
 
 class _HashingFile(io.RawIOBase):
-    """A binary file whose every byte read also goes into a SHA-256 digest."""
+    """A binary file whose every byte read also goes into a SHA-256 digest.
+
+    A parse reads it through ``readinto``, hashing inline; a reader that
+    only needs the digest takes ``hash_pass``.
+    """
 
     _handle = None  # still None if the open fails; the finalizer closes it anyway
 
@@ -249,6 +262,52 @@ class _HashingFile(io.RawIOBase):
         self.sha256.update(memoryview(buffer)[:count])
         return count
 
+    def hash_pass(self) -> str:
+        """Read the file to its end, hashing every byte; the hex digest.
+
+        A file of at most ``_HASH_BYTES`` is read and hashed in this
+        thread, into a buffer of its own size. A larger one is read ahead:
+        a helper thread reads the next block into one of two buffers while
+        this thread hashes the other, since a read and a hash each release
+        the interpreter lock. The blocks come back in order, an error in
+        the reader is raised here, and the reader is stopped and joined on
+        every exit.
+        """
+        if self.size <= _HASH_BYTES:
+            buffer = bytearray(self.size or 1)
+            while self.readinto(buffer):
+                pass
+            return self.sha256.hexdigest()
+        free: queue.SimpleQueue = queue.SimpleQueue()  # buffers to fill; None stops
+        full: queue.SimpleQueue = queue.SimpleQueue()  # (buffer, count) or (None, error)
+        for _ in range(2):
+            free.put(bytearray(_HASH_BYTES))
+
+        def read() -> None:
+            try:
+                while (buffer := free.get()) is not None:
+                    count = self._handle.readinto(buffer)
+                    full.put((buffer, count))
+                    if not count:
+                        return
+            except BaseException as exc:  # raised in the hashing thread
+                full.put((None, exc))
+
+        reader = threading.Thread(target=read, name="labeleval-hash-read")
+        reader.start()
+        try:
+            while True:
+                buffer, count = full.get()
+                if buffer is None:
+                    raise count
+                if not count:
+                    return self.sha256.hexdigest()
+                self.sha256.update(memoryview(buffer)[:count])
+                free.put(buffer)
+        finally:
+            free.put(None)
+            reader.join()
+
     def close(self) -> None:
         if self._handle is not None:
             self._handle.close()
@@ -262,12 +321,9 @@ def _open_hashed(path: Path) -> io.BufferedReader:
 
 
 def sha256(path: str | Path) -> str:
-    """The SHA-256 hex digest of a file's bytes, read ``_READ_BYTES`` at a time."""
-    buffer = bytearray(_READ_BYTES)
+    """The SHA-256 hex digest of a file's bytes, in one ``hash_pass``."""
     with _HashingFile(Path(path)) as handle:
-        while handle.readinto(buffer):
-            pass
-        return handle.sha256.hexdigest()
+        return handle.hash_pass()
 
 
 def write_entry(path: Path, data: bytes) -> None:
@@ -569,6 +625,29 @@ def _load_binary(path: Path, wanted: AbstractSet[str] | None,
 MODEL_FORMATS = ("auto", "text", "binary")
 
 
+def _model_format(path: Path, fmt: str) -> str:
+    """The format a load of ``fmt`` reads: for "auto", binary for a .bin
+    suffix and text otherwise."""
+    if fmt not in MODEL_FORMATS:
+        raise ValueError(f"unknown model format: {fmt!r}")
+    if fmt == "auto":
+        return "binary" if path.suffix == ".bin" else "text"
+    return fmt
+
+
+def model_header(path: str | Path, fmt: str = "auto") -> tuple[int, int]:
+    """The V and D a model file's header line declares, read as a load of
+    ``fmt`` reads that line; a restricted store holds fewer than V rows."""
+    path = Path(path)
+    if _model_format(path, fmt) == "binary":
+        with path.open("rb") as handle:
+            line = handle.readline().decode("ascii")
+    else:
+        with path.open(encoding="utf-8") as handle:
+            line = handle.readline()
+    return _parse_header(line.rstrip("\n"), path)
+
+
 def load_model(path: str | Path, fmt: str = "auto", *,
                wanted: AbstractSet[str] | None = None) -> EmbeddingStore:
     """Dispatch on format; 'auto' treats a .bin suffix as binary.
@@ -578,11 +657,8 @@ def load_model(path: str | Path, fmt: str = "auto", *,
     its cache entry; any other load parses, and leaves an entry (see the
     module docstring). The store is the same either way.
     """
-    if fmt not in MODEL_FORMATS:
-        raise ValueError(f"unknown model format: {fmt!r}")
-    if fmt == "auto":
-        fmt = "binary" if Path(path).suffix == ".bin" else "text"
     path = Path(path)
+    fmt = _model_format(path, fmt)
     parse = _load_binary if fmt == "binary" else _load_text
     size, directory = path.stat().st_size, _cache_dir()
     # Only an entry of this size and format can be this file's; without one,
@@ -654,12 +730,9 @@ def _cached_store(directory: Path, path: Path, fmt: str,
     changed while it was read. The file is hashed and its records read
     through one descriptor. An entry that fails a check is removed, so that
     the parse writes it again."""
-    buffer = bytearray(_READ_BYTES)
     with _HashingFile(path) as model:
         before = os.fstat(model.fileno())
-        while model.readinto(buffer):
-            pass
-        digest = model.sha256.hexdigest()
+        digest = model.hash_pass()
         entry = directory / _entry_name(digest, before.st_size, fmt)
         try:
             with entry.open("rb") as handle:

@@ -346,6 +346,9 @@ class RunConfig:
     sentence: ProviderConfig | None = None
     output_path: str = "report"
     output_format: str = "json_lines"
+    # each prediction path as the config file or the flags spell it, which
+    # keys its digest in the provenance; None: the paths themselves
+    prediction_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         """Check every setting where it enters, before any file is read.
@@ -360,6 +363,10 @@ class RunConfig:
             raise ValueError(f"prediction_paths must be a list of paths, "
                              f"got {self.prediction_paths!r}")
         self.prediction_paths = tuple(self.prediction_paths)
+        self.prediction_names = tuple(self.prediction_paths if self.prediction_names is None
+                                      else self.prediction_names)
+        if len(self.prediction_names) != len(self.prediction_paths):
+            raise ValueError("prediction_names must name each of prediction_paths")
         if not isinstance(self.top_ks, (list, tuple)):
             raise ValueError(f"top_ks must be a list of integers, got {self.top_ks!r}")
         self.top_ks = tuple(self.top_ks)
@@ -419,10 +426,11 @@ class RunConfig:
             settings["output_format"] = output["format"]
         truth, predictions, model = (payload[key] for key in
                                      ("ground_truth", "predictions", "embeddings"))
+        names = None
         if isinstance(predictions, list):
-            predictions = list(map(beside, predictions))
+            names, predictions = predictions, list(map(beside, predictions))
         return cls(ground_truth_path=beside(truth), prediction_paths=predictions,
-                   embeddings_path=beside(model), **settings)
+                   embeddings_path=beside(model), prediction_names=names, **settings)
 
 
 @dataclass(slots=True)
@@ -474,8 +482,8 @@ def run_evaluation(config: RunConfig) -> reporting.MetricReport:
                        wanted=wanted_tokens(cleaned.values()))
     provenance = {
         "ground_truth_digest": sha256(config.ground_truth_path),
-        "prediction_digests": {str(p): sha256(p)
-                               for p in config.prediction_paths},
+        "prediction_digests": {os.path.normpath(name): sha256(path) for name, path
+                               in zip(config.prediction_names, config.prediction_paths)},
         "embeddings_digest": store.digest,
         "config": {
             "top_ks": list(config.top_ks),

@@ -41,32 +41,65 @@ class TestEvaluateCommand:
         assert all("ranks" in record and "colors" in record
                    for record in records)
 
-    def test_config_run_from_another_directory(self, capsys, tmp_path, monkeypatch,
-                                               fixture_files, fixture_model_file):
-        """A config's relative paths are read from its own directory, wherever
-        the run starts; the scores are those of a run started there."""
-        inputs = tmp_path / "inputs"
-        inputs.mkdir()
+    @staticmethod
+    def _config_in(directory, fixture_files, fixture_model_file):
+        """The fixture's inputs and a config naming them bare, in ``directory``."""
+        directory.mkdir()
         names = []
         for path in [fixture_files["truth"], *fixture_files["predictions"],
                      fixture_model_file]:
-            (inputs / path.name).write_bytes(path.read_bytes())
+            (directory / path.name).write_bytes(path.read_bytes())
             names.append(path.name)
-        (inputs / "config.json").write_text(json.dumps({
+        (directory / "config.json").write_text(json.dumps({
             "ground_truth": names[0], "predictions": names[1:-1],
             "embeddings": names[-1], "top_ks": [1, 3], "output": {"path": "report"}}),
             encoding="utf-8")
-        scores = []
-        for cwd, config, report in ((tmp_path, "inputs/config.json", "inputs/report"),
-                                    (inputs, "config.json", "report")):
+        return names
+
+    @staticmethod
+    def _reports(capsys, monkeypatch, inputs, runs):
+        """The report bytes of each (cwd, config, report) run."""
+        reports = []
+        for cwd, config, report in runs:
             monkeypatch.chdir(cwd)
             code, stdout, err = run_cli(capsys, "evaluate", "--config", config)
             assert (code, stdout, err) == (0, f"wrote {report}.jsonl\n", "")
-            scores.append([(record["api_id"], record["k"], record["metrics"])
-                           for record in parse_json_lines(inputs / "report.jsonl")])
+            reports.append((inputs / "report.jsonl").read_bytes())
             (inputs / "report.jsonl").unlink()
-        assert scores[0] == scores[1]
-        assert len(scores[0]) == len(street_scene.PREDICTIONS) * 2
+        return reports
+
+    def test_config_run_from_another_directory(self, capsys, tmp_path, monkeypatch,
+                                               fixture_files, fixture_model_file):
+        """A config's relative paths are read from its own directory, wherever
+        the run starts; the report is that of a run started there."""
+        inputs = tmp_path / "inputs"
+        names = self._config_in(inputs, fixture_files, fixture_model_file)
+        reports = self._reports(capsys, monkeypatch, inputs, [
+            (tmp_path, "inputs/config.json", "inputs/report"),
+            (inputs, "config.json", "report")])
+        assert reports[0] == reports[1]
+        rows = [json.loads(line) for line in reports[0].splitlines()]
+        assert len(rows) == len(street_scene.PREDICTIONS) * 2
+        assert list(rows[0]["provenance"]["prediction_digests"]) == names[1:-1]
+
+    def test_the_report_does_not_depend_on_how_the_config_is_named(
+            self, capsys, tmp_path, monkeypatch, fixture_files, fixture_model_file):
+        """Each prediction digest is keyed by the path as the config spells
+        it, normalised, so every spelling of the config's own path gives the
+        same bytes."""
+        inputs = tmp_path / "inputs"
+        names = self._config_in(inputs, fixture_files, fixture_model_file)
+        # the config spells its first prediction path with a ./ of its own
+        config = json.loads((inputs / "config.json").read_text(encoding="utf-8"))
+        config["predictions"][0] = "./" + names[1]
+        (inputs / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        reports = self._reports(capsys, monkeypatch, inputs, [
+            (inputs, "config.json", "report"),
+            (inputs, "./config.json", "report"),
+            (inputs, str(inputs / "config.json"), str(inputs / "report"))])
+        assert reports[0] == reports[1] == reports[2]
+        rows = [json.loads(line) for line in reports[0].splitlines()]
+        assert list(rows[0]["provenance"]["prediction_digests"]) == names[1:-1]
 
     def test_csv_and_html_formats(self, capsys, tmp_path, fixture_files,
                                   fixture_model_file):
@@ -781,7 +814,8 @@ class TestInspectCommand:
         assert err.splitlines() == [f"data error: {model}: not valid UTF-8 text"]
 
 
-    def test_loads_every_row(self, capsys, monkeypatch, fixture_model_file):
+    def test_loads_only_the_rows_its_tokens_may_resolve_to(self, capsys, monkeypatch,
+                                                           fixture_model_file):
         from labeleval import cli
         from labeleval.embeddings import load_text_model
 
@@ -790,11 +824,38 @@ class TestInspectCommand:
         monkeypatch.setattr(cli, "load_model",
                             lambda *a, **kw: loads.append(kw) or real(*a, **kw))
         code, stdout, _ = run_cli(capsys, "inspect-embeddings",
-                                  str(fixture_model_file), "--token", "car")
+                                  str(fixture_model_file), "--token", " Car!")
         assert code == 0
-        assert loads == [{}]
+        assert loads == [{"wanted": {"car", "Car"}}]
         full = load_text_model(fixture_model_file)
-        assert stdout.splitlines()[0] == f"vocab_size={len(full)} dim={full.dim}"
+        assert stdout.splitlines() == [f"vocab_size={len(full)} dim={full.dim}",
+                                       "' Car!' -> 'car' (as_is)"]
+
+    @pytest.mark.parametrize("name", ["model.txt", "model.bin"])
+    def test_with_an_entry_there_it_hashes_once_and_does_not_parse(
+            self, capsys, tmp_path, monkeypatch, name):
+        from test_model_cache import hash_passes, no_parse
+
+        from labeleval.embeddings import EmbeddingStore, save_binary_model, save_text_model
+
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        model = tmp_path / name
+        save = save_binary_model if name.endswith(".bin") else save_text_model
+        save(EmbeddingStore([("cat", [1.0]), ("dog", [2.0]), ("Hot_Dog", [3.0])],
+                            dim=1), model)
+        argv = ["inspect-embeddings", str(model), "--token", "hot dog", "--token", "emu"]
+        first = run_cli(capsys, *argv)  # a parse, which writes the entry
+        with hash_passes() as spy, no_parse():
+            assert run_cli(capsys, *argv) == first
+        spy.assert_called_once_with(model)
+        assert first == (0, "vocab_size=3 dim=1\n'hot dog' -> 'Hot_Dog' "
+                            "(title_underscore)\n'emu' -> unknown\n", "")
+
+    def test_the_shape_is_the_header_lines_in_any_line_end(self, capsys, tmp_path):
+        model = tmp_path / "model.txt"
+        model.write_bytes(b"2 1\rcat 1\rdog 2\r")
+        assert run_cli(capsys, "inspect-embeddings", str(model), "--token", "dog") == \
+            (0, "vocab_size=2 dim=1\n'dog' -> 'dog' (as_is)\n", "")
 
     @pytest.mark.parametrize("name,message", [
         ("model.txt", "{path}: a row of 99999999999999999999 components cannot "

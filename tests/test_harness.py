@@ -738,6 +738,21 @@ class TestRunEvaluation:
                                                      encoding="utf-8")
         assert RunConfig.from_file(tmp_path / "runs" / "run.json").output_path == "report"
 
+    def test_prediction_names_are_the_config_spellings(self, tmp_path):
+        """The names that key the provenance's digests are the config's own
+        strings; a config built directly names each path by itself."""
+        (tmp_path / "runs").mkdir()
+        (tmp_path / "runs" / "run.json").write_text(json.dumps({
+            "ground_truth": "t.jsonl", "predictions": ["./a.jsonl", "/abs/b.jsonl"],
+            "embeddings": "m.txt"}), encoding="utf-8")
+        config = RunConfig.from_file(tmp_path / "runs" / "run.json")
+        assert config.prediction_names == ("./a.jsonl", "/abs/b.jsonl")
+        assert RunConfig(ground_truth_path="t", prediction_paths=["a", "b"],
+                         embeddings_path="m").prediction_names == ("a", "b")
+        with pytest.raises(ValueError, match="prediction_names must name each"):
+            RunConfig(ground_truth_path="t", prediction_paths=("a", "b"),
+                      embeddings_path="m", prediction_names=("a",))
+
 
 class TestSentencePass:
     """The run embeds every distinct text of every (api, k) in one call."""

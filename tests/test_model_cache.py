@@ -17,6 +17,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import zlib
 from pathlib import Path
 from unittest import mock
@@ -242,6 +243,7 @@ class TestBitIdentity:
         expected = load_text_model(path, wanted=wanted)
         assert len(expected) == 3
         with mock.patch.object(embeddings, "_READ_BYTES", read_bytes), \
+                mock.patch.object(embeddings, "_HASH_BYTES", read_bytes), \
                 caplog.at_level(logging.WARNING, logger="labeleval.embeddings"):
             assert_same_store(load_model(path, wanted=wanted), expected)
             with no_parse():
@@ -426,6 +428,112 @@ class TestHashPasses:
             assert_same_store(load_model(path, wanted=wanted), expected[0])
             assert_same_store(load_model(other, wanted=wanted), expected[1])
         assert spy.call_args_list == [mock.call(path), mock.call(other)]
+
+
+class _FailingHandle:
+    """A model file handle whose ``readinto`` fails once it has read ``reads``
+    times, as a disk that stops answering midway."""
+
+    def __init__(self, handle, reads: int):
+        self._handle, self._reads = handle, reads
+
+    def readinto(self, buffer) -> int:
+        if not self._reads:
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        self._reads -= 1
+        return self._handle.readinto(buffer)
+
+    def fileno(self) -> int:
+        return self._handle.fileno()
+
+    def close(self) -> None:
+        self._handle.close()
+
+
+@contextlib.contextmanager
+def reads_fail_after(reads: int):
+    """Every ``_HashingFile`` opened meanwhile fails its read number ``reads``."""
+    real = embeddings._HashingFile.__init__
+
+    def init(self, path):
+        real(self, path)
+        self._handle = _FailingHandle(self._handle, reads)
+
+    with mock.patch.object(embeddings._HashingFile, "__init__", init):
+        yield
+
+
+class TestHashPass:
+    """The pass that only hashes, read ahead by a helper thread in two
+    buffers of ``_HASH_BYTES``: the digest of the bytes, no thread left."""
+
+    @pytest.mark.parametrize("block", [1, 3, 16, embeddings._HASH_BYTES])
+    def test_the_digest_is_that_of_the_bytes(self, tmp_path, block):
+        path = tmp_path / "input"
+        blob = os.urandom(3 * block + block // 2 + 1)
+        threads = threading.active_count()
+        with mock.patch.object(embeddings, "_HASH_BYTES", block):
+            for size in sorted({0, 1, block - 1, block, block + 1, len(blob)}):
+                path.write_bytes(blob[:size])
+                assert embeddings.sha256(path) == hashlib.sha256(blob[:size]).hexdigest()
+                assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("size,threads", [(0, 0), (16, 0), (17, 1), (100, 1)])
+    def test_a_file_of_one_block_starts_no_thread(self, tmp_path, size, threads):
+        path = tmp_path / "input"
+        path.write_bytes(b"x" * size)
+        spy = mock.Mock(wraps=threading.Thread)
+        with mock.patch.object(embeddings, "_HASH_BYTES", 16), \
+                mock.patch.object(threading, "Thread", spy):
+            assert embeddings.sha256(path) == hashlib.sha256(b"x" * size).hexdigest()
+        assert spy.call_count == threads
+
+    # 40 bytes: ten reads of 4 and one at the end, or one whole read and one
+    @pytest.mark.parametrize("block,reads", [(4, 0), (4, 1), (4, 5), (4, 10),
+                                             (embeddings._HASH_BYTES, 0),
+                                             (embeddings._HASH_BYTES, 1)])
+    def test_a_failed_read_is_raised_as_it_was(self, tmp_path, block, reads):
+        path = tmp_path / "input"
+        path.write_bytes(b"x" * 40)
+        threads = threading.active_count()
+        with mock.patch.object(embeddings, "_HASH_BYTES", block), \
+                reads_fail_after(reads), pytest.raises(OSError) as raised:
+            embeddings.sha256(path)
+        assert type(raised.value) is OSError
+        assert str(raised.value) == f"[Errno {errno.EIO}] {os.strerror(errno.EIO)}"
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("fmt", ["text", "binary"])
+    @pytest.mark.parametrize("block", [4, embeddings._HASH_BYTES])
+    def test_a_failed_read_fails_a_warm_load_as_it_did(self, tmp_path, cache_home,
+                                                       fmt, block):
+        path = write_model(tmp_path, fmt, EmbeddingStore(
+            [("cat", [1.0, 2.0]), ("dog", [3.0, 4.0])], dim=2))
+        load_model(path)
+        threads = threading.active_count()
+        with mock.patch.object(embeddings, "_HASH_BYTES", block), \
+                reads_fail_after(1), no_parse(), pytest.raises(OSError) as raised:
+            load_model(path, wanted={"cat"})
+        assert type(raised.value) is OSError
+        assert str(raised.value) == f"[Errno {errno.EIO}] {os.strerror(errno.EIO)}"
+        assert threading.active_count() == threads
+        assert cache_files(cache_home) == [entry_path(cache_home, path, fmt).name]
+
+    def test_a_hash_that_fails_stops_the_reader(self, tmp_path):
+        path = tmp_path / "input"
+        path.write_bytes(b"x" * 100)
+
+        class Interrupted:
+            def update(self, data):
+                raise KeyboardInterrupt
+
+        threads = threading.active_count()
+        with mock.patch.object(embeddings, "_HASH_BYTES", 4), \
+                embeddings._HashingFile(path) as model:
+            model.sha256 = Interrupted()
+            with pytest.raises(KeyboardInterrupt):
+                model.hash_pass()
+        assert threading.active_count() == threads
 
 
 class TestKeying:
